@@ -29,11 +29,26 @@ _MULTISLASH = re.compile(r"//+")
 
 _DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21}
 
+_PORT = re.compile(r"\d{1,5}(?:[/?#]|$)")
+# schemes that never carry a host: 'tel:911' is a phone number even though
+# it has the shape of host:port
+_OPAQUE_SCHEMES = frozenset({"tel", "fax", "sms", "urn"})
+
 
 def _norm_path(path: str) -> str:
     """Collapse duplicate slashes; normalize %XX hex to uppercase."""
     path = _MULTISLASH.sub("/", path or "/")
     return _PCT.sub(lambda m: m.group(0).upper(), path)
+
+
+def _is_host_port(url: str, scheme: "re.Match") -> bool:
+    """'example.com:8080/x' lexes as scheme 'example.com' and would swallow
+    the host: the colon starts a PORT when one to five digits run up to
+    the path, query, fragment or end, and the 'scheme' is not an opaque
+    one.  'tel:5551234' and 'urn:3gpp:x' stay opaque URIs, like
+    'mailto:a@b.com'."""
+    return (_PORT.match(url, scheme.end()) is not None
+            and url[:scheme.end() - 1].lower() not in _OPAQUE_SCHEMES)
 
 
 def split_url(url: str) -> tuple[str, str, str, str]:
@@ -43,11 +58,7 @@ def split_url(url: str) -> tuple[str, str, str, str]:
     IPv6 literal hosts come back bracketed (``[::1]:8080``) so the host:port
     split downstream stays unambiguous."""
     m = _SCHEME.match(url)
-    # 'example.com:8080/x' would lex as scheme 'example.com' and swallow the
-    # host — a colon followed by a digit is a PORT unless '//' follows, so
-    # such urls are scheme-less host:port forms and get the http prefix too
-    if not m or (url[m.end():m.end() + 1].isdigit()
-                 and url[m.end():m.end() + 2] != "//"):
+    if not m or _is_host_port(url, m):
         url = "http://" + url
     parts = urlsplit(url)
     host = (parts.hostname or "").lower()
@@ -137,9 +148,12 @@ def surt(url: str) -> str:
     host, path, query, _ = split_url(url)
     host = _idna_host(_WWW.sub("", host))
     host, port = _split_host_port(host)
-    # bracketed IPv6 literals have no dot-separated labels to reverse —
-    # they pass through whole (the reversed() of a 1-element split)
-    rev = (",".join(reversed(host.split("."))) + port) if host else ""
+    # bracketed IPv6 literals have no labels to reverse — they pass through
+    # whole, IPv4-mapped ones ('[::ffff:192.0.2.4]') included
+    if host.startswith("["):
+        rev = host + port
+    else:
+        rev = (",".join(reversed(host.split("."))) + port) if host else ""
     path = _JSESSIONID_PATH.sub("", path).lower() or "/"
     out = rev + ")" + path
     if query:

@@ -29,6 +29,7 @@ import ray.data as rd
 
 from sidecar.canon import cdxj_key, surt
 from sidecar.pipeline import _lang_struct_to_ref
+from sidecar.shuffle import copartition
 
 # Full ISO-639-1 → ISO-639-2/T (alpha-3) table, statically embedded (the
 # reference uses langcodes.Language.get(code).to_alpha3(), merge_cdxj.py:18,
@@ -274,14 +275,10 @@ def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
         original_ds.map_batches(tag("orig"), batch_format="pyarrow")
     )
 
-    from zlib import crc32
-
     def add_key(batch: pa.Table) -> pa.Table:
         key = [cdxj_key(s, t) for s, t in zip(batch.column("surt").to_pylist(),
                                               batch.column("ts").to_pylist())]
-        part = [crc32(k.encode()) % 64 for k in key]
-        t = batch.append_column("key", pa.array(key, pa.string()))
-        return t.append_column("part", pa.array(part, pa.int64()))
+        return batch.append_column("key", pa.array(key, pa.string()))
 
     def merge_partition(g: pd.DataFrame) -> pd.DataFrame:
         """Within one coarse hash partition: build a dict of the meta side,
@@ -290,7 +287,7 @@ def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
         metas = g[g["side"] == "meta"]
         origs = g[g["side"] == "orig"].copy()
         if len(origs) == 0:
-            return origs.drop(columns=["side", "key", "part"])
+            return origs.drop(columns=["side", "key"])
         build = {k: j for k, j in zip(metas["key"], metas["json"])}
         out_json, matched = [], []
         for k, j in zip(origs["key"], origs["json"]):
@@ -304,10 +301,7 @@ def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
                 matched.append(False)
         origs["json"] = out_json
         origs["matched"] = matched
-        return origs.drop(columns=["side", "key", "part"])
+        return origs.drop(columns=["side", "key"])
 
-    return (
-        both.map_batches(add_key, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_partition, batch_format="pandas")
-    )
+    return copartition(both.map_batches(add_key, batch_format="pyarrow"),
+                       "key", merge_partition, batch_format="pandas")

@@ -30,7 +30,7 @@ import ray
 import ray.data as rd
 
 from sidecar import pipeline, warc
-from sidecar.canon import surt
+from sidecar.canon import cdxj_key, surt
 from sidecar.cdxj import cdxj_line, merge_cdxj, parse_cdxj_lines
 
 
@@ -473,7 +473,7 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
         # last-line-wins, matching cmd_merge's ordered dict build
         metas = g[g["side"] == "m"].sort_values("lineno")
         origs = g[g["side"] == "o"].sort_values("lineno")
-        build = {s + " " + t: j for s, t, j in
+        build = {cdxj_key(s, t): j for s, t, j in
                  zip(metas["surt"], metas["ts"], metas["json"])}
         out_path = os.path.join(cdxj_dir, warc.merged_cdxj_name(name))
         edited = 0
@@ -482,7 +482,7 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
         tmp_path = out_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
             for s, t, j in zip(origs["surt"], origs["ts"], origs["json"]):
-                mj = build.get(s + " " + t)
+                mj = build.get(cdxj_key(s, t))
                 # truthiness: an empty meta object {} is no match
                 # (merge_cdxj.py:72) — the original line passes through
                 mo = json.loads(mj) if mj is not None else None

@@ -23,10 +23,10 @@ import ray.data as rd
 
 from sidecar import synth
 from sidecar.canon import canonical_url, host_of, url_hash
+from sidecar.shuffle import copartition
 
 SORT_COLS = ["priority", "depth", "url_hash", "seed_id", "url"]
 SORT_ASC = [False, True, True, True, True]
-NUM_BUDGET_PARTS = 64  # coarse Ray-level partition count for select_budget
 
 
 def _sort_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -77,17 +77,11 @@ def dedup_by_url_hash(frontier: "rd.Dataset") -> "rd.Dataset":
     raw url_hash would dispatch Python once per distinct URL).
     """
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column(
-            "dpart", pa.array((h % np.uint64(NUM_BUDGET_PARTS)).astype(np.int64)))
-
     def best_per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return (_sort_group(g).drop_duplicates("url_hash", keep="first")
-                .drop(columns=["dpart"]))
+        return _sort_group(g).drop_duplicates("url_hash", keep="first")
 
-    return (frontier.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("dpart").map_groups(best_per_partition, batch_format="pandas"))
+    return copartition(frontier, "url_hash", best_per_partition,
+                       batch_format="pandas")
 
 
 # per-worker-process memo: ObjectRef -> deserialized BloomFilter (read-only
@@ -310,23 +304,16 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         return rd.from_pandas(df.reset_index(drop=True))
 
 
-    # Ray-level grouping uses COARSE partition keys (≤ NUM_BUDGET_PARTS
-    # groups per stage); the exact (host, salt) / host grouping happens
-    # vectorized INSIDE each task via sort + groupby().cumcount() — per-group
-    # Python dispatch over (hosts × salts) tiny groups dominated wall time
-    # otherwise (measured 13-17s → ~4s for a 400k-row frontier at 32 CPUs).
-    from zlib import crc32
-
-    def with_keys(batch: pa.Table) -> pa.Table:
+    # Ray-level grouping co-partitions on (host, salt), then on host
+    # (shuffle.NUM_PARTS groups per stage); the exact (host, salt) / host
+    # grouping happens vectorized INSIDE each task via sort +
+    # groupby().cumcount() — per-group Python dispatch over (hosts × salts)
+    # tiny groups dominated wall time otherwise (measured 13-17s → ~4s for
+    # a 400k-row frontier at 32 CPUs).
+    def with_salt(batch: pa.Table) -> pa.Table:
         h = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        salt = (h % np.uint64(n_salts)).astype(np.int32)
-        hp = np.array([crc32(x.encode()) for x in batch.column("host").to_pylist()],
-                      dtype=np.int64)
-        part1 = ((hp * np.int64(31) + salt) % NUM_BUDGET_PARTS).astype(np.int64)
-        part2 = (hp % NUM_BUDGET_PARTS).astype(np.int64)
-        t = batch.append_column("salt", pa.array(salt))
-        t = t.append_column("part1", pa.array(part1))
-        return t.append_column("part2", pa.array(part2))
+        return batch.append_column(
+            "salt", pa.array((h % np.uint64(n_salts)).astype(np.int32)))
 
     def stage1(g: pd.DataFrame) -> pd.DataFrame:
         g = _sort_group(g)
@@ -335,7 +322,7 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         g = g.copy()
         bud = _budgets(g["host"].to_numpy())
         g["finalist"] = g.groupby(["host", "salt"], sort=False).cumcount().to_numpy() < bud
-        return g.drop(columns=["part1"])
+        return g
 
     def stage2(g: pd.DataFrame) -> pd.DataFrame:
         g = _sort_group(g).copy()
@@ -344,11 +331,11 @@ def select_budget(frontier: "rd.Dataset", budget: int,
                     .cumsum() - g["finalist"].astype(int))
         bud = _budgets(g["host"].to_numpy())
         g["selected"] = g["finalist"].to_numpy() & (fin_rank.to_numpy() < bud)
-        return g.drop(columns=["salt", "finalist", "part2"])
+        return g.drop(columns=["salt", "finalist"])
 
-    keyed = frontier.map_batches(with_keys, batch_format="pyarrow", zero_copy_batch=True)
-    ranked = keyed.groupby("part1").map_groups(stage1, batch_format="pandas")
-    return ranked.groupby("part2").map_groups(stage2, batch_format="pandas")
+    salted = frontier.map_batches(with_salt, batch_format="pyarrow", zero_copy_batch=True)
+    ranked = copartition(salted, ["host", "salt"], stage1, batch_format="pandas")
+    return copartition(ranked, "host", stage2, batch_format="pandas")
 
 
 def discover_links(selected: "rd.Dataset", epoch: int, n_hosts: int, seed: int,

@@ -35,6 +35,7 @@ import ray.data as rd
 
 from sidecar.ops.similarity import _emb_matrix, _unit_rows
 from sidecar.ops.text import read_documents
+from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
 NUM_PERMS = 8     # minhash permutations (p = 0..7)
@@ -131,25 +132,23 @@ def _minhash_sig(shingles: list[str],
 # ---------------------------------------------------------------- exact dedup
 
 def fp_rows_batch(batch: pa.Table) -> pa.Table:
-    """(part, fp, doc_id) rows: md5 content fingerprint per document — the
-    ONE definition shared by exact_dedup and prep_corpus's stage 2.  The
-    coarse partition key comes from the fingerprint's first 8 hex chars, so
-    the Ray shuffle sorts a 64-value int key and the string grouping stays
-    inside each task (a groupby on 1M fp STRINGS pays the same ~6 MB/core-s
-    row-repack as every other string-payload sort here)."""
+    """(fp, doc_id) rows: md5 content fingerprint per document — the ONE
+    definition shared by exact_dedup and prep_corpus's stage 2.  Both
+    co-partition on fp, so the Ray shuffle sorts a 64-value int key and the
+    string grouping stays inside each task (a groupby on 1M fp STRINGS pays
+    the same ~6 MB/core-s row-repack as every other string-payload sort
+    here)."""
     md5 = hashlib.md5
     fps = [md5((t or "").encode()).hexdigest()
            for t in batch.column("text").to_pylist()]
-    parts = [int(fp[:8], 16) % NUM_SHUFFLE_PARTS for fp in fps]
-    return pa.table({"part": pa.array(parts, pa.int64()),
-                     "fp": pa.array(fps, pa.string()),
+    return pa.table({"fp": pa.array(fps, pa.string()),
                      "doc_id": batch.column("doc_id")})
 
 
 def exact_dedup(sf_dir: str) -> "rd.Dataset":
     """fp, keep_doc_id, n_dups — hash-partition by content fingerprint, keep
     the min doc_id per group (the distributed DIGEST_CACHE: groupby moves only
-    (part, fp, doc_id) rows, one representative survives per distinct
+    (fp, doc_id) rows, one representative survives per distinct
     payload; the per-fp min/count runs vectorized inside each partition)."""
 
     def fp_agg(g: pd.DataFrame) -> pd.DataFrame:
@@ -158,12 +157,10 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
                              "keep_doc_id": a["min"].to_numpy(),
                              "n_dups": a["count"].to_numpy()})
 
-    return (
-        _stage(read_documents(sf_dir).map_batches(
-            fp_rows_batch, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(fp_agg, batch_format="pandas")
-    )
+    return copartition(
+        read_documents(sf_dir).map_batches(
+            fp_rows_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "fp", fp_agg, batch_format="pandas", stage=True)
 
 
 # ------------------------------------------------------------- minhash + LSH
@@ -188,33 +185,6 @@ def minhash_signatures(sf_dir: str, family: str = "md5") -> "rd.Dataset":
         return pa.table(cols)
 
     return read_documents(sf_dir).map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-NUM_SHUFFLE_PARTS = 64  # coarse partition count for the salted-group pattern
-
-def _stage(ds: "rd.Dataset", *, max_blocks: int = 64) -> "rd.Dataset":
-    """Materialize a small key-row intermediate at a shuffle barrier, and
-    coalesce it when the upstream maps left it in many tiny blocks.
-
-    Two measured effects, one helper:
-    - Ray's streaming executor fair-shares the CPU pool across ALL plan
-      operators — including sort phases that cannot start until the upstream
-      map finishes — so in a 5-operator plan the one compute-heavy map gets
-      ~2 of 8 CPUs (measured: minhash banding 172 s streamed vs 28 s staged
-      at 8 CPUs / 500k docs).  The next operator is an all-to-all barrier
-      ANYWAY, so staging loses no pipeline overlap.
-    - Ray's sort pays per-task scheduling for every input block and reduce
-      partition: the IDENTICAL 38M-row groupby measured 18.8 s from 512
-      input blocks vs 1.4 s from 64 (isolated A/B, BASELINE.md round 5).
-      Upstream parquet reads auto-split to ~256 blocks, so staged
-      intermediates coalesce to ``max_blocks`` before the shuffle.
-    Only key-sized rows are ever held — never payloads."""
-    out = ds.materialize()
-    if out.num_blocks() > max_blocks:
-        out = out.repartition(max_blocks).materialize()
-    return out
-
-
 
 
 def _pairs_within(g: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
@@ -254,47 +224,26 @@ def _pairs_within(g: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
 
 def _dedup_pairs(pairs_ds: "rd.Dataset", a: str = "doc_a", b: str = "doc_b",
                  extra_cols: tuple[str, ...] = ()) -> "rd.Dataset":
-    """Distinct (a,b) pairs via coarse-partition drop_duplicates: partition
-    key = pair hash mod NUM_SHUFFLE_PARTS, so the shuffle has 64 groups
-    regardless of pair count and dedup runs vectorized per partition.
-    Int keys hash arithmetically; string keys via crc32.  ``extra_cols``
-    ride along (first value per pair wins — identical across dups here)."""
-    from zlib import crc32
-
+    """Distinct (a,b) pairs via drop_duplicates inside each (a, b)
+    co-partition: the shuffle has 64 groups regardless of pair count and
+    dedup runs vectorized per partition.  ``extra_cols`` ride along (first
+    value per pair wins — identical across dups here)."""
     keep_cols = [a, b, *extra_cols]
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        aa = batch.column(a).to_numpy(zero_copy_only=False)
-        bb = batch.column(b).to_numpy(zero_copy_only=False)
-        if np.issubdtype(aa.dtype, np.integer):
-            part = ((aa * 1000003 + bb) % NUM_SHUFFLE_PARTS).astype(np.int64)
-        else:
-            part = np.array([crc32(f"{x}|{y}".encode()) % NUM_SHUFFLE_PARTS
-                             for x, y in zip(aa, bb)], dtype=np.int64)
-        # upstream groups arrive as pandas blocks whose arrow conversion
-        # carries unhashable b'pandas' schema metadata — strip it so the
-        # downstream shuffle's schema dedup works (storage.strip_schema_metadata)
-        return batch.replace_schema_metadata(None).append_column(
-            "part", pa.array(part, pa.int64()))
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates([a, b])[keep_cols]
 
-    return (
-        pairs_ds.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(drop_dups, batch_format="pandas")
-    )
+    return copartition(pairs_ds, [a, b], drop_dups, batch_format="pandas")
 
 
 def bucketize_batch(batch: pa.Table, family: str = "md5") -> pa.Table:
-    """(part, band, bucket, doc_id) LSH banding rows — the ONE banding
+    """(band, bucket, doc_id) LSH banding rows — the ONE banding
     definition shared by minhash_lsh_pairs and prep_corpus's stage 3 (both
     DuckDB oracles assume the identical md5 formulas; ``family`` swaps the
     signature hash — banding itself is family-agnostic, it concatenates and
     re-hashes the hex strings)."""
     md5 = hashlib.md5
-    bands, buckets, ids, parts = [], [], [], []
+    bands, buckets, ids = [], [], []
     for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):
         sig = _minhash_sig(_shingles(text), family)
@@ -306,9 +255,7 @@ def bucketize_batch(batch: pa.Table, family: str = "md5") -> pa.Table:
             bands.append(b)
             buckets.append(digest)
             ids.append(doc_id)
-            parts.append(int(digest[:8], 16) % NUM_SHUFFLE_PARTS)
     return pa.table({
-        "part": pa.array(parts, pa.int64()),
         "band": pa.array(bands, pa.int64()),
         "bucket": pa.array(buckets, pa.string()),
         "doc_id": pa.array(ids, pa.int64()),
@@ -319,7 +266,7 @@ def minhash_lsh_pairs(sf_dir: str, family: str = "md5") -> "rd.Dataset":
     """doc_a, doc_b — distinct candidate near-dup pairs from LSH banding:
     shingle → minhash → band-bucket → coarse-partition groupby → pairs.
 
-    The banding shuffle carries only (part, band, bucket, doc_id); the Ray
+    The banding shuffle carries only (band, bucket, doc_id); the Ray
     groupby key is a coarse bucket-hash partition (64 groups) and the exact
     (band, bucket) grouping happens vectorized inside each task.  Pair
     explosion inside one bucket is the skew to watch — buckets are
@@ -328,11 +275,12 @@ def minhash_lsh_pairs(sf_dir: str, family: str = "md5") -> "rd.Dataset":
     hash (MINHASH_FAMILIES); "md5" is the oracle default, "splitmix64" the
     one-hash-many-permutations production family.
     """
-    bands = _stage(read_documents(sf_dir).map_batches(
+    bands = read_documents(sf_dir).map_batches(
         functools.partial(bucketize_batch, family=family),
-        batch_format="pyarrow", zero_copy_batch=True))
-    candidates = bands.groupby("part").map_groups(
-        lambda g: _pairs_within(g, ["band", "bucket"]), batch_format="pandas")
+        batch_format="pyarrow", zero_copy_batch=True)
+    candidates = copartition(
+        bands, "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
+        batch_format="pandas", stage=True)
     return _dedup_pairs(candidates)
 
 
@@ -410,13 +358,11 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
     """
     from collections import Counter
 
-    from zlib import crc32  # deterministic across processes (hash() is not)
-
     docs = read_documents(sf_dir)
 
     # stage 1: global shingle document frequencies, keyed by a 64-bit md5
     # hash of the shingle.  Three scale decisions, all exactness-preserving:
-    # - the reduce shuffle carries (part, h, p_df) int rows — shipping the
+    # - the reduce shuffle carries (h, p_df) int rows — shipping the
     #   25-char shingle STRINGS measured 43-58 s of row-repack per pass;
     # - only df >= 2 entries reach the driver (a df-1 shingle can never
     #   join two docs; absent hashes default to df=1 in the order key);
@@ -437,7 +383,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
             c.update(_shingles(t))
         hs = _sh_hash(list(c.keys()))
         return pa.table({
-            "part": pa.array((hs % np.uint64(NUM_SHUFFLE_PARTS)).astype(np.int64)),
             "h": pa.array(hs, pa.uint64()),
             "p_df": pa.array(list(c.values()), pa.int64()),
         })
@@ -449,11 +394,11 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                              "df": agg.to_numpy()})
 
     hs_l, df_l = [], []
-    for b in (_stage(docs.map_batches(partial_df, batch_format="pyarrow",
-                                      zero_copy_batch=True))
-              .groupby("part")
-              .map_groups(reduce_df, batch_format="pandas")
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
+    for b in copartition(
+            docs.map_batches(partial_df, batch_format="pyarrow",
+                             zero_copy_batch=True),
+            "h", reduce_df, batch_format="pandas", stage=True,
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
         t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
         if t.num_rows:
             hs_l.append(t.column("h").to_numpy(zero_copy_only=False)
@@ -475,7 +420,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
 
     def prefix_rows(batch: pa.Table) -> pa.Table:
         hs_sorted, df_sorted = ray.get(df_ref)
-        ids, ss, parts = [], [], []
+        ids, ss = [], []
         for doc_id, text in zip(batch.column("doc_id").to_pylist(),
                                 batch.column("text").to_pylist()):
             sh = _shingles(text)  # lexicographically sorted
@@ -501,21 +446,19 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
             for i in order[:k]:
                 ids.append(doc_id)
                 ss.append(int(hd[i]))
-                parts.append(int(hd[i]) % NUM_SHUFFLE_PARTS)
         # the inverted index carries the 64-bit shingle HASH, not the
         # string (21M prefix rows at 1M docs — the string payload was the
         # dominant shuffle cost).  A hash collision can only ADD a
         # candidate pair, and stage 3 verifies true jaccard on the real
         # shingle sets, so the OUTPUT is hash-collision-proof.
-        return pa.table({"part": pa.array(parts, pa.int64()),
-                         "s": pa.array(ss, pa.uint64()),
+        return pa.table({"s": pa.array(ss, pa.uint64()),
                          "doc_id": pa.array(ids, pa.int64())})
 
-    candidates = _dedup_pairs(
-        _stage(docs.map_batches(prefix_rows, batch_format="pyarrow",
-                                zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(lambda g: _pairs_within(g, ["s"]), batch_format="pandas"))
+    candidates = _dedup_pairs(copartition(
+        docs.map_batches(prefix_rows, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "s", lambda g: _pairs_within(g, ["s"]), batch_format="pandas",
+        stage=True))
 
     # stage 3: exact verification — the ONLY driver-held state is the set of
     # candidate doc_ids (int64, bounded by candidate count); shingle sets are
@@ -554,12 +497,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                                    zero_copy_batch=True) \
         .repartition(8).materialize()  # candidate-bounded, same reason
 
-    # union-tagged join rows share one schema: (jpart, doc_a, doc_b, sh, side)
+    # union-tagged join rows share one schema: (doc_a, doc_b, sh, side)
     def tag_pairs(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False)
         return pa.table({
-            "jpart": pa.array(a % NUM_SHUFFLE_PARTS, pa.int64()),
             "doc_a": batch.column("doc_a"),
             "doc_b": batch.column("doc_b"),
             "sh": pa.nulls(n, sh_list_t),
@@ -569,9 +510,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
     def tag_sets(key_col: str):
         def f(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
             return pa.table({
-                "jpart": pa.array(ids % NUM_SHUFFLE_PARTS, pa.int64()),
                 "doc_a": batch.column("doc_id") if key_col == "doc_a"
                          else pa.nulls(n, pa.int64()),
                 "doc_b": batch.column("doc_id") if key_col == "doc_b"
@@ -582,7 +521,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
         return f
 
     def join_on_a(g: pa.Table) -> pa.Table:
-        """Attach sh_a to each pair; re-key on doc_b's partition."""
+        """Attach sh_a to each pair (the second join re-keys on doc_b)."""
         sides = g.column("side").to_pylist()
         aa = g.column("doc_a").to_pylist()
         bb = g.column("doc_b").to_pylist()
@@ -595,7 +534,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                 out_b.append(b)
                 out_sh.append(built[a])
         return pa.table({
-            "jpart": pa.array([b % NUM_SHUFFLE_PARTS for b in out_b], pa.int64()),
             "doc_a": pa.array(out_a, pa.int64()),
             "doc_b": pa.array(out_b, pa.int64()),
             "sh": pa.array(out_sh, sh_list_t),
@@ -624,21 +562,17 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                          "doc_b": pa.array(out_b, pa.int64()),
                          "jaccard": pa.array(out_j, pa.float64())})
 
-    half = (
+    half = copartition(
         set_rows_ds.map_batches(tag_sets("doc_a"), batch_format="pyarrow",
                                 zero_copy_batch=True)
         .union(candidates.map_batches(tag_pairs, batch_format="pyarrow",
-                                      zero_copy_batch=True))
-        .groupby("jpart")
-        .map_groups(join_on_a, batch_format="pyarrow")
-    )
-    return (
+                                      zero_copy_batch=True)),
+        "doc_a", join_on_a, batch_format="pyarrow")
+    return copartition(
         set_rows_ds.map_batches(tag_sets("doc_b"), batch_format="pyarrow",
                                 zero_copy_batch=True)
-        .union(half)
-        .groupby("jpart")
-        .map_groups(join_on_b, batch_format="pyarrow")
-    )
+        .union(half),
+        "doc_b", join_on_b, batch_format="pyarrow")
 
 
 # ------------------------------------------------- embedding-cosine near-dup
@@ -799,7 +733,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     ~6 MB/core-s (list-array blocks repack row-wise), so shipping vectors
     through the banding groupby dominated everything else 10×.  Instead:
 
-    1. banding shuffle of (part, table, bucket, vec_id) rows only;
+    1. banding shuffle of (table, bucket, vec_id) rows only;
     2. buckets with ≥2 members → candidate vec_id set (linear-bounded);
     3. candidate embeddings are gathered ONCE into a row-normalized float64
        matrix, broadcast via ``ray.put`` while it fits
@@ -831,8 +765,8 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     weights = (1 << np.arange(k_planes)).astype(np.int64)
 
     def _emit_bands(ids: np.ndarray, E: np.ndarray, emb) -> pa.Table:
-        """(part, table, bucket, vec_id[, embedding]) rows for every table.
-        The coarse partition key spans 64 groups regardless of the
+        """(table, bucket, vec_id[, embedding]) rows for every table.  The
+        (table, bucket) co-partition spans 64 groups regardless of the
         n_tables × 2^k_planes fine-bucket count — per-group dispatch over
         10^5+ tiny groups dominates wall time otherwise (same pattern as
         _pairs_within / frontier.select_budget)."""
@@ -842,11 +776,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         bkt = np.concatenate(
             [((E @ P[t].T) > 0) @ weights for t in range(n_tables)]
         ).astype(np.int64)
-        part = ((tbl.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                 + bkt.astype(np.uint64))
-                % np.uint64(NUM_SHUFFLE_PARTS)).astype(np.int64)
-        cols = {"part": pa.array(part, pa.int64()),
-                "table": pa.array(tbl, pa.int64()),
+        cols = {"table": pa.array(tbl, pa.int64()),
                 "bucket": pa.array(bkt, pa.int64()),
                 "vec_id": pa.array(np.tile(ids, n_tables), pa.int64())}
         if emb is not None:
@@ -855,8 +785,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         return pa.table(cols)
 
     def _empty_bands(with_emb) -> pa.Table:
-        cols = {"part": pa.array([], pa.int64()),
-                "table": pa.array([], pa.int64()),
+        cols = {"table": pa.array([], pa.int64()),
                 "bucket": pa.array([], pa.int64()),
                 "vec_id": pa.array([], pa.int64())}
         if with_emb is not None:
@@ -891,11 +820,6 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         keep = np.repeat(sizes >= 2, sizes)
         return pa.table({"vec_id": pa.array(np.unique(ids[keep]), pa.int64())})
 
-    def add_idpart(batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "idpart", pa.array((ids % NUM_SHUFFLE_PARTS).astype(np.int64)))
-
     def distinct_ids(g: pa.Table) -> pa.Table:
         ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"vec_id": pa.array(np.unique(ids), pa.int64())})
@@ -906,17 +830,16 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     # its (table, bucket)-hash partition, and a vector colliding in two
     # tables lands in two partitions — the id-keyed second pass makes both
     # the broadcast gate and the shipped id array exact (id rows only)
-    # _stage before the banding groupby: the band rows arrive in ~256 tiny
-    # blocks from the auto-split read, and Ray's sort pays per-task
-    # scheduling per input block (18.8 s vs 1.4 s on an identical 38M-row
-    # groupby at 512 vs 64 blocks — _stage docstring)
-    cand = (_stage(src.map_batches(band_ids, batch_format="pyarrow",
-                                   zero_copy_batch=True))
-            .groupby("part")
-            .map_groups(nonsingleton_ids, batch_format="pyarrow")
-            .map_batches(add_idpart, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("idpart")
-            .map_groups(distinct_ids, batch_format="pyarrow")).materialize()
+    # staged banding groupby: the band rows arrive in ~256 tiny blocks from
+    # the auto-split read, and Ray's sort pays per-task scheduling per input
+    # block (18.8 s vs 1.4 s on an identical 38M-row groupby at 512 vs 64
+    # blocks — shuffle._stage docstring)
+    cand = copartition(
+        copartition(src.map_batches(band_ids, batch_format="pyarrow",
+                                    zero_copy_batch=True),
+                    ["table", "bucket"], nonsingleton_ids,
+                    batch_format="pyarrow", stage=True),
+        "vec_id", distinct_ids, batch_format="pyarrow").materialize()
     n_cand = cand.count()
     if n_cand == 0:
         return rd.from_arrow(empty_pairs)
@@ -938,8 +861,8 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         # candidate rows, read ONCE and kept in the object store (size-gated
         # above): both the broadcast matrix and the candidate banding pass
         # feed from this subset — no further pass touches the full corpus.
-        # bare materialize, NOT _stage: these rows carry embedding payloads,
-        # and _stage's coalesce would repartition them through a second
+        # bare materialize, NOT a staged shuffle: these rows carry embedding
+        # payloads, and the staging coalesce would repartition them through a second
         # all-to-all pass holding two transient copies (its contract is
         # key-sized rows only); the ~256-tiny-block lineage is coalesced
         # downstream at the banding output, where rows ARE key-sized
@@ -1000,15 +923,15 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
             return pa.table({"vec_a": pa.array(a[keep], pa.int64()),
                              "vec_b": pa.array(b[keep], pa.int64())})
 
-        # _stage here (key-sized band rows): coalesces the subset's inherited
+        # staged here (key-sized band rows): coalesces the subset's inherited
         # tiny-block lineage before the sort pays per-input-block scheduling
-        candidates = (_stage(sub.map_batches(band_cand_ids,
-                                             batch_format="pyarrow",
-                                             zero_copy_batch=True))
-                      .groupby("part")
-                      .map_groups(pairs_ids_in_partition, batch_format="pyarrow")
-                      .map_batches(verify_pairs, batch_format="pyarrow",
-                                   zero_copy_batch=True))
+        candidates = copartition(
+            sub.map_batches(band_cand_ids, batch_format="pyarrow",
+                            zero_copy_batch=True),
+            ["table", "bucket"], pairs_ids_in_partition,
+            batch_format="pyarrow", stage=True,
+        ).map_batches(verify_pairs, batch_format="pyarrow",
+                      zero_copy_batch=True)
         return _dedup_pairs(candidates, a="vec_a", b="vec_b")
 
     # ---- over-gate fallback: full-ship plan (embeddings ride the shuffle,
@@ -1051,10 +974,10 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         return pa.table({"vec_a": pa.array(np.concatenate(out_a), pa.int64()),
                          "vec_b": pa.array(np.concatenate(out_b), pa.int64())})
 
-    candidates = (src.map_batches(bucketize_all, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-                  .groupby("part")
-                  .map_groups(pairs_in_partition, batch_format="pyarrow"))
+    candidates = copartition(
+        src.map_batches(bucketize_all, batch_format="pyarrow",
+                        zero_copy_batch=True),
+        ["table", "bucket"], pairs_in_partition, batch_format="pyarrow")
     return _dedup_pairs(candidates, a="vec_a", b="vec_b")
 
 
@@ -1116,33 +1039,21 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
     """
     import pandas as pd
 
-    from zlib import crc32
-
-    def _part(col: pa.ChunkedArray) -> pa.Array:
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.array(v % NUM_SHUFFLE_PARTS, pa.int64())
-        return pa.array(
-            np.array([crc32(str(x).encode()) % NUM_SHUFFLE_PARTS
-                      for x in col.to_pylist()], dtype=np.int64), pa.int64())
-
     def edge_rows(batch: pa.Table) -> pa.Table:
         a, b = batch.column(a_col).combine_chunks(), batch.column(b_col).combine_chunks()
         node = pa.concat_arrays([a.cast(a.type), b.cast(b.type)])
         nbr = pa.concat_arrays([b.cast(b.type), a.cast(a.type)])
-        t = pa.table({"node": node, "nbr": nbr})
-        return t.append_column("part", _part(t.column("node")))
+        return pa.table({"node": node, "nbr": nbr})
 
     edges = pairs_ds.map_batches(edge_rows, batch_format="pyarrow",
                                  zero_copy_batch=True).materialize()
 
     def init_labels(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates("node")
-        return pd.DataFrame({"node": u["node"], "label": u["node"],
-                             "part": u["part"]})
+        return pd.DataFrame({"node": u["node"], "label": u["node"]})
 
-    labels = edges.groupby("part").map_groups(
-        init_labels, batch_format="pandas").materialize()
+    labels = copartition(edges, "node", init_labels,
+                         batch_format="pandas").materialize()
 
     # node type from the materialized edges' schema (no batch probing — the
     # first batch may be an empty block); for an all-empty graph fall back
@@ -1186,7 +1097,6 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
 
         def tag_labels(batch: pa.Table) -> pa.Table:
             return pa.table({
-                "part": batch.column("part"),
                 "node": batch.column("node"),
                 "label": batch.column("label"),
                 "nbr": pa.nulls(batch.num_rows, batch.column("node").type),
@@ -1194,37 +1104,30 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
 
         def tag_edges(batch: pa.Table) -> pa.Table:
             return pa.table({
-                "part": batch.column("part"),
                 "node": batch.column("node"),
                 "label": pa.nulls(batch.num_rows, batch.column("node").type),
                 "nbr": batch.column("nbr"),
             })
 
-        flowed = (labels.map_batches(tag_labels, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-                  .union(edges.map_batches(tag_edges, batch_format="pyarrow",
-                                           zero_copy_batch=True))
-                  .groupby("part").map_groups(scatter,
-                                              batch_format="pyarrow"))
+        flowed = copartition(
+            labels.map_batches(tag_labels, batch_format="pyarrow",
+                               zero_copy_batch=True)
+            .union(edges.map_batches(tag_edges, batch_format="pyarrow",
+                                     zero_copy_batch=True)),
+            "node", scatter, batch_format="pyarrow")
 
         # stage 2 (re-partition on the RECEIVING node): min label per node,
         # changed flag vs the node's old label
-        def repart(batch: pa.Table) -> pa.Table:
-            return batch.append_column("part", _part(batch.column("node")))
-
         def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
             new = g.groupby("node", sort=False)["label"].min()
             old = g[g["is_old"]].set_index("node")["label"]
             out = new.reset_index()
             out["changed"] = (new != old.reindex(new.index)).to_numpy() \
                 .astype("int64")
-            out["part"] = g["part"].iloc[0]
             return out
 
-        labels2 = (flowed.map_batches(repart, batch_format="pyarrow")
-                   .groupby("part").map_groups(reduce_min,
-                                               batch_format="pandas")
-                   ).materialize()
+        labels2 = copartition(flowed, "node", reduce_min,
+                              batch_format="pandas").materialize()
         n_changed = labels2.sum("changed")
         labels = labels2.drop_columns(["changed"]).materialize()
         if not n_changed:
@@ -1237,8 +1140,7 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
             f"label propagation did not converge within {max_rounds} rounds "
             f"(graph diameter exceeds max_rounds); raise max_rounds")
 
-    out = labels.drop_columns(["part"]).rename_columns([id_col, comp_col]) \
-        .sort(id_col)
+    out = labels.rename_columns([id_col, comp_col]).sort(id_col)
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
 
 
@@ -1403,19 +1305,17 @@ def passage_dedup(sf_dir: str) -> "rd.Dataset":
     across pages" pass in a pre-training pipeline.
 
     100-TB plan: two shuffles, each moving the passage text exactly once
-    (unavoidable — the OUTPUT is the deduped text): (1) coarse-partition by
-    crc32(passage) % 64 and keep-first vectorized per partition; (2)
-    coarse-partition winners by doc_id % 64 and reconstruct per document.
+    (unavoidable — the OUTPUT is the deduped text): (1) co-partition on the
+    passage and keep-first vectorized per partition; (2) co-partition
+    winners on doc_id and reconstruct per document.
     Both use the repo's coarse-partition + in-task fine grouping pattern
     (per-key map_groups dispatch is the measured bottleneck, not data
     volume).
     """
-    from zlib import crc32
-
     def chunk(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         texts = batch.column("text").to_pylist()
-        o_doc, o_idx, o_nc, o_p, o_part = [], [], [], [], []
+        o_doc, o_idx, o_nc, o_p = [], [], [], []
         for doc_id, text in zip(ids, texts):
             w = (text or "").split(" ")
             n_chunks = (len(w) + PASSAGE_W - 1) // PASSAGE_W
@@ -1425,21 +1325,17 @@ def passage_dedup(sf_dir: str) -> "rd.Dataset":
                 o_idx.append(i + 1)
                 o_nc.append(n_chunks)
                 o_p.append(p)
-                o_part.append(crc32(p.encode()) % NUM_SHUFFLE_PARTS)
         return pa.table({
             "doc_id": pa.array(o_doc, pa.int64()),
             "idx": pa.array(o_idx, pa.int64()),
             "n_chunks": pa.array(o_nc, pa.int64()),
             "passage": pa.array(o_p, pa.string()),
-            "part": pa.array(o_part, pa.int64()),
         })
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["passage", "doc_id", "idx"], kind="mergesort")
         g = g.drop_duplicates("passage", keep="first")
-        g = g[["doc_id", "idx", "n_chunks", "passage"]].copy()
-        g["part2"] = g["doc_id"].to_numpy() % NUM_SHUFFLE_PARTS
-        return g
+        return g[["doc_id", "idx", "n_chunks", "passage"]]
 
     def reconstruct(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "idx"], kind="mergesort")
@@ -1452,11 +1348,8 @@ def passage_dedup(sf_dir: str) -> "rd.Dataset":
         out["n_kept"] = out["n_kept"].astype("int64")
         return out
 
-    return (
-        read_documents(sf_dir)
-        .map_batches(chunk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(keep_first, batch_format="pandas")
-        .groupby("part2")
-        .map_groups(reconstruct, batch_format="pandas")
-    )
+    firsts = copartition(
+        read_documents(sf_dir).map_batches(chunk, batch_format="pyarrow",
+                                           zero_copy_batch=True),
+        "passage", keep_first, batch_format="pandas")
+    return copartition(firsts, "doc_id", reconstruct, batch_format="pandas")

@@ -27,6 +27,7 @@ import ray.data as rd
 
 from sidecar import codecs
 from sidecar.detect.phash import phash64
+from sidecar.shuffle import copartition
 
 
 class _StatsAcc:
@@ -394,7 +395,7 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
     shape; 28 key rows per image instead of 8."""
     import pandas as pd
 
-    from sidecar.ops.dedup import NUM_SHUFFLE_PARTS, _dedup_pairs
+    from sidecar.ops.dedup import _dedup_pairs
 
     if band_mode not in ("chunk", "chunk_pair"):
         raise ValueError(f"unknown band_mode {band_mode!r}")
@@ -421,22 +422,19 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
         n = len(ids)
         byte = [((u >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.int64)
                 for b in range(8)]
-        bands, chunks, parts = [], [], []
+        bands, chunks = [], []
         if band_mode == "chunk":
             for b in range(8):
                 bands.append(np.full(n, b, dtype=np.int64))
                 chunks.append(byte[b])
-                parts.append((byte[b] * 8 + b) % NUM_SHUFFLE_PARTS)
             n_bands = 8
         else:  # chunk_pair: 16-bit value of each of the C(8,2) chunk pairs
             for k, (b1, b2) in enumerate(_CHUNK_PAIRS):
                 chunk = byte[b1] * 256 + byte[b2]
                 bands.append(np.full(n, k, dtype=np.int64))
                 chunks.append(chunk)
-                parts.append((chunk * 31 + k) % NUM_SHUFFLE_PARTS)
             n_bands = len(_CHUNK_PAIRS)
         return pa.table({
-            "part": pa.array(np.concatenate(parts), pa.int64()),
             "band": pa.array(np.concatenate(bands), pa.int64()),
             "chunk": pa.array(np.concatenate(chunks), pa.int64()),
             "image_id": pa.array(ids * n_bands, pa.string()),
@@ -465,11 +463,9 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
                              "id_b": np.concatenate(out_b),
                              "dist": np.concatenate(out_d)})
 
-    candidates = (
-        stats.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(pairs_in_partition, batch_format="pandas")
-    )
+    candidates = copartition(
+        stats.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["band", "chunk"], pairs_in_partition, batch_format="pandas")
     return _dedup_pairs(candidates, a="id_a", b="id_b", extra_cols=("dist",))
 
 

@@ -18,8 +18,8 @@ Scale notes: the only driver-held state is ID SETS (survivor ids, dropped
 ids — ints, no text), broadcast via ray.put; at a scale where even ids
 outgrow a broadcast each membership filter becomes a hash-partitioned
 semi-join on doc_id with the same semantics.  Text/shingles stay inside
-map_batches tasks throughout; the LSH banding shuffle carries (part, band,
-bucket, doc_id) rows only.
+map_batches tasks throughout; the LSH banding shuffle carries (band, bucket,
+doc_id) rows only.
 """
 
 from __future__ import annotations
@@ -34,32 +34,22 @@ import ray
 import ray.data as rd
 
 from sidecar.ops.dedup import (
-    NUM_SHUFFLE_PARTS,
     _dedup_pairs,
     _pairs_within,
     bucketize_batch,
     fp_rows_batch,
 )
 from sidecar.ops.text import read_documents
-
-if NUM_SHUFFLE_PARTS & (NUM_SHUFFLE_PARTS - 1):
-    raise ValueError("NUM_SHUFFLE_PARTS must stay a power of two: "
-                     "prep_pairs masks phash with NUM_SHUFFLE_PARTS - 1")
+from sidecar.shuffle import copartition
 
 
-def _rank_part_cols(ids: np.ndarray, srcs: list[str]) -> tuple[list, np.ndarray]:
-    """(rank-hash hex list, crc32(source) % NUM_SHUFFLE_PARTS int64 array) —
-    THE deterministic-sampling contract shared by source_balance and
-    token_budget (and mirrored by their SQL oracles): md5(str(doc_id)) is
-    the stable pseudo-random admission order, crc32(source) the co-location
-    key.  One definition so the two mixture knobs can't drift."""
-    from zlib import crc32
-
+def _rank_hashes(ids: np.ndarray) -> list[str]:
+    """md5(str(doc_id)) hex per id — THE deterministic-sampling order shared
+    by source_balance and token_budget (and mirrored by their SQL oracles):
+    the stable pseudo-random admission order.  One definition so the two
+    mixture knobs can't drift."""
     md5 = hashlib.md5
-    rk = [md5(str(i).encode()).hexdigest() for i in ids]
-    part = np.array([crc32(s.encode()) % NUM_SHUFFLE_PARTS for s in srcs],
-                    dtype=np.int64)
-    return rk, part
+    return [md5(str(i).encode()).hexdigest() for i in ids]
 
 
 def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
@@ -144,7 +134,7 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
         quality, batch_format="pyarrow", zero_copy_batch=True)
 
     # stage 2: exact-dedup survivors (min doc_id per fingerprint) — the
-    # groupby moves (part, fp, doc_id) rows only, sorted by the coarse int
+    # groupby moves (fp, doc_id) rows only, sorted by the coarse int
     # key; survivor ids collect small (fingerprint formula shared with
     # dedup.exact_dedup: fp_rows_batch)
     import pandas as pd
@@ -154,10 +144,11 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
             {"keep": g.groupby("fp", sort=False)["doc_id"].min().to_numpy()})
 
     survivors: set[int] = set()
-    for b in (gated.map_batches(fp_rows_batch, batch_format="pyarrow",
-                                zero_copy_batch=True)
-              .groupby("part").map_groups(fp_min, batch_format="pandas")
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
+    for b in copartition(
+            gated.map_batches(fp_rows_batch, batch_format="pyarrow",
+                              zero_copy_batch=True),
+            "fp", fp_min, batch_format="pandas",
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
         survivors.update(b.column("keep").to_pylist())
     surv_ref = ray.put(np.array(sorted(survivors), dtype=np.int64))
 
@@ -172,14 +163,11 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
     # stage 3: LSH candidate pairs over the kept docs (the SAME banding
     # implementation as dedup.minhash_lsh_pairs); drop the larger id of
     # each pair
-    from sidecar.ops.dedup import _stage
-
-    pairs = _dedup_pairs(
-        _stage(kept.map_batches(bucketize_batch, batch_format="pyarrow",
-                                zero_copy_batch=True))
-        .groupby("part")
-        .map_groups(lambda g: _pairs_within(g, ["band", "bucket"]),
-                    batch_format="pandas"))
+    pairs = _dedup_pairs(copartition(
+        kept.map_batches(bucketize_batch, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
+        batch_format="pandas", stage=True))
 
     dropped: set[int] = set()
     for b in pairs.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -223,13 +211,10 @@ def source_balance(sf_dir: str, quota: int = BALANCE_QUOTA) -> "rd.Dataset":
 
     def with_rank(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        srcs = batch.column("source").to_pylist()
-        rk, part = _rank_part_cols(ids, srcs)
         return pa.table({
             "doc_id": batch.column("doc_id"),
-            "source": pa.array(srcs, pa.string()),
-            "rk": pa.array(rk, pa.string()),
-            "part": pa.array(part, pa.int64()),
+            "source": pc.cast(batch.column("source"), pa.string()),
+            "rk": pa.array(_rank_hashes(ids), pa.string()),
         })
 
     def topk(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -239,12 +224,10 @@ def source_balance(sf_dir: str, quota: int = BALANCE_QUOTA) -> "rd.Dataset":
 
     import pandas as pd  # noqa: F401  (map_groups pandas format)
 
-    return (
+    return copartition(
         read_documents(sf_dir, columns=("doc_id", "source"))
-        .map_batches(with_rank, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(topk, batch_format="pandas")
-    )
+        .map_batches(with_rank, batch_format="pyarrow", zero_copy_batch=True),
+        "source", topk, batch_format="pandas")
 
 
 # LAION-style pair-curation gates (prep_pairs); mirrored by the
@@ -300,31 +283,17 @@ def prep_pairs(images_ds: "rd.Dataset") -> "rd.Dataset":
 
     # Dedup: keep the min-image_id row per phash.  The gated rows are
     # manifest-sized (ids + ints, bytes were never selected), so one COARSE
-    # shuffle of those rows (phash % 64 — 64 tasks regardless of phash
-    # cardinality, per-key dispatch is the measured bottleneck) followed by
-    # a vectorized in-task drop_duplicates IS the whole exchange — nothing
-    # is collected on the driver at any corpus size.
-    def add_part(batch: pa.Table) -> pa.Table:
-        ph = batch.column("phash")
-        # mask == mod only for powers of two (module-load guard above); the
-        # mask keeps negative phashes in [0, parts) where Arrow's % wouldn't
-        return batch.append_column(
-            "part", pc.bit_wise_and(
-                ph, pa.scalar(NUM_SHUFFLE_PARTS - 1, pa.int64())))
-
+    # shuffle of those rows (co-partitioned on phash — 64 tasks regardless
+    # of phash cardinality, per-key dispatch is the measured bottleneck)
+    # followed by a vectorized in-task drop_duplicates IS the whole
+    # exchange — nothing is collected on the driver at any corpus size.
     def keep_first(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["phash", "image_id"]).drop_duplicates(
             "phash", keep="first")
         return pa.Table.from_pandas(
-            g.drop(columns=["part"]), preserve_index=False
-        ).replace_schema_metadata(None)
+            g, preserve_index=False).replace_schema_metadata(None)
 
-    return (
-        gated.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+    return copartition(gated, "phash", keep_first, batch_format="pandas")
 
 
 TOKEN_BUDGET = 1000  # whitespace tokens admitted per source
@@ -339,21 +308,18 @@ def token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "rd.Dataset":
     (token budgets are what mixture specs are actually written in).
 
     100-TB plan: stage 1 reduces each doc to a (doc_id, source, n_tokens,
-    rank-hash) row — text never leaves the scan; one coarse shuffle on
-    crc32(source) % 64 co-locates each source, and the per-source ordered
+    rank-hash) row — text never leaves the scan; one shuffle co-partitioned
+    on source co-locates each source, and the per-source ordered
     cumsum + cutoff runs vectorized inside each partition task."""
 
     def project(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        srcs = batch.column("source").to_pylist()
         toks = pc.split_pattern(batch.column("text").fill_null(""), " ")
-        rk, part = _rank_part_cols(ids, srcs)
         return pa.table({
             "doc_id": batch.column("doc_id"),
-            "source": pa.array(srcs, pa.string()),
+            "source": pc.cast(batch.column("source"), pa.string()),
             "n_tokens": pc.cast(pc.list_value_length(toks), pa.int64()),
-            "rk": pa.array(rk, pa.string()),
-            "part": pa.array(part, pa.int64()),
+            "rk": pa.array(_rank_hashes(ids), pa.string()),
         })
 
     def admit(g: "pd.DataFrame") -> pa.Table:
@@ -368,9 +334,7 @@ def token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "rd.Dataset":
 
     import pandas as pd  # noqa: F401  (map_groups pandas format)
 
-    return (
+    return copartition(
         read_documents(sf_dir, columns=("doc_id", "source", "text"))
-        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(admit, batch_format="pandas")
-    )
+        .map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        "source", admit, batch_format="pandas")

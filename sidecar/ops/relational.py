@@ -27,6 +27,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
 
@@ -88,26 +89,12 @@ def pricing_summary(sf_dir: str) -> "rd.Dataset":
     )
 
 
-NUM_AGG_PARTS = 64  # coarse shuffle partitions for high-cardinality groupbys
-if NUM_AGG_PARTS & (NUM_AGG_PARTS - 1):
-    raise ValueError("NUM_AGG_PARTS must stay a power of two: _jpart uses "
-                     "bit_wise_and, which equals % only then")
-
-
-def _jpart(key_i64: "pa.ChunkedArray | pa.Array") -> "pa.Array":
-    """int64 key → coarse shuffle partition, the ONE definition of the
-    ``key % NUM_AGG_PARTS`` rule for Arrow columns (numpy sites use
-    ``% NUM_AGG_PARTS`` directly; the module-load guard above keeps the two
-    idioms equal)."""
-    return pc.cast(pc.bit_wise_and(key_i64, NUM_AGG_PARTS - 1), pa.int64())
-
-
 def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
     """Top-k orders by lineitem revenue, enriched with customer segment.
 
     Coarse-partition aggregate + post-top-k enrichment: per-order sums need a
     shuffle, but a key-cardinality groupby (~1.5M keys at sf=1) pays per-key
-    dispatch — instead the shuffle key is ``l_orderkey % NUM_AGG_PARTS`` (64
+    dispatch — instead the shuffle co-partitions on ``l_orderkey`` (64
     groups at ANY scale; each order lives wholly in one partition so
     per-partition sums are complete), the per-order sum + partial top-k run
     vectorized inside each group task, and the driver merges 64×k candidate
@@ -117,12 +104,11 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
     """
     import pyarrow.parquet as pq
 
-    def add_part(batch: pa.Table) -> pa.Table:
+    def revenue(batch: pa.Table) -> pa.Table:
         key = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         return pa.table({
-            "part": pa.array(key % NUM_AGG_PARTS, pa.int64()),
             "l_orderkey": pa.array(key, pa.int64()),
             "rev": pa.array(price * (1 - disc), pa.float64()),
         })
@@ -135,11 +121,12 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
                               ascending=[False, True]).head(k)
 
     top = (
-        read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_orderkey", "l_extendedprice", "l_discount"])
-        .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(sum_topk, batch_format="pandas")
+        copartition(
+            read_parquet_clean(f"{sf_dir}/lineitem.parquet",
+                               columns=["l_orderkey", "l_extendedprice",
+                                        "l_discount"])
+            .map_batches(revenue, batch_format="pyarrow", zero_copy_batch=True),
+            "l_orderkey", sum_topk, batch_format="pandas")
         .to_pandas()  # ≤ 64 × k rows by construction
         .sort_values(["revenue_cents", "o_orderkey"], ascending=[False, True])
         .head(k).reset_index(drop=True)
@@ -274,8 +261,8 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
     (ties on date broken by max orderkey; events with no prior order drop —
     inner semantics keep the output int64-clean for the hash compare).
 
-    Plan: tag + union both sides into one dataset, ONE shuffle keyed by a
-    coarse ``user % NUM_AGG_PARTS`` partition (64 tasks at any scale — per-
+    Plan: tag + union both sides into one dataset, ONE shuffle
+    co-partitioned on the user key (64 tasks at any scale — per-
     USER map_groups would dispatch one pandas call per tiny group, the
     pathology frontier.py's budget stage documents), then ONE lexsort +
     grouped forward-fill inside the partition: sort (key, t_us,
@@ -291,7 +278,6 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         n = batch.num_rows
         key = pc.cast(batch.column("user_id"), pa.int64())
         return pa.table({
-            "jpart": _jpart(key),
             "key": key,
             "is_order": pa.array([0] * n, pa.int64()),
             "t_us": us,
@@ -303,7 +289,6 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         n = batch.num_rows
         key = pc.cast(batch.column("o_custkey"), pa.int64())
         return pa.table({
-            "jpart": _jpart(key),
             "key": key,
             "is_order": pa.array([1] * n, pa.int64()),
             "t_us": us,
@@ -343,8 +328,8 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
     orders = read_parquet_clean(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
         .map_batches(ord_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return (ev.union(orders).groupby("jpart")
-            .map_groups(asof_partition, batch_format="pandas"))
+    return copartition(ev.union(orders), "key", asof_partition,
+                       batch_format="pandas")
 
 
 def union_nations(sf_dir: str) -> "rd.Dataset":
@@ -418,8 +403,8 @@ def systematic_sample(sf_dir: str, every: int = 100) -> "rd.Dataset":
 
 def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
     """Session windows over the events log: per user, events separated by
-    more than ``gap_s`` start a new session.  One shuffle keyed by a coarse
-    ``user % NUM_AGG_PARTS`` partition (per-USER map_groups would dispatch
+    more than ``gap_s`` start a new session.  One shuffle co-partitioned on
+    the user (per-USER map_groups would dispatch
     one pandas call per tiny group — the frontier.py budget-stage
     pathology); inside the partition, ONE lexsort by (user, ts, event_id)
     and boundary vectorization: a session starts where the user changes or
@@ -458,21 +443,17 @@ def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
         })
 
     def proj(batch: pa.Table) -> pa.Table:
-        uid = pc.cast(batch.column("user_id"), pa.int64())
         return pa.table({
-            "jpart": _jpart(uid),
-            "user_id": uid,
+            "user_id": pc.cast(batch.column("user_id"), pa.int64()),
             "event_id": batch.column("event_id"),
             "ts_us": pc.cast(batch.column("ts"), pa.int64()),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet",
-                        columns=["user_id", "event_id", "ts"])
-        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("jpart")
-        .map_groups(sessions_of_partition, batch_format="pandas")
-    )
+                           columns=["user_id", "event_id", "ts"])
+        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id", sessions_of_partition, batch_format="pandas")
 
 
 def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 1800) -> "rd.Dataset":
@@ -825,26 +806,21 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
 def distinct_count_custkey(sf_dir: str) -> "pa.Table":
     """n_distinct — exact COUNT(DISTINCT o_custkey), the two-level distinct
     plan: per-block partial ``np.unique`` (each block forwards at most its
-    distinct keys), coarse-partition global dedup (64 groups at any
+    distinct keys), co-partitioned global dedup (64 groups at any
     cardinality), per-partition counts summed on the driver (64 ints)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         u = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False))
-        return pa.table({
-            "part": pa.array(u % NUM_AGG_PARTS, pa.int64()),
-            "k": pa.array(u, pa.int64()),
-        })
+        return pa.table({"k": pa.array(u, pa.int64())})
 
     def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"p_n": [np.int64(g["k"].nunique())]})
 
-    total = (
+    total = copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(count_distinct, batch_format="pandas")
-        .to_pandas()["p_n"].sum()
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "k", count_distinct, batch_format="pandas",
+    ).to_pandas()["p_n"].sum()
     return pa.table({"n_distinct": pa.array([int(total)], pa.int64())})
 
 
@@ -926,8 +902,8 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     lineitem row joined to its order's priority — the shuffle-join shape for
     when NEITHER side fits a broadcast.
 
-    Plan: tag each side, union into one Dataset, ONE shuffle keyed by a
-    coarse partition of the join key (64 groups at any scale — the same
+    Plan: tag each side, union into one Dataset, ONE shuffle
+    co-partitioned on the join key (64 groups at any scale — the same
     co-partitioning trick as the as-of join), then a vectorized pandas merge
     inside each partition.  Each key's rows from both sides land in the same
     partition by construction, so the per-partition merge is exact.  Output
@@ -937,7 +913,6 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     def ord_rows(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "jpart": pa.array((k % NUM_AGG_PARTS).astype(np.int64), pa.int64()),
             "key": pa.array(k, pa.int64()),
             "side": pa.array(np.zeros(len(k), dtype=np.int64)),
             "lineno": pa.array(np.zeros(len(k), dtype=np.int64)),
@@ -949,7 +924,6 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
         k = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         n = len(k)
         return pa.table({
-            "jpart": pa.array((k % NUM_AGG_PARTS).astype(np.int64), pa.int64()),
             "key": pa.array(k, pa.int64()),
             "side": pa.array(np.ones(n, dtype=np.int64)),
             "lineno": pc.cast(batch.column("l_linenumber"), pa.int64()),
@@ -974,9 +948,8 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     items = read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                             columns=["l_orderkey", "l_linenumber", "l_quantity"]) \
         .map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return (orders.union(items)
-            .groupby("jpart")
-            .map_groups(join_partition, batch_format="pandas"))
+    return copartition(orders.union(items), "key", join_partition,
+                       batch_format="pandas")
 
 
 def pricing_rollup(sf_dir: str) -> "pd.DataFrame":
@@ -1090,7 +1063,7 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
     each customer's consecutive orders (microseconds, so the compare is
     integer-exact).  First order per customer is dropped (its lag is NULL).
 
-    Plan: one shuffle on a COARSE partition key (custkey % 64), then a
+    Plan: one shuffle co-partitioned on custkey (64 groups), then a
     vectorized in-task pass — sort by (custkey, ts, orderkey), np.diff, mask
     customer boundaries — instead of per-customer ``map_groups`` dispatch
     (64 tasks regardless of customer count; the per-key-dispatch version is
@@ -1098,10 +1071,8 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
     ties on (ts) break by orderkey, matching the SQL window's ORDER BY."""
 
     def proj(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey")
         return pa.table({
-            "part": _jpart(ck),
-            "o_custkey": ck,
+            "o_custkey": batch.column("o_custkey"),
             "o_orderkey": batch.column("o_orderkey"),
             "ts_us": pc.cast(batch.column("o_orderdate"), pa.int64()),
         })
@@ -1124,13 +1095,11 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
             "gap_us": pa.array(gap[keep], pa.int64()),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_orderkey", "o_orderdate"])
-        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(gaps, batch_format="pandas")
-    )
+                           columns=["o_custkey", "o_orderkey", "o_orderdate"])
+        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey", gaps, batch_format="pandas")
 
 
 # Per-stratum sampling rates (permille) for stratified_sample: higher

@@ -17,6 +17,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from sidecar.detect.language import find_language_batch
+from sidecar.shuffle import copartition
 
 
 def read_documents(sf_dir: str, columns=("doc_id", "text")):
@@ -324,14 +325,14 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
     (_doc_term_tf/_rank_topk) and the block coalesce at both shuffle
     barriers, this plan went 96 s → 22.7 s at 1M docs / 32 CPUs.
 
-    Plan: (a) each doc ships one (jpart, h, doc_id) int64 row per DISTINCT
-    term, where ``h`` is the term's 64-bit md5 and jpart = h & 63; the
-    reduced (term, df) dataset ships (jpart, h, df) rows keyed identically.
-    (b) Inside each jpart group a vectorized searchsorted resolves df for
-    every doc-term row — no pandas string merge.  (c) The matched
-    (dpart, doc_id, h, df) int rows co-partition with the corpus text rows
-    on dpart = doc_id % 64 (ONE corpus-sized string pass — at deployment
-    scale dpart would be the storage shard and the text would not move) and
+    Plan: (a) each doc ships one (h, doc_id) int64 row per DISTINCT term,
+    where ``h`` is the term's 64-bit md5; the reduced (term, df) dataset
+    ships (h, df) rows, and both co-partition on h.  (b) Inside each
+    partition a vectorized searchsorted resolves df for every doc-term
+    row — no pandas string merge.  (c) The matched (doc_id, h, df) int rows
+    co-partition with the corpus text rows on doc_id (ONE corpus-sized
+    string pass — at deployment scale that partition would be the storage
+    shard and the text would not move) and
     each doc re-tokenizes locally: tf from the local Counter, df from the
     doc's own (h, df) rows, tie-breaks on the TRUE term string — output
     identical to the broadcast plan (twin-equality asserted in tests and at
@@ -343,8 +344,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
     exact-by-construction whenever the vocab fits the gate."""
     from sidecar.ops.dedup import md5_u64
 
-    NPARTS = 64
-
     def _h64(terms: list) -> np.ndarray:
         # xor of the sign bit == subtracting 2^63: signed view of the shared
         # string→uint64 primitive (arrow int64 columns want signed keys)
@@ -354,7 +353,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         h = _h64(batch.column("term").to_pylist())
         n = len(h)
         return pa.table({
-            "jpart": pa.array(h & np.int64(NPARTS - 1), pa.int64()),
             "h": pa.array(h, pa.int64()),
             "n": pc.cast(batch.column("df"), pa.int64()),
             "doc_id": pa.nulls(n, pa.int64()),
@@ -368,7 +366,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         hmap = dict(zip(uniq.tolist(), _h64(uniq.tolist()).tolist()))
         h = f["term"].map(hmap).to_numpy(dtype=np.int64)
         return pa.table({
-            "jpart": pa.array(h & np.int64(NPARTS - 1), pa.int64()),
             "h": pa.array(h, pa.int64()),
             "n": pa.nulls(len(h), pa.int64()),
             "doc_id": pa.array(f["doc_id"].to_numpy(), pa.int64()),
@@ -406,7 +403,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
                 "table — the two passes tokenized different corpora")
         n = len(h)
         return pa.table({
-            "dpart": pa.array(doc_id % NPARTS, pa.int64()),
             "doc_id": pa.array(doc_id, pa.int64()),
             "h": pa.array(h, pa.int64()),
             "df": pa.array(vals[pos], pa.int64()),
@@ -424,7 +420,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
         return pa.table({
-            "dpart": pa.array(doc_id % NPARTS, pa.int64()),
             "doc_id": pa.array(doc_id, pa.int64()),
             "h": pa.nulls(n, pa.int64()),
             "df": pa.nulls(n, pa.int64()),
@@ -454,25 +449,19 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         m = f.merge(dfr, on=["doc_id", "h"])
         return _rank_topk(m, k)
 
-    from sidecar.ops.dedup import _stage
-
-    # _stage at both groupby barriers does double duty here: executor
+    # staging at both groupby barriers does double duty here: executor
     # fair-share isolation AND the tiny-block coalesce (the upstream maps
     # emit ~512 small blocks; the identical 38M-row groupby measured 18.8 s
-    # at 512 input blocks vs 1.4 s at 64 — see _stage's docstring).
-    unioned = _stage(
+    # at 512 input blocks vs 1.4 s at 64 — see shuffle._stage's docstring).
+    matched = copartition(
         df_ds.map_batches(df_rows, batch_format="pyarrow")
         .union(read_documents(sf_dir).map_batches(
-            doc_term_rows, batch_format="pyarrow",
-            zero_copy_batch=True)))
-    matched = unioned.groupby("jpart").map_groups(join_df,
-                                                  batch_format="pyarrow")
-    final = _stage(
+            doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)),
+        "h", join_df, batch_format="pyarrow", stage=True)
+    return copartition(
         matched.union(read_documents(sf_dir).map_batches(
-            text_rows, batch_format="pyarrow",
-            zero_copy_batch=True)))
-    return final.groupby("dpart").map_groups(topk_local,
-                                             batch_format="pyarrow")
+            text_rows, batch_format="pyarrow", zero_copy_batch=True)),
+        "doc_id", topk_local, batch_format="pyarrow", stage=True)
 
 
 def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":

@@ -34,6 +34,7 @@ import pyarrow.compute as pc
 from sidecar import schemas
 from sidecar.canon import iso_to_ts14  # noqa: F401  (re-exported for pipelines)
 from sidecar.detect.language import find_language_batch
+from sidecar.shuffle import copartition
 
 _TEXT_RE = r"(text|html|xml)"  # reference TEXT_FORMAT_MIMES (:33)
 
@@ -273,7 +274,6 @@ def _assemble_from_lookup(batch: pa.Table, digests, lk: dict) -> pa.Table:
 
 
 def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
-                                 num_parts: int = 64,
                                  broadcast: "bool | str" = "auto"):
     """The EXPLICIT compute-once-per-digest plan (reference DIGEST_CACHE →
     SURVEY.md A3: groupby(payload_digest), extract once per distinct payload,
@@ -288,9 +288,9 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
     Plan, keeping payload shuffles minimal:
       1. per-block first-occurrence dedup (vectorized) — at most one payload
          per (block × digest) continues;
-      2. coarse-partition groupby on the digest hash → global keep-first
-         (the only stage where payload bytes cross the wire, one per
-         surviving candidate);
+      2. groupby co-partitioned on the digest → global keep-first (the only
+         stage where payload bytes cross the wire, one per surviving
+         candidate);
       3. ``extract_sidecar_batch`` over the distinct representatives only;
       4. the payload-derived metadata (small, no bytes) is collected and
          broadcast once via ``ray.put``; a final shuffle-free pass over the
@@ -308,8 +308,6 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
     Output rows equal ``sidecar_dataset``'s (order aside) — asserted in
     tests on corpora with duplicate payloads and distinct captions.
     """
-    from zlib import crc32
-
     import pandas as pd
 
     import ray
@@ -318,24 +316,16 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
     def reps(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))
         first = (~pd.Series(digests).duplicated()).to_numpy()
-        sub = batch.filter(pa.array(first))
-        d = digests[first]
-        part = np.array([crc32(x.encode()) % num_parts for x in d], dtype=np.int64)
-        return sub.append_column("dpart", pa.array(part, pa.int64()))
+        return batch.filter(pa.array(first)).append_column(
+            "payload_digest", pa.array(digests[first], pa.string()))
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        sha1 = hashlib.sha1
-        # direct comprehension over the values (no Series.map lambda
-        # dispatch); raw .digest() — the hash is only a dedup key here
-        d = [sha1(b or b"").digest() for b in g["bytes"].to_numpy()]
-        return g.loc[~pd.Series(d).duplicated().to_numpy()].drop(columns=["dpart"])
+        return g.drop_duplicates("payload_digest").drop(columns=["payload_digest"])
 
-    uniq = (
+    uniq = copartition(
         images_ds.map_batches(reps, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True)
-        .groupby("dpart")
-        .map_groups(keep_first, batch_format="pandas")
-    )
+                              batch_size=batch_size, zero_copy_batch=True),
+        "payload_digest", keep_first, batch_format="pandas")
     reg = __import__("sidecar.detect.protocol",
                      fromlist=["protocol"]).snapshot()
 
@@ -350,8 +340,7 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
         broadcast = meta.size_bytes() <= DIGEST_META_BROADCAST_MAX_BYTES
 
     if not broadcast:
-        return _dedup_digest_join(images_ds, meta, batch_size=batch_size,
-                                  num_parts=num_parts)
+        return _dedup_digest_join(images_ds, meta, batch_size=batch_size)
 
     lookup: dict[str, dict] = {}
     for b in meta.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -369,14 +358,14 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
                                  batch_size=batch_size, zero_copy_batch=True)
 
 
-def _dedup_digest_join(images_ds, meta, *, batch_size: int, num_parts: int):
+def _dedup_digest_join(images_ds, meta, *, batch_size: int):
     """``sidecar_dataset_dedup_digest`` step 4 at metadata-outgrows-broadcast
     scale: tagged-union co-partition join on payload_digest (same pattern as
     ``_tfidf_topk_partitioned`` / the relational large×large join).
 
     The original rows ship WITHOUT their payload bytes — the row side is
-    (digest, image_id, url, ts, caption, passthrough) only, hashed to the
-    same crc32 partition as the metadata rows; the per-partition group then
+    (digest, image_id, url, ts, caption, passthrough) only, co-partitioned
+    on the digest with the metadata rows; the per-partition group then
     assembles via a partition-local digest dict.  Nothing corpus-sized is
     ever on the driver, and the only payload-byte shuffle remains step 2's
     keep-first (one representative per surviving candidate)."""
@@ -397,26 +386,16 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int, num_parts: int):
         ("fmt", pa.string()), ("is_text", pa.bool_()),
     ]
     union_schema = pa.schema(
-        [("dpart", pa.int64()), ("is_meta", pa.bool_()),
+        [("is_meta", pa.bool_()),
          ("payload_digest", pa.string()), ("image_id", id_type),
          ("url", url_type), ("ts", ts_type), ("caption", caption_type)]
         + META_FIELDS
         + [(c, src.field(c).type) for c in passthrus])
 
-    def _part(digs) -> pa.Array:
-        # digests are 'sha1:<hex>' — already uniform hashes, so the partition
-        # key comes from their OWN first 8 hex chars (chars 5:13), the same
-        # content-hash-prefix convention as dedup.fp_rows_batch: no per-row
-        # re-hashing, and one convention shared by row_rows and meta_rows
-        return pa.array(
-            np.array([int(d[5:13], 16) % num_parts for d in digs],
-                     dtype=np.int64), pa.int64())
-
     def row_rows(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))
         n = batch.num_rows
         cols = {
-            "dpart": _part(digests),
             "is_meta": pa.array(np.zeros(n, dtype=bool)),
             "payload_digest": pa.array(digests, pa.string()),
             "image_id": batch.column("image_id"),
@@ -431,10 +410,8 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int, num_parts: int):
         return pa.table(cols, schema=union_schema)
 
     def meta_rows(batch: pa.Table) -> pa.Table:
-        digs = batch.column("payload_digest").to_pylist()
         n = batch.num_rows
         cols = {
-            "dpart": _part(digs),
             "is_meta": pa.array(np.ones(n, dtype=bool)),
             "payload_digest": batch.column("payload_digest"),
             "image_id": pa.nulls(n, id_type),
@@ -462,8 +439,8 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int, num_parts: int):
              .union(images_ds.map_batches(row_rows, batch_format="pyarrow",
                                           batch_size=batch_size,
                                           zero_copy_batch=True)))
-    return union.groupby("dpart").map_groups(join_group,
-                                             batch_format="pyarrow")
+    return copartition(union, "payload_digest", join_group,
+                       batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

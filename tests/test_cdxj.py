@@ -4,6 +4,7 @@ tests/test_sidecar2cdxj.py:35-79 and tests/test_merge_cdxj.py:48-190."""
 import json
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from sidecar import cdxj, pipeline, synth
@@ -195,6 +196,23 @@ def test_schemeless_port_and_ipv6_hosts():
     assert canonical_url("http://[::1]:8080/x") == "http://[::1]:8080/x"
     # distinct IPv6 hosts get DISTINCT seen-set keys
     assert surt("http://[::1]/p") != surt("http://[::2]/p")
+
+
+@pytest.mark.parametrize("url, want", [
+    # opaque URIs keep their scheme, as mailto: always did
+    ("tel:5551234", ")5551234"),
+    ("tel:911", ")911"),
+    ("urn:3gpp:x", ")3gpp:x"),
+    ("mailto:a@b.com", ")a@b.com"),
+    # scheme-less host:port forms are unchanged
+    ("example.com:8080/x", "com,example:8080)/x"),
+    ("localhost:8080/x", "localhost:8080)/x"),
+    # bracketed hosts pass through whole, IPv4-mapped IPv6 included
+    ("http://[::ffff:192.0.2.4]/a", "[::ffff:192.0.2.4])/a"),
+    ("http://[::ffff:192.0.2.4]:8080/a", "[::ffff:192.0.2.4]:8080)/a"),
+])
+def test_surt_opaque_uris_and_bracketed_hosts(url, want):
+    assert surt(url) == want
 
 
 def test_alpha3_full_table_merge():

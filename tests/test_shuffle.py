@@ -1,0 +1,87 @@
+"""sidecar.shuffle.copartition: co-location, a process-independent hash and
+a partition column no body or output ever sees."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+import ray
+import ray.data as rd
+
+from sidecar.shuffle import NUM_PARTS, PART_COL, _partition_ids, copartition
+
+N = 2_000
+
+
+def _collect(ds: "rd.Dataset") -> pa.Table:
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _table() -> pa.Table:
+    i = np.arange(N)
+    return pa.table({
+        "i": pa.array(i % 97, pa.int64()),
+        "s": pa.array([f"host{x % 53}.example" for x in i], pa.string()),
+        "j": pa.array(i % 5, pa.int32()),
+        "row": pa.array(i, pa.int64()),
+    })
+
+
+@pytest.mark.parametrize("key", ["i", "s", ["s", "j"]])
+def test_equal_keys_land_in_one_group(key):
+    keys = [key] if isinstance(key, str) else key
+
+    def distinct_keys(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby(keys, as_index=False).size()
+
+    # several input blocks, so co-location is the shuffle's doing
+    ds = rd.from_arrow(_table()).repartition(8)
+    got = copartition(ds, key, distinct_keys, batch_format="pandas").to_pandas()
+    # a key split across two groups would appear twice
+    assert not got.duplicated(keys).any()
+    want = _table().to_pandas().groupby(keys).size()
+    assert got.set_index(keys)["size"].sort_index().equals(want.sort_index())
+
+
+def test_int_width_does_not_change_partition():
+    v = [0, 1, 7, 64, 1 << 20, -3]
+    ids = {t: _partition_ids(pa.table({"k": pa.array(v, t)}), ["k"]).tolist()
+           for t in (pa.int32(), pa.int64())}
+    assert ids[pa.int32()] == ids[pa.int64()]
+    assert all(0 <= p < NUM_PARTS for p in ids[pa.int64()])
+
+
+def test_partition_ids_match_on_driver_and_in_ray_task():
+    t = _table()
+    for keys in (["i"], ["s"], ["s", "j"]):
+        remote = ray.get(ray.remote(_partition_ids).remote(t, keys))
+        assert np.array_equal(_partition_ids(t, keys), remote)
+
+
+def test_own_part_column_round_trips():
+    t = _table().append_column(
+        "part", pa.array([f"file{x % 3}.warc.gz" for x in range(N)]))
+    got = _collect(copartition(rd.from_arrow(t), "i", lambda g: g,
+                               batch_format="pyarrow")).sort_by("row")
+    assert got.column_names == t.column_names
+    assert got.equals(t)
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+@pytest.mark.parametrize("stage", [False, True])
+def test_body_never_sees_partition_column(batch_format, stage):
+    def body(g):
+        names = g.columns if batch_format == "pandas" else g.column_names
+        assert PART_COL not in names
+        return g
+
+    got = copartition(rd.from_arrow(_table()), "s", body,
+                      batch_format=batch_format, stage=stage)
+    assert sorted(_collect(got).column_names) == sorted(_table().column_names)
+
+
+def test_reserved_column_name_is_rejected():
+    t = _table().append_column(PART_COL, pa.array(np.zeros(N, np.int64)))
+    with pytest.raises(Exception, match="reserved"):
+        copartition(rd.from_arrow(t), "i", lambda g: g,
+                    batch_format="pyarrow").materialize()
