@@ -8,8 +8,8 @@ Ray-Data-native restatement of sidecar2cdxj.py and merge_cdxj.py:
   (order-preserving via a line-number sort key), build = meta CDXJ
   (merge_cdxj.py:59-93).  The build side is broadcast once via ``ray.put``
   and probed inside ``map_batches`` — no shuffle (SURVEY.md §2.4 J1).
-  For large build sides use ``broadcast=False`` → hash-partitioned
-  groupby join on the key.
+  A build side over ``shuffle.BROADCAST_MAX_BYTES`` takes the
+  hash-partitioned join on the key instead.
 
 Reference quirks reproduced exactly (SURVEY.md §7 watch-list #5):
 - python-magic mime preferred over fido (merge_cdxj.py:36-40)
@@ -23,10 +23,12 @@ import json
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
+from sidecar import shuffle
 from sidecar.canon import cdxj_key, surt
 from sidecar.pipeline import _lang_struct_to_ref
 from sidecar.shuffle import copartition
@@ -157,6 +159,19 @@ def get_sidecar_fields(original_obj: dict, meta_obj: dict) -> dict:
     return original_obj
 
 
+def enrich_json(build: dict[str, str], key: str, j: str) -> tuple[str, bool]:
+    """(json, matched) for one original line: its JSON ``j`` enriched from
+    the meta line JSON ``build[key]`` (merge_cdxj.py:72-81).  TRUTHINESS,
+    not None-ness: a missing key or an empty meta object ``{}`` is no match
+    (merge_cdxj.py:72 'if ...get(key):') and ``j`` passes through
+    byte-identical."""
+    mj = build.get(key)
+    meta = json.loads(mj) if mj is not None else None
+    if not meta:
+        return j, False
+    return json.dumps(get_sidecar_fields(json.loads(j), meta)), True
+
+
 def parse_cdxj_lines(lines_ds) -> "rd.Dataset":
     """read_text lines → (surt, ts, json) CDXJ table (F14).  No order
     column: output order is whatever the merge sorts by (callers that need
@@ -174,14 +189,7 @@ def parse_cdxj_lines(lines_ds) -> "rd.Dataset":
     return lines_ds.map_batches(parse, batch_format="pyarrow")
 
 
-# broadcast="auto" falls back to the hash-partitioned plan once the build
-# side outgrows this many keys — decided during the single build pass, so
-# the small-side case pays no extra execution of meta_ds
-MERGE_AUTO_BUILD_ROWS = 500_000
-
-
-def merge_cdxj(meta_ds, original_ds, *,
-               broadcast: "bool | str" = "auto") -> "rd.Dataset":
+def merge_cdxj(meta_ds, original_ds) -> "rd.Dataset":
     """Left-outer enrich join of ``original_ds`` (CDXJ columns surt/ts/json,
     plus optional ``lineno``) against ``meta_ds`` (J1).
 
@@ -191,70 +199,50 @@ def merge_cdxj(meta_ds, original_ds, *,
     ``matched`` flag (edited/non-edited counters = a Sum over it,
     merge_cdxj.py:61-62).
 
-    ``broadcast="auto"`` (default) starts the broadcast build and falls
-    back to the hash-partitioned plan (``_merge_cdxj_partitioned``) the
-    moment the build dict passes MERGE_AUTO_BUILD_ROWS keys — one pass
-    either way; only the over-limit case re-executes meta_ds.
+    The build adds up the Arrow bytes of the meta batches it consumes and
+    falls back to the hash-partitioned plan (``_merge_cdxj_partitioned``)
+    the moment they pass ``shuffle.BROADCAST_MAX_BYTES`` — one pass over
+    ``meta_ds`` when it fits; only the over-limit case re-executes it.
     """
-    # any falsy value (False / None / 0 — the pre-auto contract) means the
-    # partitioned plan; only True means an unbounded broadcast build
-    if broadcast != "auto" and broadcast is not True:
-        return _merge_cdxj_partitioned(meta_ds, original_ds)
-    limit = MERGE_AUTO_BUILD_ROWS if broadcast == "auto" else None
-
-    meta_dict: dict[str, dict] = {}
+    build: dict[str, str] = {}
+    nbytes = 0
     for b in meta_ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        tbl = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        for s, t, j in zip(
-            tbl.column("surt").to_pylist(),
-            tbl.column("ts").to_pylist(),
-            tbl.column("json").to_pylist(),
-        ):
-            meta_dict[cdxj_key(s, t)] = json.loads(j)
-        if limit is not None and len(meta_dict) > limit:
+        nbytes += b.nbytes
+        if nbytes > shuffle.BROADCAST_MAX_BYTES:
             return _merge_cdxj_partitioned(meta_ds, original_ds)
-    meta_ref = ray.put(meta_dict)
+        build.update(zip(map(cdxj_key, b.column("surt").to_pylist(),
+                             b.column("ts").to_pylist()),
+                         b.column("json").to_pylist()))
+    build_ref = ray.put(build)
+    return original_ds.map_batches(
+        lambda batch: _enrich_batch(batch, ray.get(build_ref)),
+        batch_format="pyarrow", zero_copy_batch=True)
 
-    def enrich(batch: pa.Table) -> pa.Table:
-        meta = ray.get(meta_ref)
-        out_json, matched = [], []
-        surts = batch.column("surt").to_pylist()
-        tss = batch.column("ts").to_pylist()
-        js = batch.column("json").to_pylist()
-        for s, t, j in zip(surts, tss, js):
-            m = meta.get(cdxj_key(s, t))
-            if m:  # TRUTHINESS, not None-ness: an empty meta object {} is
-                # no match in the reference (merge_cdxj.py:72 'if ...get(key):')
-                # and its original line passes through byte-identical
-                out_json.append(json.dumps(get_sidecar_fields(json.loads(j), m)))
-                matched.append(True)
-            else:
-                out_json.append(j)  # pass-through unchanged (merge_cdxj.py:79-81)
-                matched.append(False)
-        cols = {
-            "surt": batch.column("surt"),
-            "ts": batch.column("ts"),
-            "json": pa.array(out_json, pa.string()),
-            "matched": pa.array(matched),
-        }
-        if "lineno" in batch.column_names:
-            cols["lineno"] = batch.column("lineno")
-        return pa.table(cols)
 
-    return original_ds.map_batches(enrich, batch_format="pyarrow", zero_copy_batch=True)
+def _enrich_batch(batch: pa.Table, build: dict[str, str]) -> pa.Table:
+    """surt, ts, json, matched[, lineno] for a batch of original lines
+    probed against a build dict of meta line JSON — both plans' output."""
+    out = [enrich_json(build, cdxj_key(s, t), j) for s, t, j in zip(
+        batch.column("surt").to_pylist(), batch.column("ts").to_pylist(),
+        batch.column("json").to_pylist())]
+    cols = {
+        "surt": batch.column("surt"),
+        "ts": batch.column("ts"),
+        "json": pa.array([j for j, _ in out], pa.string()),
+        "matched": pa.array([m for _, m in out], pa.bool_()),
+    }
+    if "lineno" in batch.column_names:
+        cols["lineno"] = batch.column("lineno")
+    return pa.table(cols)
 
 
 def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
     """Large-build-side plan: hash-partition both sides on the join key and
     merge per group (SURVEY.md §2.4 J1 'large build side')."""
-    import pandas as pd
-
     # union sides must agree on schema (names, ORDER, and dtypes): the meta
-    # side has no lineno column, and letting pandas NaN-fill it inside
-    # merge_partition coerced every partition containing meta rows to
-    # float64 linenos (0.0 vs 1 mixed dtypes downstream) — so tag() emits a
-    # canonical column order and an int64 -1 sentinel lineno for meta rows
-    # (meta rows never survive the merge, so the sentinel never escapes)
+    # side has no lineno column, so tag() emits a canonical column order and
+    # an int64 -1 sentinel lineno for meta rows (meta rows never survive the
+    # merge, so the sentinel never escapes)
     has_lineno = "lineno" in original_ds.schema().base_schema.names
 
     def tag(side: str):
@@ -280,28 +268,16 @@ def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
                                               batch.column("ts").to_pylist())]
         return batch.append_column("key", pa.array(key, pa.string()))
 
-    def merge_partition(g: pd.DataFrame) -> pd.DataFrame:
+    def merge_partition(g: pa.Table) -> pa.Table:
         """Within one coarse hash partition: build a dict of the meta side,
         probe the orig side — the Ray groupby key is the 64-way partition
-        (per-join-key map_groups dispatch doesn't scale; SURVEY.md J1)."""
-        metas = g[g["side"] == "meta"]
-        origs = g[g["side"] == "orig"].copy()
-        if len(origs) == 0:
-            return origs.drop(columns=["side", "key"])
-        build = {k: j for k, j in zip(metas["key"], metas["json"])}
-        out_json, matched = [], []
-        for k, j in zip(origs["key"], origs["json"]):
-            mj = build.get(k)
-            if mj is not None and json.loads(mj):  # {} = no match (merge_cdxj.py:72)
-                out_json.append(json.dumps(
-                    get_sidecar_fields(json.loads(j), json.loads(mj))))
-                matched.append(True)
-            else:
-                out_json.append(j)
-                matched.append(False)
-        origs["json"] = out_json
-        origs["matched"] = matched
-        return origs.drop(columns=["side", "key"])
+        (per-join-key map_groups dispatch doesn't scale; SURVEY.md J1).  A
+        meta-only partition returns the same columns with no rows."""
+        is_meta = pc.equal(g.column("side"), "meta")
+        metas = g.filter(is_meta)
+        build = dict(zip(metas.column("key").to_pylist(),
+                         metas.column("json").to_pylist()))
+        return _enrich_batch(g.filter(pc.invert(is_meta)), build)
 
     return copartition(both.map_batches(add_key, batch_format="pyarrow"),
-                       "key", merge_partition, batch_format="pandas")
+                       "key", merge_partition, batch_format="pyarrow")

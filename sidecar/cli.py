@@ -31,7 +31,7 @@ import ray.data as rd
 
 from sidecar import pipeline, warc
 from sidecar.canon import cdxj_key, surt
-from sidecar.cdxj import cdxj_line, merge_cdxj, parse_cdxj_lines
+from sidecar.cdxj import cdxj_line, enrich_json, merge_cdxj, parse_cdxj_lines
 
 
 def payload_to_json(payload: str) -> str:
@@ -424,7 +424,7 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
     Plan: each file reads in its own task (per-file linenos assigned
     serially inside the task — line order is part of the output contract);
     a groupby(pair) lands each pair's meta+original rows in one task, which
-    merges (get_sidecar_fields quirks intact) and writes that pair's merged
+    merges (``cdxj.enrich_json``, quirks intact) and writes that pair's merged
     file WORKER-SIDE, returning counters only.  Pairs whose output exists
     are skipped before any read — the resumability unit is the file pair.
     The per-pair group assumes one file's index fits one task, the same
@@ -465,8 +465,6 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
                 i += 1
         return out
 
-    from sidecar.cdxj import get_sidecar_fields
-
     def merge_one(g: pd.DataFrame) -> pd.DataFrame:
         name = g["pair"].iloc[0]
         # metas in FILE ORDER so a duplicated (surt, ts) key resolves
@@ -482,13 +480,8 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
         tmp_path = out_path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
             for s, t, j in zip(origs["surt"], origs["ts"], origs["json"]):
-                mj = build.get(cdxj_key(s, t))
-                # truthiness: an empty meta object {} is no match
-                # (merge_cdxj.py:72) — the original line passes through
-                mo = json.loads(mj) if mj is not None else None
-                if mo:
-                    j = json.dumps(get_sidecar_fields(json.loads(j), mo))
-                    edited += 1
+                j, matched = enrich_json(build, cdxj_key(s, t), j)
+                edited += matched
                 fh.write(cdxj_line(s, t, j))
         os.replace(tmp_path, out_path)
         return pd.DataFrame({"pair": [name], "edited": [edited],

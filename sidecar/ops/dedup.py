@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from sidecar import shuffle
 from sidecar.ops.similarity import _emb_matrix, _unit_rows
 from sidecar.ops.text import read_documents
 from sidecar.shuffle import copartition
@@ -577,13 +578,6 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
 
 # ------------------------------------------------- embedding-cosine near-dup
 
-# broadcast="auto" switches to the block-pair partitioned plan when the full
-# normalized float64 matrix would exceed this (footer-only estimate): 128 MB
-# replicates cheaply via ray.put on any worker heap, while 100M x 64-f32
-# corpora (~25 GB) must never be broadcast
-EMB_AUTO_BROADCAST_BYTES = 128 * 1024 * 1024
-
-
 def _normalized_embeddings(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     """(ids, row-normalized float64 matrix) for the small broadcast side."""
     import pyarrow.parquet as pq
@@ -597,29 +591,28 @@ def _normalized_embeddings(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
-                       broadcast: "bool | str" = "auto",
                        num_blocks: int = 8) -> "rd.Dataset":
     """vec_a, vec_b — pairs with cosine similarity >= threshold (EXACT).
 
-    ``broadcast="auto"`` (default) picks the plan from the footer's
-    num_rows × the dim of ONE probed row (num_rows × dim × 8 bytes ≤
-    EMB_AUTO_BROADCAST_BYTES → broadcast) — one row read to decide, never
-    the corpus.
+    The plan is picked from the footer's num_rows × the dim of ONE probed
+    row: the full normalized float64 matrix (num_rows × dim × 8 bytes) is
+    broadcast while that is within ``shuffle.BROADCAST_MAX_BYTES`` — one
+    row read to decide, never the corpus.  An empty corpus takes the
+    partitioned plan (0 rows out; the broadcast build would matmul a 0-row
+    matrix on the driver).
 
-    Scale plan (``broadcast=False``): block-PAIR co-partitioned exact
-    cosine, the no-broadcast twin (mirroring ``cdxj_merge(broadcast=...)``).
-    Vectors hash into ``num_blocks`` blocks by vec_id; each vector is
-    replicated to the ``num_blocks`` unordered block pairs containing its
-    block, one shuffle keyed by pair id, and each group matmuls side i
-    against side j (upper triangle when i == j).  A pair (a, b) lands in
-    exactly one group, so no pair dedup is needed.  Shuffle volume is
-    N x num_blocks rows and peak task memory is ~2N/num_blocks vectors:
-    pick num_blocks so a block fits a worker — nothing is ever broadcast
-    or driver-materialized, at any corpus size.
+    Broadcast plan: the full normalized matrix replicated once via
+    ``ray.put``, each task matmuls its batch against it.
 
-    ``broadcast=True`` is the small-input fast path: the full normalized
-    matrix replicated once via ``ray.put`` (100M x 64-f32 ≈ 25 GB is past
-    broadcast range), each task matmuls its batch against it.
+    Partitioned plan: block-PAIR co-partitioned exact cosine.  Vectors hash
+    into ``num_blocks`` blocks by vec_id; each vector is replicated to the
+    ``num_blocks`` unordered block pairs containing its block, one shuffle
+    keyed by pair id, and each group matmuls side i against side j (upper
+    triangle when i == j).  A pair (a, b) lands in exactly one group, so no
+    pair dedup is needed.  Shuffle volume is N x num_blocks rows and peak
+    task memory is ~2N/num_blocks vectors: pick num_blocks so a block fits
+    a worker — nothing is ever broadcast or driver-materialized, at any
+    corpus size (100M x 64-f32 ≈ 25 GB is far past broadcast range).
 
     Both paths emit the same pair set against the same DuckDB oracle on
     any corpus with no threshold-boundary pairs; the scores are float64
@@ -628,22 +621,19 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
     on another BLAS build — the twin test asserts the synth corpora keep a
     real margin (see test_embedding_near_dup_broadcast_twin_equal).
     """
-    if broadcast == "auto":
-        import pyarrow.parquet as pq
+    import pyarrow.parquet as pq
 
-        pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
-        n = pf.metadata.num_rows
-        if n == 0:
-            broadcast = False  # partitioned plan is empty-safe (0 rows out);
-            # the broadcast build would matmul a 0-row matrix on the driver
-        else:
-            # ONE row (page-granular read), not a whole row group — at the
-            # scale auto exists to protect, row group 0 alone can be
-            # hundreds of MB
-            first = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
-            dim = len(first.column("embedding")[0].as_py())
-            broadcast = n * dim * 8 <= EMB_AUTO_BROADCAST_BYTES
-    if broadcast is True:
+    pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
+    n = pf.metadata.num_rows
+    fits = False
+    if n:
+        # ONE row (page-granular read), not a whole row group — at the
+        # scale the limit exists to protect, row group 0 alone can be
+        # hundreds of MB
+        first = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
+        dim = len(first.column("embedding")[0].as_py())
+        fits = n * dim * 8 <= shuffle.BROADCAST_MAX_BYTES
+    if fits:
         ids, N = _normalized_embeddings(sf_dir)
         mat_ref = ray.put((ids, N))
 
@@ -716,9 +706,6 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
     )
 
 
-EMB_MATRIX_BROADCAST_BYTES = 1 << 29  # candidate-matrix broadcast gate (512 MB)
-
-
 def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
                            k_planes: int = 4, n_tables: int = 8,
                            seed: int = 42) -> "rd.Dataset":
@@ -736,8 +723,8 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     1. banding shuffle of (table, bucket, vec_id) rows only;
     2. buckets with ≥2 members → candidate vec_id set (linear-bounded);
     3. candidate embeddings are gathered ONCE into a row-normalized float64
-       matrix, broadcast via ``ray.put`` while it fits
-       ``EMB_MATRIX_BROADCAST_BYTES``, and candidate pairs (ids, enumerated
+       matrix, broadcast via ``ray.put`` while it fits 4 ×
+       ``shuffle.BROADCAST_MAX_BYTES``, and candidate pairs (ids, enumerated
        in-bucket exactly as before) verify against it with vectorized
        row-wise dots.
 
@@ -844,7 +831,11 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     if n_cand == 0:
         return rd.from_arrow(empty_pairs)
 
-    if n_cand * dim * 8 <= EMB_MATRIX_BROADCAST_BYTES:
+    # 4x the shared limit (512 MiB) until this site's crossover is measured:
+    # the 1M x 64 soak corpus (k_planes=24, n_tables=4) has 604,708
+    # candidates, a 295 MiB matrix, and its full-ship plan is 2.1x slower
+    # (75-78 s vs 35 s on 4 CPUs, same pairs)
+    if n_cand * dim * 8 <= 4 * shuffle.BROADCAST_MAX_BYTES:
         cand_ids = np.sort(cand.to_pandas()["vec_id"].to_numpy())
         ids_ref = ray.put(cand_ids)
 
@@ -991,10 +982,10 @@ def union_find_components(pairs_iter, a_col: str, b_col: str,
     assembly for ``lsh_components`` (int doc ids) and
     ``multimodal.phash_components`` (string image ids).  The edge list is
     orders of magnitude smaller than the corpus (only colliding items
-    appear); at a scale where even edges outgrow one node the fallback is
-    iterative min-label propagation (repeat
-    ``groupby(node).aggregate(Min(label))`` + broadcast-back until fixpoint,
-    O(log diameter) rounds) — per-pair semantics identical."""
+    appear); both callers take this path while the materialized edge list
+    is within ``shuffle.BROADCAST_MAX_BYTES`` and
+    :func:`label_propagation_components` above it — per-pair semantics
+    identical."""
     parent: dict = {}
 
     def find(x):
@@ -1033,9 +1024,13 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
     itself and its neighbors" until fixpoint: O(diameter) rounds (near-dup
     graphs are shallow — dup clusters are cliques-ish), each round two
     coarse hash-partitioned shuffles of (node, label)/(node, nbr) rows.
-    Nothing node- or edge-sized ever lands on the driver: the convergence
-    test is a distributed ``sum("changed")`` and labels stay a Dataset
-    between rounds.  Works for int64 and string ids (min = lexicographic).
+    The edge list and the per-round labels stay Datasets (the convergence
+    test is a distributed ``sum("changed")``); only the final node →
+    component table is collected, as the returned ``pa.Table``.  A graph
+    still changing after ``max_rounds`` rounds is finished by
+    :func:`union_find_components` over the edge list, so the result never
+    depends on the round budget.  Works for int64 and string ids (min =
+    lexicographic).
     """
     import pandas as pd
 
@@ -1133,38 +1128,35 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
         if not n_changed:
             break
     else:
-        # silent non-convergence would return labels mid-propagation —
-        # components quietly split.  Min-label needs O(diameter) rounds, so
-        # only a pathologically deep graph gets here; fail loudly.
-        raise RuntimeError(
-            f"label propagation did not converge within {max_rounds} rounds "
-            f"(graph diameter exceeds max_rounds); raise max_rounds")
+        # labels mid-propagation would quietly split components.  Min-label
+        # needs O(diameter) rounds, so only a deep graph (a long near-dup
+        # chain) gets here: finish it with the streamed union-find
+        return union_find_components(
+            pairs_ds.iter_batches(batch_format="pyarrow", batch_size=None),
+            a_col, b_col, id_col, comp_col, node_t)
 
     out = labels.rename_columns([id_col, comp_col]).sort(id_col)
     return pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
 
 
-def lsh_components(sf_dir: str, method: str = "driver") -> "pa.Table":
+def lsh_components(sf_dir: str) -> "pa.Table":
     """doc_id, component_id — connected components over the MinHash-LSH
     candidate-pair graph: the cluster-assembly step that turns pairwise
     near-dup hits into dedup groups (component_id = min doc_id reachable).
-    Pairs are computed distributed (``minhash_lsh_pairs``); cluster assembly
-    is ``method="driver"`` (streamed union-find, edge lists are tiny) or
-    ``method="distributed"`` (iterative min-label propagation — the path
-    for edge lists that outgrow one node; asserted equal in tests).  The
-    recursive-CTE oracle checks either."""
-    if method == "distributed":
+    Pairs are computed distributed (``minhash_lsh_pairs``) and materialized;
+    while their measured Arrow size is within ``shuffle.BROADCAST_MAX_BYTES``
+    the driver streams them through union-find, and above it iterative
+    min-label propagation assembles the clusters without the edge list on
+    the driver (asserted equal in tests).  Either way the node-sized result
+    table is returned on the driver.  The recursive-CTE oracle checks
+    either."""
+    pairs = minhash_lsh_pairs(sf_dir).materialize()
+    if pairs.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return label_propagation_components(
-            minhash_lsh_pairs(sf_dir), "doc_a", "doc_b",
-            "doc_id", "component_id")
-    return union_find_components(lsh_pairs_iter(sf_dir), "doc_a", "doc_b",
-                                 "doc_id", "component_id", pa.int64())
-
-
-def lsh_pairs_iter(sf_dir: str):
-    """Stream the distinct LSH candidate pairs as Arrow batches (edge list
-    only — never the document text)."""
-    yield from minhash_lsh_pairs(sf_dir).iter_batches(batch_format="pyarrow", batch_size=None)
+            pairs, "doc_a", "doc_b", "doc_id", "component_id")
+    return union_find_components(
+        pairs.iter_batches(batch_format="pyarrow", batch_size=None),
+        "doc_a", "doc_b", "doc_id", "component_id", pa.int64())
 
 
 def minhash_jaccard_estimates(sf_dir: str) -> "rd.Dataset":

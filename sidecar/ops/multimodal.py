@@ -25,7 +25,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from sidecar import codecs
+from sidecar import codecs, shuffle
 from sidecar.detect.phash import phash64
 from sidecar.shuffle import copartition
 
@@ -653,8 +653,7 @@ def phash_components(images_ds: "rd.Dataset | None", max_dist: int = 7,
                      *, batch_size: int = 64,
                      concurrency: "int | tuple | str | None" = None,
                      stats_ds: "rd.Dataset | None" = None,
-                     band_mode: str = "chunk",
-                     method: str = "driver") -> "pa.Table":
+                     band_mode: str = "chunk") -> "pa.Table":
     """image_id, component_id — connected components over the perceptual
     near-dup pair graph (``phash_neardup``): the cluster-assembly step that
     turns pairwise phash hits into image dedup groups, the image mirror of
@@ -662,18 +661,18 @@ def phash_components(images_ds: "rd.Dataset | None", max_dist: int = 7,
     reachable.
 
     The edge list is tiny relative to the corpus (only images with a banded
-    phash collision appear), so union-find streams it on the driver; at a
-    scale where even edges outgrow one node the fallback is iterative
-    min-label propagation (groupby(node).aggregate(Min(label)) to fixpoint)
-    exactly as documented for lsh_components (dedup.py:549).
+    phash collision appear).  It is materialized, and while its measured
+    Arrow size is within ``shuffle.BROADCAST_MAX_BYTES`` union-find streams
+    it on the driver; above it the clusters come from iterative min-label
+    propagation (``dedup.label_propagation_components``).
     """
     from sidecar.ops.dedup import (label_propagation_components,
                                    union_find_components)
 
     pairs = phash_neardup(images_ds, max_dist,
                           batch_size=batch_size, concurrency=concurrency,
-                          stats_ds=stats_ds, band_mode=band_mode)
-    if method == "distributed":  # edges outgrow one node: min-label rounds
+                          stats_ds=stats_ds, band_mode=band_mode).materialize()
+    if pairs.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return label_propagation_components(
             pairs, "id_a", "id_b", "image_id", "component_id")
     return union_find_components(

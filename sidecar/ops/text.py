@@ -16,6 +16,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from sidecar import shuffle
 from sidecar.detect.language import find_language_batch
 from sidecar.shuffle import copartition
 
@@ -201,15 +202,6 @@ def token_count_regex(sf_dir: str) -> "rd.Dataset":
     return read_documents(sf_dir).map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# tfidf auto-broadcast gate: gather the reduced (term, df) table to a driver
-# dict only when its materialized Arrow size fits comfortably in one worker
-# heap; a web-corpus vocab blows past this and takes the partitioned join.
-# Same shape as dedup.embedding_near_dup's 512 MB gate, but the vocab table
-# is measured AFTER the reduce (the parquet footer can't bound vocab size),
-# and the materialized table is reused by whichever plan wins — no recompute.
-TFIDF_BROADCAST_MAX_BYTES = 256 << 20
-
-
 def _doc_term_tf(batch: pa.Table) -> "object":
     """(doc_id, term, tf) frame for a batch, fully vectorized: Arrow
     ``split_pattern`` → flatten + ``np.repeat`` doc ids → one pandas hash
@@ -250,8 +242,7 @@ def _rank_topk(f: "object", k: int) -> pa.Table:
                      "rank": pa.array(rank[keep], pa.int64())})
 
 
-def tfidf_topk(sf_dir: str, k: int = 5, *,
-               broadcast: "bool | str" = "auto") -> "rd.Dataset":
+def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     """doc_id, term, tf, df, rank — each document's k most distinctive terms
     by tf·idf with idf = 1/df (rank-equivalent per doc to any monotone idf,
     and hash-exact: score = tf::DOUBLE / df is ONE IEEE division of the same
@@ -262,14 +253,13 @@ def tfidf_topk(sf_dir: str, k: int = 5, *,
     materialization): pass 1 computes document frequency per term via
     per-batch partial distinct + a vocab-keyed groupby, collected and
     broadcast once via ray.put; pass 2 re-tokenizes, scores and emits the
-    per-doc top-k, shuffle-free.  ``broadcast=False`` is the vocab-scale
-    twin (the vocab never lands on the driver): the reduced df table joins
-    the (doc, term, tf) rows through a hash-partitioned join on term, then
-    one doc-keyed shuffle ranks per-doc top-k — output identical (asserted
-    in tests).  The default ``broadcast="auto"`` materializes the reduced
-    df table (key-sized rows, a barrier the plan hits anyway) and picks by
-    its measured Arrow size vs ``TFIDF_BROADCAST_MAX_BYTES`` — a web-scale
-    vocab never lands on the driver unless it measurably fits."""
+    per-doc top-k, shuffle-free.  The reduced df table is materialized
+    (key-sized rows, a barrier the plan hits anyway, reused by either plan)
+    and broadcast only while its measured Arrow size is within
+    ``shuffle.BROADCAST_MAX_BYTES``.  Over it — a web-scale vocab — the
+    vocab never lands on the driver: the df table joins the (doc, term, tf)
+    rows through a hash-partitioned join on term, then one doc-keyed
+    shuffle ranks per-doc top-k — output identical (asserted in tests)."""
     from ray.data.aggregate import Sum
 
     def partial_df(batch: pa.Table) -> pa.Table:
@@ -281,12 +271,9 @@ def tfidf_topk(sf_dir: str, k: int = 5, *,
     df_ds = (read_documents(sf_dir)
              .map_batches(partial_df, batch_format="pyarrow",
                           zero_copy_batch=True)
-             .groupby("term").aggregate(Sum("p_df", alias_name="df")))
-    if broadcast == "auto":
-        df_ds = df_ds.materialize()
-        broadcast = df_ds.size_bytes() <= TFIDF_BROADCAST_MAX_BYTES
-
-    if not broadcast:
+             .groupby("term").aggregate(Sum("p_df", alias_name="df"))
+             .materialize())
+    if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _tfidf_topk_partitioned(sf_dir, k, df_ds)
 
     df_map: dict[str, int] = {}
@@ -340,8 +327,8 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
 
     df resolution is hash-keyed: a 64-bit collision merges two terms' dfs
     (probability ~vocab²/2^64), the documented approximation shared with the
-    jaccard join's df table; the oracle/default broadcast path is
-    exact-by-construction whenever the vocab fits the gate."""
+    jaccard join's df table; the broadcast path is exact-by-construction
+    whenever the vocab fits the broadcast limit."""
     from sidecar.ops.dedup import md5_u64
 
     def _h64(terms: list) -> np.ndarray:

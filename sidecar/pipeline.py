@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from sidecar import schemas
+from sidecar import schemas, shuffle
 from sidecar.canon import iso_to_ts14  # noqa: F401  (re-exported for pipelines)
 from sidecar.detect.language import find_language_batch
 from sidecar.shuffle import copartition
@@ -215,13 +215,6 @@ PAYLOAD_DERIVED_COLS = (
     "phash", "w", "h", "fmt", "is_text", "payload_digest",
 )  # columns that depend only on the payload bytes — the cacheable part
 
-# dedup-digest step-4 gate: broadcast the per-distinct-digest metadata as a
-# driver dict only when its materialized Arrow size fits a worker heap;
-# beyond that (billions of distinct payloads) step 4 becomes the
-# hash-partitioned join in _dedup_digest_join — same auto-gate shape as
-# dedup.embedding_near_dup and merge_cdxj.
-DIGEST_META_BROADCAST_MAX_BYTES = 512 << 20
-
 
 def _assemble_from_lookup(batch: pa.Table, digests, lk: dict) -> pa.Table:
     """Shared step-4 row assembly: original-row columns + the payload-derived
@@ -273,8 +266,7 @@ def _assemble_from_lookup(batch: pa.Table, digests, lk: dict) -> pa.Table:
     return out
 
 
-def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
-                                 broadcast: "bool | str" = "auto"):
+def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
     """The EXPLICIT compute-once-per-digest plan (reference DIGEST_CACHE →
     SURVEY.md A3: groupby(payload_digest), extract once per distinct payload,
     fan results back to every row).
@@ -296,14 +288,14 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
          broadcast once via ``ray.put``; a final shuffle-free pass over the
          ORIGINAL rows re-hashes (cheap) and assembles each row from the
          lookup, computing only the row-specific fields (caption language)
-         in place.  ``broadcast="auto"`` (default) materializes the metadata
-         dataset and picks by its measured Arrow size vs
-         ``DIGEST_META_BROADCAST_MAX_BYTES``: at a scale where the metadata
-         outgrows a broadcast (billions of distinct payloads), step 4
-         becomes ``_dedup_digest_join`` — a tagged-union hash-partitioned
-         join on payload_digest where the original rows ship WITHOUT their
-         bytes (digest + row-specific columns only) — the upstream stages
-         are unchanged and outputs are identical (asserted in tests).
+         in place.  The metadata dataset is materialized and broadcast only
+         while its measured Arrow size is within
+         ``shuffle.BROADCAST_MAX_BYTES``; over it (billions of distinct
+         payloads), step 4 becomes ``_dedup_digest_join`` — a tagged-union
+         hash-partitioned join on payload_digest where the original rows
+         ship WITHOUT their bytes (digest + row-specific columns only) — the
+         upstream stages are unchanged and outputs are identical (asserted
+         in tests).
 
     Output rows equal ``sidecar_dataset``'s (order aside) — asserted in
     tests on corpora with duplicate payloads and distinct captions.
@@ -334,12 +326,9 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024,
 
     meta = (uniq.map_batches(extract_with_registry, batch_format="pyarrow",
                              batch_size=batch_size, zero_copy_batch=True)
-            .select_columns(list(PAYLOAD_DERIVED_COLS)))
-    if broadcast == "auto":
-        meta = meta.materialize()
-        broadcast = meta.size_bytes() <= DIGEST_META_BROADCAST_MAX_BYTES
-
-    if not broadcast:
+            .select_columns(list(PAYLOAD_DERIVED_COLS))
+            .materialize())
+    if meta.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _dedup_digest_join(images_ds, meta, batch_size=batch_size)
 
     lookup: dict[str, dict] = {}

@@ -17,6 +17,14 @@ by.  Tagged-union joins union both sides first and call it once.
 
 The shuffle stays Ray's sort-based ``groupby().map_groups``: the hash-shuffle
 strategy hung on Ray 2.49 in local measurements (ROADMAP.md).
+
+The other way rows meet is a broadcast: a small build side is gathered on the
+driver once and ``ray.put``.  Every operator with both plans picks by one
+rule, its measured build-side bytes against ``BROADCAST_MAX_BYTES``: at or
+under, broadcast; over, its co-partitioned plan (the embedding-LSH candidate
+matrix alone allows 4x, until its crossover is measured).  Sites read it as
+``shuffle.BROADCAST_MAX_BYTES`` at call time, so setting it to 0 forces every
+partitioned plan.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from ray.data.block import BlockAccessor
 
 NUM_PARTS = 64  # coarse shuffle partitions, independent of key cardinality
 PART_COL = "__copartition__"  # reserved: no input table may use this name
+# largest build side (Arrow bytes) gathered to the driver and broadcast
+BROADCAST_MAX_BYTES = 128 << 20
 
 # odd 64-bit multiplier folding the next key column into a multi-column hash
 _FOLD = np.uint64(0x9E3779B97F4A7C15)

@@ -25,3 +25,21 @@ def images_table():
     from sidecar import synth
 
     return synth.make_images_table(200, seed=42)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) -> list: wrap ``owner.name`` so each call appends its
+    positional args to the returned list, then runs the real function.
+    Tests use it to check which plan a broadcast-vs-partitioned site took."""
+    def install(owner, name):
+        real, calls = getattr(owner, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

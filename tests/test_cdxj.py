@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from sidecar import cdxj, pipeline, synth
+from sidecar import cdxj, pipeline, shuffle, synth
 from sidecar.canon import iso_to_ts14, surt
 
 
@@ -86,7 +86,7 @@ def _mk_cdxj_ds(rows):
     )
 
 
-def _merge_case(broadcast):
+def _merge_case():
     # ≈ tests/test_merge_cdxj.py:96-153: matched, pass-through, duplicate keys
     meta = rd.from_arrow(pa.table({
         "surt": ["com,example)/", "com,other)/x"],
@@ -102,7 +102,7 @@ def _merge_case(broadcast):
         ("com,example)/", "20210101000000", json.dumps({"url": "a2"})),  # dup key match
         ("com,nomatch)/", "20210101000000", json.dumps({"url": "b"})),  # pass-through
     ])
-    out = cdxj.merge_cdxj(meta, orig, broadcast=broadcast)
+    out = cdxj.merge_cdxj(meta, orig)
     rows = sorted(out.take_all(), key=lambda r: r["lineno"])
     o0, o1, o2 = (json.loads(r["json"]) for r in rows)
     assert o0["mime-detected"] == "text/html" and o0["soft-404-detected"] == 0.9
@@ -112,14 +112,15 @@ def _merge_case(broadcast):
 
 
 def test_merge_broadcast():
-    _merge_case(broadcast=True)
+    _merge_case()
 
 
-def test_merge_partitioned():
-    _merge_case(broadcast=False)
+def test_merge_partitioned(monkeypatch):
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    _merge_case()
 
 
-def test_merge_partitioned_lineno_stays_int64():
+def test_merge_partitioned_lineno_stays_int64(monkeypatch):
     """Partitions containing meta rows must not NaN-coerce the orig rows'
     lineno to float64 (review r5: the two-sided union now ships an int64
     sentinel lineno for meta rows, so dtypes stay uniform)."""
@@ -133,7 +134,8 @@ def test_merge_partitioned_lineno_stays_int64():
         ("com,example)/", "20210101000000", json.dumps({"url": "a"})),
         ("com,nomatch)/", "20210101000000", json.dumps({"url": "b"})),
     ])
-    out = cdxj.merge_cdxj(meta, orig, broadcast=False)
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    out = cdxj.merge_cdxj(meta, orig)
     for b in out.iter_batches(batch_format="pyarrow", batch_size=None):
         t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
         if t.num_rows:
@@ -142,19 +144,40 @@ def test_merge_partitioned_lineno_stays_int64():
     assert linenos == [0, 1] and all(isinstance(x, int) for x in linenos)
 
 
-def test_merge_auto_small_and_overflow():
-    """broadcast="auto" (default): small build side behaves exactly like the
-    broadcast plan; with the build cap forced to 0 it must fall back to the
-    partitioned plan mid-build and still produce identical output."""
-    from sidecar import cdxj
+def test_merge_auto_small_and_overflow(monkeypatch, spy):
+    """A small build side takes the broadcast plan; with the limit forced to
+    0 it must fall back to the partitioned plan and still produce identical
+    output — also when the limit is passed mid-build, after earlier meta
+    batches already went into the dict."""
+    _merge_case()
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    _merge_case()
 
-    _merge_case(broadcast="auto")
-    orig = cdxj.MERGE_AUTO_BUILD_ROWS
-    cdxj.MERGE_AUTO_BUILD_ROWS = 0
-    try:
-        _merge_case(broadcast="auto")
-    finally:
-        cdxj.MERGE_AUTO_BUILD_ROWS = orig
+    # four meta blocks of 50 lines; every other original line matches one
+    blocks = [pa.table({
+        "surt": [f"com,ex{i})/" for i in range(lo, lo + 50)],
+        "ts": ["20210101000000"] * 50,
+        "json": [json.dumps({"Preservation-Identifier": f"fmt/{i}"})
+                 for i in range(lo, lo + 50)],
+    }) for lo in range(0, 200, 50)]
+    orig = _mk_cdxj_ds([(f"com,ex{i})/", "20210101000000",
+                         json.dumps({"url": str(i)})) for i in range(0, 400, 2)])
+
+    def merged():
+        out = cdxj.merge_cdxj(rd.from_arrow(blocks), orig).take_all()
+        return sorted(out, key=lambda r: r["lineno"])
+
+    monkeypatch.undo()
+    want = merged()  # broadcast plan
+    assert sum(r["matched"] for r in want) == 100
+
+    # the limit admits the first block, not all four: the fallback runs
+    # mid-build
+    calls = spy(cdxj, "_merge_cdxj_partitioned")
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES",
+                        sum(b.nbytes for b in blocks) - 1)
+    assert merged() == want
+    assert len(calls) == 1
 
 
 def test_canonicalization_port_and_path_rules():

@@ -134,14 +134,16 @@ class TestDedup:
         want = {(int(ids[i]), int(ids[j])) for i, j in zip(r, c) if ids[i] < ids[j]}
         assert got == want and got
 
-    def test_embedding_near_dup_broadcast_twin_equal(self):
+    def test_embedding_near_dup_broadcast_twin_equal(self, monkeypatch,
+                                                     spy):
         """The ray.put matmul fast path and the block-pair partitioned plan
         (no broadcast, no driver state) emit the same exact pair set — at
-        more than one block count — and broadcast="auto" picks each plan by
-        the footer-size rule.  Twin equality is only meaningful if no pair
+        more than one block count — and each plan is picked by the
+        footer-size rule.  Twin equality is only meaningful if no pair
         sits AT the threshold (BLAS matmul summation order differs between
         the two plans' matrix shapes by ~1 ulp), so first assert the corpus
         keeps a real margin around the boundary."""
+        from sidecar import shuffle
         from sidecar.ops import dedup
         from sidecar.ops.dedup import embedding_near_dup
 
@@ -156,17 +158,14 @@ class TestDedup:
             return {(a, b) for a, b in embedding_near_dup(
                 SF, threshold=0.4, **kw).to_pandas().itertuples(index=False)}
 
-        base = pairs(broadcast=True)
-        assert pairs(broadcast=False) == base
-        assert pairs(broadcast=False, num_blocks=3) == base
-        assert pairs() == base  # auto: tiny table → broadcast plan
-        # auto with a 0-byte budget must take the partitioned plan
-        orig = dedup.EMB_AUTO_BROADCAST_BYTES
-        dedup.EMB_AUTO_BROADCAST_BYTES = 0
-        try:
-            assert pairs() == base
-        finally:
-            dedup.EMB_AUTO_BROADCAST_BYTES = orig
+        built = spy(dedup, "_normalized_embeddings")  # broadcast plan only
+        base = pairs()  # tiny table → broadcast plan
+        assert len(built) == 1
+        # a 0-byte limit must take the partitioned plan
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        assert pairs() == base
+        assert pairs(num_blocks=3) == base
+        assert len(built) == 1
         assert base
 
     def test_embedding_lsh_recall(self):
@@ -179,24 +178,23 @@ class TestDedup:
         assert approx <= exact           # no false positives (exact verify in-bucket)
         assert len(approx) / len(exact) >= 0.3  # multi-table recall
 
-    def test_embedding_lsh_plan_twins_equal(self):
+    def test_embedding_lsh_plan_twins_equal(self, monkeypatch):
         """The default broadcast-verify plan (candidate id pairs vs a
         ray.put matrix) and the over-gate full-ship plan (embeddings ride
         the bucket shuffle, in-bucket verification) emit the same pair set
-        — forcing the fallback via a 0-byte gate."""
+        — forcing the fallback via a 0-byte limit."""
+        from sidecar import shuffle
         from sidecar.ops import dedup
 
         def pairs():
-            return {(a, b) for a, b in dedup.embedding_near_dup_lsh(
-                SF, threshold=0.4).to_pandas().itertuples(index=False)}
+            ds = dedup.embedding_near_dup_lsh(SF, threshold=0.4)
+            got = {(a, b) for a, b in ds.to_pandas().itertuples(index=False)}
+            return got, "bucketize_all" in ds.stats()  # full-ship plan ran
 
-        base = pairs()  # tiny corpus → broadcast-verify plan
-        orig = dedup.EMB_MATRIX_BROADCAST_BYTES
-        dedup.EMB_MATRIX_BROADCAST_BYTES = 0
-        try:
-            assert pairs() == base
-        finally:
-            dedup.EMB_MATRIX_BROADCAST_BYTES = orig
+        base, full_ship = pairs()  # tiny corpus → broadcast-verify plan
+        assert not full_ship
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        assert pairs() == (base, True)
         assert base
 
 
@@ -479,27 +477,36 @@ class TestNewText:
             assert list(g["tf"]) == [tf for _, _, tf in want]
             assert list(g["df"]) == [df_counts[t] for _, t, _ in want]
 
-    def test_tfidf_topk_partitioned_twin_equal(self):
-        """The hash-partitioned-join vocab-scale path (broadcast=False; the
+    def test_tfidf_topk_partitioned_twin_equal(self, monkeypatch, spy):
+        """The hash-partitioned-join vocab-scale path (limit forced to 0; the
         driver never holds the vocab) emits the identical rows as the
         broadcast plan."""
+        from sidecar import shuffle
+        from sidecar.ops import text as text_mod
         from sidecar.ops.text import tfidf_topk
 
         cols = ["doc_id", "rank", "term", "tf", "df"]
+        calls = spy(text_mod, "_tfidf_topk_partitioned")
         base = tfidf_topk(SF, k=5).to_pandas()[cols] \
             .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-        part = tfidf_topk(SF, k=5, broadcast=False).to_pandas()[cols] \
+        assert not calls
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        part = tfidf_topk(SF, k=5).to_pandas()[cols] \
             .sort_values(["doc_id", "rank"]).reset_index(drop=True)
+        assert len(calls) == 1
         assert part.equals(base)
         assert len(base) > 0
 
-    def test_tfidf_topk_partitioned_null_text(self, tmp_path):
+    def test_tfidf_topk_partitioned_null_text(self, tmp_path, monkeypatch,
+                                              spy):
         """NULL text must rank identically to "" in the partitioned plan.
         Regression: topk_local routes union rows by is_valid(text), so a raw
         NULL text row was misclassified as a df row and the doc silently
         dropped from the partitioned output (text_rows now fill_null's)."""
         import pyarrow.parquet as pq
 
+        from sidecar import shuffle
+        from sidecar.ops import text as text_mod
         from sidecar.ops.text import tfidf_topk
 
         src = pq.read_table(f"{SF}/documents.parquet",
@@ -511,28 +518,34 @@ class TestNewText:
                            pa.array(txt, pa.string())),
             str(tmp_path / "documents.parquet"))
         cols = ["doc_id", "rank", "term", "tf", "df"]
-        base = tfidf_topk(str(tmp_path), k=5, broadcast=True) \
+        base = tfidf_topk(str(tmp_path), k=5) \
             .to_pandas()[cols].sort_values(["doc_id", "rank"]) \
             .reset_index(drop=True)
-        part = tfidf_topk(str(tmp_path), k=5, broadcast=False) \
+        calls = spy(text_mod, "_tfidf_topk_partitioned")
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        part = tfidf_topk(str(tmp_path), k=5) \
             .to_pandas()[cols].sort_values(["doc_id", "rank"]) \
             .reset_index(drop=True)
+        assert len(calls) == 1
         assert part.equals(base)
         # the NULL-text docs are present in BOTH (their lone "" term ranks)
         assert set(base["doc_id"]) == set(src.column("doc_id").to_pylist())
 
-    def test_tfidf_topk_auto_gate(self, monkeypatch):
-        """broadcast="auto" (the default) routes by the measured size of the
-        reduced df table: with the gate forced to 0 bytes it must take the
-        partitioned plan and still emit identical rows."""
+    def test_tfidf_topk_auto_gate(self, monkeypatch, spy):
+        """The plan is routed by the measured size of the reduced df table:
+        with the limit forced to 0 bytes it must take the partitioned plan
+        and still emit identical rows."""
+        from sidecar import shuffle
         from sidecar.ops import text as text_mod
 
         cols = ["doc_id", "rank", "term", "tf", "df"]
-        base = text_mod.tfidf_topk(SF, k=5, broadcast=True).to_pandas()[cols] \
+        base = text_mod.tfidf_topk(SF, k=5).to_pandas()[cols] \
             .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-        monkeypatch.setattr(text_mod, "TFIDF_BROADCAST_MAX_BYTES", 0)
+        calls = spy(text_mod, "_tfidf_topk_partitioned")
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
         auto = text_mod.tfidf_topk(SF, k=5).to_pandas()[cols] \
             .sort_values(["doc_id", "rank"]).reset_index(drop=True)
+        assert len(calls) == 1
         assert auto.equals(base)
 
     def test_bigram_topk(self):
@@ -578,20 +591,28 @@ class TestDedupComponents:
         got = lsh_components(SF).to_pandas()
         assert dict(zip(got["doc_id"], got["component_id"])) == want
 
-    def test_lsh_components_distributed_equals_driver(self):
-        """The iterative min-label-propagation path (nothing node/edge-sized
-        on the driver) produces the identical component map as the streamed
+    def test_lsh_components_distributed_equals_driver(self, monkeypatch,
+                                                      spy):
+        """The iterative min-label-propagation path (no edge list on the
+        driver) produces the identical component map as the streamed
         union-find — on the real LSH pair graph and on a constructed long
-        chain (propagation needs multiple rounds there)."""
+        chain (propagation needs multiple rounds there, and a round budget
+        below its diameter finishes with union-find)."""
         import pyarrow as pa
 
         import ray.data as rd
 
+        from sidecar import shuffle
+        from sidecar.ops import dedup
         from sidecar.ops.dedup import (label_propagation_components,
                                        lsh_components)
 
+        calls = spy(dedup, "label_propagation_components")
         base = lsh_components(SF).to_pandas()
-        dist = lsh_components(SF, method="distributed").to_pandas()
+        assert not calls
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        dist = lsh_components(SF).to_pandas()
+        assert len(calls) == 1
         assert dict(zip(dist["doc_id"], dist["component_id"])) == \
             dict(zip(base["doc_id"], base["component_id"]))
 
@@ -601,6 +622,10 @@ class TestDedupComponents:
         got = label_propagation_components(
             rd.from_arrow(chain), "doc_a", "doc_b",
             "doc_id", "component_id").to_pandas()
+        assert (got["component_id"] == 0).all() and len(got) == 12
+        got = label_propagation_components(
+            rd.from_arrow(chain), "doc_a", "doc_b",
+            "doc_id", "component_id", max_rounds=2).to_pandas()
         assert (got["component_id"] == 0).all() and len(got) == 12
 
         # string ids (the phash_components shape)
@@ -1241,12 +1266,15 @@ class TestSourceBalance:
 
 
 class TestPhashComponents:
-    def test_components_match_bruteforce_union_find(self, images_table):
+    def test_components_match_bruteforce_union_find(self, images_table,
+                                                    monkeypatch, spy):
         import pyarrow as pa
         import pyarrow.compute as pc
 
         import ray.data as rd
 
+        from sidecar import shuffle
+        from sidecar.ops import dedup
         from sidecar.ops.multimodal import lossy_reencode, phash_components, phash_neardup
 
         img_only = images_table.filter(
@@ -1282,6 +1310,12 @@ class TestPhashComponents:
             if i.endswith("~b16"):
                 assert comp.get(i[:-4], c) == c
         assert len(comp) > 0
+        # a 0-byte limit takes min-label propagation: the same components
+        calls = spy(dedup, "label_propagation_components")
+        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+        dist = phash_components(both, concurrency=2).to_pandas()
+        assert len(calls) == 1
+        assert dict(zip(dist["image_id"], dist["component_id"])) == want
 
 
 class TestRound2Additions:

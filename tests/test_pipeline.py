@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from sidecar import pipeline, schemas, synth
+from sidecar import pipeline, schemas, shuffle, synth
 
 
 def _run(table: pa.Table) -> pa.Table:
@@ -123,7 +123,7 @@ def test_determinism_across_parallelism(images_table):
     assert a.equals(b)
 
 
-def test_dedup_digest_plan_equals_plain_extract():
+def test_dedup_digest_plan_equals_plain_extract(monkeypatch, spy):
     """A3 parity: the explicit compute-once-per-digest plan produces the
     same rows as the plain per-row extraction, on a corpus with heavy exact
     payload duplication and DISTINCT captions (the per-row fields must not
@@ -148,28 +148,21 @@ def test_dedup_digest_plan_equals_plain_extract():
             df[c] = df[c].map(lambda v: str(v))
         return df
 
+    calls = spy(pipeline, "_dedup_digest_join")
     a = norm(sidecar_dataset(rd.from_arrow(tbl)))
     b = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl)))
+    assert not calls  # small metadata → broadcast plan
     pd.testing.assert_frame_equal(a, b)
     assert a["payload_digest"].nunique() < len(a)  # duplication actually present
 
     # the metadata-outgrows-broadcast twin (step 4 = hash-partitioned join
     # on payload_digest; driver never holds the digest→metadata dict) emits
-    # identical rows — exercised both via broadcast=False and via the auto
-    # gate forced to 0 bytes
-    c = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl), broadcast=False))
+    # identical rows with the broadcast limit forced to 0 bytes
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    c = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl)))
+    assert len(calls) == 1
     pd.testing.assert_frame_equal(a, c[a.columns.tolist()] if
                                   list(c.columns) != list(a.columns) else c)
-
-    from sidecar import pipeline as pl
-    orig = pl.DIGEST_META_BROADCAST_MAX_BYTES
-    try:
-        pl.DIGEST_META_BROADCAST_MAX_BYTES = 0
-        d = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl)))
-    finally:
-        pl.DIGEST_META_BROADCAST_MAX_BYTES = orig
-    pd.testing.assert_frame_equal(a, d[a.columns.tolist()] if
-                                  list(d.columns) != list(a.columns) else d)
 
 
 def test_extract_tolerates_null_payload():

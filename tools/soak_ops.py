@@ -347,9 +347,9 @@ def main() -> int:
         if rows is not None:
             report["checks"]["quality_rows"] = bool(rows == n)
 
-        # tfidf auto-gate twin equality at soak scale (r4 VERDICT #1 follow
-        # -through): the default broadcast="auto" plan (this corpus's 512-term
-        # vocab stays under the gate → driver dict) must emit the SAME rows
+        # tfidf twin equality at soak scale (r4 VERDICT #1 follow-through):
+        # the default plan (this corpus's 512-term vocab stays under
+        # shuffle.BROADCAST_MAX_BYTES → driver dict) must emit the SAME rows
         # as the no-driver-vocab partitioned-join plan a web-scale vocab
         # takes.  Both gathered block-granular; frames compared exactly.
         def _gather(ds):
@@ -362,13 +362,20 @@ def main() -> int:
 
         tf_auto = run("text_tfidf_topk", _gather)
         if tf_auto is not None:
+            from sidecar import shuffle
             from sidecar.ops import text as _text
 
             # the twin runs whenever the graded default ran (not gated on
-            # --ops membership: it exists only to compare against tf_auto)
-            t0 = time.perf_counter()
-            tf_part = _gather(_text.tfidf_topk(out_dir, broadcast=False))
-            sec = time.perf_counter() - t0
+            # --ops membership: it exists only to compare against tf_auto);
+            # a 0-byte limit forces the partitioned plan
+            limit = shuffle.BROADCAST_MAX_BYTES
+            shuffle.BROADCAST_MAX_BYTES = 0
+            try:
+                t0 = time.perf_counter()
+                tf_part = _gather(_text.tfidf_topk(out_dir))
+                sec = time.perf_counter() - t0
+            finally:
+                shuffle.BROADCAST_MAX_BYTES = limit
             report["ops"]["text_tfidf_topk_partitioned"] = {
                 "sec": round(sec, 2), "rows_per_sec": round(n / sec)}
             cols = sorted(tf_auto.columns)
