@@ -583,9 +583,10 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
             n_blocks = max(1, min(128, n_remaining_est // 256 + 1))
             if selected.num_blocks() < min(32, n_blocks):
                 # only the small-frontier driver plan (1 block) needs the
-                # re-split; the Ray budget path already emits ~shuffle.NUM_PARTS
-                # blocks, and repartition is an extra all-to-all BARRIER that
-                # delays the first fetch task by the whole shuffle
+                # re-split; the Ray budget path already emits one block per
+                # block of its filtered input (at most shuffle.NUM_PARTS), and
+                # repartition is an extra all-to-all BARRIER that delays the
+                # first fetch task by the whole shuffle
                 to_fetch = to_fetch.repartition(n_blocks)
             sidecar_ds = to_fetch.map_batches(
                 make_fetcher(shards, cfg.num_seen_shards, cfg.seed),

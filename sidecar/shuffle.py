@@ -2,21 +2,24 @@
 
 Every high-cardinality grouping in the engine (frontier budget selection,
 the dedup/prep/relational/text operators, the CDXJ merge and the digest
-join) has the same shape: hash the key column(s) to one of ``NUM_PARTS``
-coarse partitions, sort-shuffle on that partition id, and fine-group inside
-each task with vectorized code.  A ``groupby(key)`` on the raw key would
-dispatch one Python call per distinct key, which is the measured bottleneck
-at these cardinalities, not data volume.
+join) has the same shape: hash the key column(s) to one of at most
+``NUM_PARTS`` coarse partitions, exchange rows by that partition, and
+fine-group inside each task with vectorized code.  A ``groupby(key)`` on the
+raw key would dispatch one Python call per distinct key, which is the
+measured bottleneck at these cardinalities, not data volume.
 
-``copartition`` owns that decision: the partition count, the hash, the
-partition column (under a reserved name, so a table may carry a column of
-its own called ``part``) and the optional tiny-block coalesce before the
-barrier.  Its contract for the body: every row sharing a ``key`` value lands
-in the same call, so ``key`` must be a subset of the columns the body groups
-by.  Tagged-union joins union both sides first and call it once.
+``copartition`` owns that decision: the partition count, the hash and the
+optional tiny-block coalesce before the barrier.  Its contract for the body:
+every row sharing a ``key`` value lands in the same call, so ``key`` must be
+a subset of the columns the body groups by.  Tagged-union joins union both
+sides first and call it once.  Input tables may carry a column of their own
+called ``part``, but not one named ``PART_COL``, which is reserved.
 
-The shuffle stays Ray's sort-based ``groupby().map_groups``: the hash-shuffle
-strategy hung on Ray 2.49 in local measurements (ROADMAP.md).
+The exchange is a direct hash exchange on Ray core tasks.  Ray Data's
+sort-based ``groupby().map_groups`` runs a sampling pass, a sort map, a sort
+reduce and a group-splitting map, which is nearly all fixed cost at crawl
+frontier sizes; its hash-shuffle strategy hung on Ray 2.49 in local
+measurements (ROADMAP.md).
 
 The other way rows meet is a broadcast: a small build side is gathered on the
 driver once and ``ray.put``.  Every operator with both plans picks by one
@@ -29,13 +32,18 @@ partitioned plan.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from pandas.util import hash_array
-from ray.data.block import BlockAccessor
+from ray.data._internal.execution.interfaces import RefBundle
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.input_data_operator import InputData
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockAccessor, BlockExecStats, BlockMetadataWithSchema
+from ray.data.dataset import MaterializedDataset
 
 NUM_PARTS = 64  # coarse shuffle partitions, independent of key cardinality
 PART_COL = "__copartition__"  # reserved: no input table may use this name
@@ -60,39 +68,28 @@ def _column_hash(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
 
 
-def _partition_ids(table: pa.Table, keys: list[str]) -> np.ndarray:
-    """int64 partition id in ``[0, NUM_PARTS)`` for each row of ``table``."""
+def _partition_ids(table: pa.Table, keys: list[str],
+                   n: int = NUM_PARTS) -> np.ndarray:
+    """int64 partition id in ``[0, n)`` for each row of ``table``."""
     h = _column_hash(table.column(keys[0]))
     for k in keys[1:]:
         h = h * _FOLD + _column_hash(table.column(k))
-    return (h % np.uint64(NUM_PARTS)).astype(np.int64)
-
-
-def _add_partition(batch: pa.Table, keys: list[str]) -> pa.Table:
-    if PART_COL in batch.column_names:
-        raise ValueError(f"column name {PART_COL!r} is reserved by copartition")
-    # pandas-produced blocks carry a b'pandas' schema-metadata blob that is
-    # unhashable and breaks the shuffle's schema dedup (storage.py)
-    return batch.replace_schema_metadata(None).append_column(
-        PART_COL, pa.array(_partition_ids(batch, keys), pa.int64()))
+    return (h % np.uint64(n)).astype(np.int64)
 
 
 def _stage(ds):
     """Materialize a small key-row intermediate at a shuffle barrier, and
     coalesce it when the upstream maps left it in many tiny blocks.
 
-    Two measured effects, one helper:
-    - Ray's streaming executor fair-shares the CPU pool across ALL plan
-      operators — including sort phases that cannot start until the upstream
-      map finishes — so in a 5-operator plan the one compute-heavy map gets
-      ~2 of 8 CPUs (measured: minhash banding 172 s streamed vs 28 s staged
-      at 8 CPUs / 500k docs).  The next operator is an all-to-all barrier
-      ANYWAY, so staging loses no pipeline overlap.
-    - Ray's sort pays per-task scheduling for every input block and reduce
-      partition: the IDENTICAL 38M-row groupby measured 18.8 s from 512
-      input blocks vs 1.4 s from 64 (isolated A/B, BASELINE.md round 5).
-      Upstream parquet reads auto-split to ~256 blocks, so staged
-      intermediates coalesce to ``NUM_PARTS`` blocks before the shuffle.
+    Every copartition materializes its upstream before the exchange, which
+    also keeps a compute-heavy map from sharing the CPU pool with the rest of
+    a streamed plan (measured: minhash banding 172 s streamed vs 28 s staged
+    at 8 CPUs / 500k docs).  What staging adds is the coalesce: an exchange
+    pays per-task scheduling for every input block and partition, and the
+    IDENTICAL 38M-row groupby measured 18.8 s from 512 input blocks vs 1.4 s
+    from 64 (Ray's sort, isolated A/B, BASELINE.md round 5).  Upstream
+    parquet reads auto-split to ~256 blocks, so staged intermediates
+    coalesce to ``NUM_PARTS`` blocks, one split task each.
     Only key-sized rows are ever held — never payloads."""
     out = ds.materialize()
     if out.num_blocks() > NUM_PARTS:
@@ -100,33 +97,83 @@ def _stage(ds):
     return out
 
 
-def _without_partition(fn, batch_format: str):
-    """Wrap a group body so it sees its group, in ``batch_format``, without
-    the partition column."""
+def _arrow(block) -> pa.Table:
+    # pandas-produced blocks carry a b'pandas' schema-metadata blob: drop it
+    # so every body sees the same plain Arrow schema whatever made the block
+    return BlockAccessor.for_block(block).to_arrow().replace_schema_metadata(None)
 
-    @functools.wraps(fn)
-    def body(block):
-        acc = BlockAccessor.for_block(block)
-        cols = [c for c in acc.column_names() if c != PART_COL]
-        return fn(BlockAccessor.for_block(acc.select(cols))
-                  .to_batch_format(batch_format))
 
-    return body
+@ray.remote
+def _split(block, keys: list[str], n: int) -> list[pa.Table]:
+    """``block`` cut into ``n`` zero-copy slices, slice ``p`` holding the
+    rows whose key hashes to partition ``p``."""
+    t = _arrow(block)
+    ids = _partition_ids(t, keys, n)
+    t = t.take(np.argsort(ids, kind="stable"))
+    counts = np.bincount(ids, minlength=n)
+    return [t.slice(e - c, c) for e, c in zip(np.cumsum(counts), counts)]
+
+
+@ray.remote(num_returns=2)
+def _reduce(fn, batch_format: str, *slices):
+    """``fn`` once over one partition; returns the block and its metadata,
+    or no metadata when the partition has no rows (``fn`` is not called)."""
+    stats = BlockExecStats.builder()
+    tables = [t for t in map(_arrow, slices) if t.num_rows]
+    if not tables:
+        return None, None
+    batch = pa.concat_tables(tables, promote_options="default")
+    block = BlockAccessor.batch_to_block(
+        fn(BlockAccessor.for_block(batch).to_batch_format(batch_format)))
+    return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
 def copartition(ds, key: "str | list[str]", fn, *, batch_format: str,
                 stage: bool = False):
-    """``fn`` over each coarse hash partition of ``ds`` on ``key``.
+    """``fn`` over each hash partition of ``ds`` on ``key``, as a
+    materialized dataset.
 
     Every row sharing a ``key`` value reaches the same ``fn`` call, which
-    gets its group as ``batch_format`` without the partition column and may
-    return any batch ``map_groups`` accepts.  ``stage=True`` materializes
-    and coalesces the keyed rows before the shuffle (:func:`_stage`); the
-    hash map itself fuses into the upstream map."""
+    gets its partition as ``batch_format`` and may return a pandas
+    DataFrame, an Arrow table or a dict of numpy arrays; each output block
+    keeps the format ``fn`` returned.  The upstream executes here, at the
+    call, so its errors surface here too (``stage=True`` runs it through
+    :func:`_stage`).  Output rows come in no particular order: a caller
+    that needs one sorts.
+
+    The exchange runs on Ray core tasks: one split task per non-empty input
+    block cuts it into ``n = min(NUM_PARTS, blocks)`` slices by key hash,
+    and one reduce task per partition concatenates its slices and calls
+    ``fn``.  Sizing ``n`` by the input keeps as many output blocks as the
+    input had, up to ``NUM_PARTS``, so a small frontier's second shuffle
+    reads few blocks."""
     keys = [key] if isinstance(key, str) else list(key)
-    keyed = ds.map_batches(_add_partition, fn_kwargs={"keys": keys},
-                           batch_format="pyarrow", zero_copy_batch=True)
-    if stage:
-        keyed = _stage(keyed)
-    return keyed.groupby(PART_COL).map_groups(
-        _without_partition(fn, batch_format), batch_format=None)
+    src = _stage(ds) if stage else ds.materialize()
+    held = src._plan.execute()  # no-op: the blocks ``src`` already holds
+    blocks = [ref for ref, m in held.blocks if m.num_rows]
+    if blocks and PART_COL in held.schema.names:
+        raise ValueError(f"column name {PART_COL!r} is reserved by copartition")
+    n = min(NUM_PARTS, len(blocks))
+    if n > 1:
+        split = _split.options(num_returns=n)
+        cut = [split.remote(b, keys, n) for b in blocks]
+        parts = [[c[p] for c in cut] for p in range(n)]
+    else:
+        parts = [blocks] if blocks else []
+    fn_ref = ray.put(fn)
+    outs = [_reduce.remote(fn_ref, batch_format, *p) for p in parts]
+    metas = ray.get([m for _, m in outs])
+    out = []
+    for p, ((ref, _), m) in enumerate(zip(outs, metas)):
+        if m is not None:
+            m.exec_stats.task_idx = p  # one reduce task per partition
+            out.append((ref, m))
+    name = f"Copartition[{','.join(keys)}] {n} partitions"
+    stats = DatasetStats(metadata={name: [m.metadata.to_stats() for _, m in out]},
+                         parent=src._plan.stats())
+    bundles = [RefBundle([(ref, m.metadata)], owns_blocks=False, schema=m.schema)
+               for ref, m in out]
+    result = MaterializedDataset(ExecutionPlan(stats, data_context=ds.context),
+                                 LogicalPlan(InputData(bundles), ds.context))
+    result._plan.execute()  # no-op: marks the plan executed, like materialize()
+    return result

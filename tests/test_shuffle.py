@@ -85,3 +85,63 @@ def test_reserved_column_name_is_rejected():
     with pytest.raises(Exception, match="reserved"):
         copartition(rd.from_arrow(t), "i", lambda g: g,
                     batch_format="pyarrow").materialize()
+
+
+def test_zero_row_blocks_are_skipped():
+    t = _table()
+
+    def body(g: pd.DataFrame) -> pd.DataFrame:
+        assert len(g)
+        return g
+
+    # a zero-row block with columns, and Ray's column-less kind
+    ds = rd.from_arrow([t.slice(0, 0), t.slice(0, 700), pa.table({}),
+                        t.slice(700)])
+    got = _collect(copartition(ds, "s", body, batch_format="pandas"))
+    assert got.sort_by("row").equals(t)
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+def test_all_empty_input_never_calls_body(batch_format):
+    def body(g):
+        raise AssertionError("body called on an empty input")
+
+    ds = rd.from_arrow([pa.table({}), _table().slice(0, 0)])
+    got = copartition(ds, "s", body, batch_format=batch_format)
+    assert got.count() == 0
+
+
+def test_stats_chain_upstream_and_report_the_exchange():
+    def tag_rows(b: pa.Table) -> pa.Table:
+        return b
+
+    ds = rd.from_arrow(_table()).repartition(3).map_batches(
+        tag_rows, batch_format="pyarrow")
+    stats = copartition(ds, "s", lambda g: g, batch_format="pyarrow").stats()
+    assert "MapBatches(tag_rows)" in stats
+    exchange = [s for s in stats.split("\n\n") if "Copartition[s]" in s]
+    assert len(exchange) == 1
+    assert "3 partitions" in exchange[0]
+    assert f"{N} total" in exchange[0]
+
+
+@pytest.mark.parametrize("n", [3, 42])
+def test_partition_counts_that_are_not_powers_of_two(n):
+    t = _table()
+    for keys in (["i"], ["s"], ["s", "j"]):
+        ids = _partition_ids(t, keys, n)
+        assert ids.min() >= 0 and ids.max() < n
+        remote = ray.get(ray.remote(_partition_ids).remote(t, keys, n))
+        assert np.array_equal(ids, remote)
+
+    def distinct_keys(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("i", as_index=False).size()
+
+    # n input blocks give n partitions
+    got = copartition(rd.from_arrow(t).repartition(n), "i", distinct_keys,
+                      batch_format="pandas")
+    assert f"Copartition[i] {n} partitions" in got.stats()
+    df = got.to_pandas()
+    assert not df.duplicated("i").any()
+    assert df.set_index("i")["size"].sort_index().equals(
+        t.to_pandas().groupby("i").size())
