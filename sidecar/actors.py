@@ -162,17 +162,6 @@ class HostPolicy:
         self.denied_robots: int = 0
         self._denied_keys: dict = {}  # epoch -> batch keys already folded
 
-    def robots_disallowed(self, hosts: list[str], paths: list[str]) -> list[bool]:
-        from sidecar.robots import is_allowed
-
-        out = []
-        for host, path in zip(hosts, paths):
-            bad = not is_allowed(self._robots.get(host, []), path)
-            if bad:
-                self.denied_robots += 1
-            out.append(bad)
-        return out
-
     def rules_snapshot(self) -> dict:
         """The cached robots rules, for epoch-level replication: the driver
         ``ray.put``s this once and workers evaluate locally — per-row

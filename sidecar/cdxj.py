@@ -270,8 +270,8 @@ def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
 
     def merge_partition(g: pa.Table) -> pa.Table:
         """Within one coarse hash partition: build a dict of the meta side,
-        probe the orig side — the Ray groupby key is the 64-way partition
-        (per-join-key map_groups dispatch doesn't scale; SURVEY.md J1).  A
+        probe the orig side — the exchange key is the 64-way partition
+        (per-join-key dispatch doesn't scale; SURVEY.md J1).  A
         meta-only partition returns the same columns with no rows."""
         is_meta = pc.equal(g.column("side"), "meta")
         metas = g.filter(is_meta)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
 
 import ray
@@ -32,6 +33,7 @@ import ray.data as rd
 from sidecar import pipeline, warc
 from sidecar.canon import cdxj_key, surt
 from sidecar.cdxj import cdxj_line, enrich_json, merge_cdxj, parse_cdxj_lines
+from sidecar.shuffle import copartition
 
 
 def payload_to_json(payload: str) -> str:
@@ -186,11 +188,11 @@ def cmd_sidecar_all(archive_dir: str, operator: str | None = None,
     source (the reference's one-file-per-invocation CLI, parallelized as
     the sharded-files pattern it implies, SURVEY.md §4.1).
 
-    Records keep their source ``path`` through extraction; a
-    ``groupby(path)`` routes each file's sidecar rows to one task, which
-    serializes and writes that file's sidecar WORKER-SIDE (no driver
-    bottleneck).  Files whose sidecar already exists are skipped before
-    any read — the resumability unit is the source file."""
+    Records keep their source ``path`` through extraction; a co-partition
+    on it routes each file's sidecar rows to one task, which serializes and
+    writes that file's sidecar WORKER-SIDE (no driver bottleneck).  Files
+    whose sidecar already exists are skipped before any read — the
+    resumability unit is the source file."""
     import glob as _glob
 
     all_files = sorted(
@@ -231,9 +233,6 @@ def cmd_sidecar_all(archive_dir: str, operator: str | None = None,
     # emitted literal 'Soft-404-Detected: nan' lines; Arrow to_pylist gives
     # real None, matching the single-file path bit-for-bit.
     def write_one(g: pa.Table) -> pa.Table:
-        # the groupby shuffle does not preserve within-group order — restore
-        # source record order from the lineno carried through extraction
-        g = g.sort_by("lineno")
         src = g.column("part")[0].as_py()
         name = os.path.basename(src)
         out_path = os.path.join(archive_dir, warc.sidecar_name(name))
@@ -256,8 +255,18 @@ def cmd_sidecar_all(archive_dir: str, operator: str | None = None,
         return pa.table({"path": pa.array([src], pa.string()),
                          "records_written": pa.array([n], pa.int64())})
 
-    per_file = sidecar_ds.groupby("part").map_groups(
-        write_one, batch_format="pyarrow").to_pandas()
+    def write_files(t: pa.Table) -> pa.Table:
+        # one partition holds many files, in no row order: sort by (file,
+        # lineno) to restore each file's source record order, then write
+        # each file's run of rows
+        t = t.sort_by([("part", "ascending"), ("lineno", "ascending")])
+        src = t.column("part").to_numpy(zero_copy_only=False)
+        ends = np.append(np.flatnonzero(src[1:] != src[:-1]) + 1, len(src))
+        return pa.concat_tables([write_one(t.slice(a, b - a))
+                                 for a, b in zip(np.r_[0, ends[:-1]], ends)])
+
+    per_file = copartition(sidecar_ds, "part", write_files,
+                           batch_format="pyarrow").to_pandas()
 
     # a source that yields ZERO sidecar rows (only warcinfo/dns/revisit
     # records, or all-empty payloads) produces no group above — write its
@@ -340,8 +349,8 @@ def cmd_cdxj_all(archive_dir: str) -> dict:
                          "line": pa.array(lines, pa.string())})
 
     def write_one(g: pd.DataFrame) -> pd.DataFrame:
-        # the groupby shuffle does not preserve within-group order — restore
-        # sidecar record order so batch output matches cmd_cdxj byte-for-byte
+        # the exchange does not preserve row order — restore sidecar record
+        # order so batch output matches cmd_cdxj byte-for-byte
         g = g.sort_values("lineno")
         src = g["part"].iloc[0]
         out_path = os.path.join(archive_dir, warc.cdxj_name_from_sidecar(src))
@@ -354,10 +363,14 @@ def cmd_cdxj_all(archive_dir: str) -> dict:
         os.replace(tmp, out_path)
         return pd.DataFrame({"path": [src], "lines": [len(g)]})
 
-    per_file = (records.map_batches(to_lines, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                .groupby("part").map_groups(write_one, batch_format="pandas")
-                .to_pandas())
+    def write_files(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([write_one(g) for _, g in df.groupby("part", sort=False)],
+                         ignore_index=True)
+
+    per_file = copartition(
+        records.map_batches(to_lines, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        "part", write_files, batch_format="pandas").to_pandas()
 
     # a sidecar holding only its warcinfo yields no lines, hence no group —
     # write its (empty) cdxj here, matching cmd_cdxj's behavior on the same
@@ -423,7 +436,7 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
 
     Plan: each file reads in its own task (per-file linenos assigned
     serially inside the task — line order is part of the output contract);
-    a groupby(pair) lands each pair's meta+original rows in one task, which
+    a co-partition on the pair lands its meta+original rows in one task, which
     merges (``cdxj.enrich_json``, quirks intact) and writes that pair's merged
     file WORKER-SIDE, returning counters only.  Pairs whose output exists
     are skipped before any read — the resumability unit is the file pair.
@@ -487,9 +500,12 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
         return pd.DataFrame({"pair": [name], "edited": [edited],
                              "non_edited": [len(origs) - edited]})
 
-    per_pair = (rd.from_items(items).flat_map(read_file)
-                .groupby("pair").map_groups(merge_one, batch_format="pandas")
-                .to_pandas())
+    def merge_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([merge_one(g) for _, g in df.groupby("pair", sort=False)],
+                         ignore_index=True)
+
+    per_pair = copartition(rd.from_items(items).flat_map(read_file), "pair",
+                           merge_pairs, batch_format="pandas").to_pandas()
     if len(per_pair):  # all-blank inputs yield a column-less empty frame
         per_pair = per_pair.sort_values("pair")
 

@@ -140,7 +140,7 @@ def filter_unseen(frontier: "rd.Dataset", seen_shards: list, bloom_blob: bytes |
 
 
 def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
-                  rules_ref=None) -> "rd.Dataset":
+                  rules_ref) -> "rd.Dataset":
     """Drop rows disallowed by the robots rules.
 
     The HostPolicy actors OWN the robots cache (they'd fetch/refresh
@@ -149,38 +149,9 @@ def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
     per-row evaluation inside the fixed-count actor pool was a serial
     fraction that capped crawl-loop scaling.  Denial COUNTS (not rows) are
     folded back per batch with one O(1) ``note_denied`` RPC, so the actors'
-    metrics stay authoritative.  Falls back to in-actor evaluation when no
-    snapshot is provided (legacy path, used by tests that probe the actors).
+    metrics stay authoritative.
     """
     handles = list(host_policies)
-
-    if rules_ref is None:
-        def f_actor(batch: pa.Table) -> pa.Table:
-            from sidecar.actors import host_shard
-            from urllib.parse import urlsplit
-
-            hosts = batch.column("host").to_pylist()
-            paths = [urlsplit(u).path or "/" for u in batch.column("url_canon").to_pylist()]
-            n = len(hosts)
-            denied = np.zeros(n, dtype=bool)
-            by_actor: dict[int, list[int]] = {}
-            for i, h in enumerate(hosts):
-                by_actor.setdefault(host_shard(h, num_actors), []).append(i)
-            futures, slots = [], []
-            for a, rows in by_actor.items():
-                futures.append(
-                    handles[a].robots_disallowed.remote(
-                        [hosts[i] for i in rows], [paths[i] for i in rows]
-                    )
-                )
-                slots.append(rows)
-            for rows, res in zip(slots, ray.get(futures)):
-                for i, bad in zip(rows, res):
-                    denied[i] = bad
-            return batch.filter(pa.array(~denied))
-
-        return frontier.map_batches(f_actor, batch_format="pyarrow", batch_size=8192,
-                                    zero_copy_batch=True)
 
     def f(batch: pa.Table) -> pa.Table:
         from sidecar.robots import is_allowed
@@ -268,9 +239,9 @@ def select_budget(frontier: "rd.Dataset", budget: int,
     ``size_hint`` (an upper bound on input rows, known by the caller from
     checkpoint metadata) enables the adaptive small-input plan: below
     SMALL_FRONTIER_ROWS the whole ranking runs driver-side in one vectorized
-    pandas pass (identical semantics — the selection math is the same code
-    path shapes; proven equal by the bit-for-bit tests) instead of paying
-    two all-to-all barrier constants on a few thousand metadata rows.
+    pandas pass (the same two stage functions over the whole frame; proven
+    equal by the bit-for-bit tests) instead of paying two all-to-all
+    barrier constants on a few thousand metadata rows.
 
     ``policy`` (a ``sidecar.policy.FrontierPolicy``) overrides the constant
     per-host budget via its vectorized ``host_budget`` hook; ``None`` keeps
@@ -281,28 +252,6 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         if policy is None:
             return budget
         return policy.host_budget(np.asarray(hosts), budget)
-
-    if size_hint is not None and size_hint <= SMALL_FRONTIER_ROWS:
-        df = frontier.to_pandas()  # executes the (narrow) upstream filters once
-        if len(df) == 0:
-            # shape parity with the selected path: downstream splitters read
-            # t['selected'] even on an all-filtered tail epoch
-            df = df.assign(selected=pd.Series([], dtype=bool))
-            return rd.from_pandas(df.reset_index(drop=True))
-        h = df["url_hash"].to_numpy().astype(np.uint64)
-        df = df.assign(salt=(h % np.uint64(n_salts)).astype(np.int32))
-        df = _sort_group(df)
-        if dedup:
-            df = df.drop_duplicates("url_hash", keep="first")
-        df = df.copy()
-        bud = _budgets(df["host"].to_numpy())
-        df["finalist"] = df.groupby(["host", "salt"], sort=False).cumcount().to_numpy() < bud
-        fin_rank = (df.groupby("host", sort=False)["finalist"].cumsum()
-                    - df["finalist"].astype(int))
-        df["selected"] = df["finalist"].to_numpy() & (fin_rank.to_numpy() < bud)
-        df = df.drop(columns=["salt", "finalist"])
-        return rd.from_pandas(df.reset_index(drop=True))
-
 
     # Ray-level grouping co-partitions on (host, salt), then on host (one
     # group per input block per stage, at most shuffle.NUM_PARTS); the exact
@@ -332,6 +281,18 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         bud = _budgets(g["host"].to_numpy())
         g["selected"] = g["finalist"].to_numpy() & (fin_rank.to_numpy() < bud)
         return g.drop(columns=["salt", "finalist"])
+
+    if size_hint is not None and size_hint <= SMALL_FRONTIER_ROWS:
+        df = frontier.to_pandas()  # executes the (narrow) upstream filters once
+        if len(df) == 0:
+            # shape parity with the selected path: downstream splitters read
+            # t['selected'] even on an all-filtered tail epoch
+            df = df.assign(selected=pd.Series([], dtype=bool))
+            return rd.from_pandas(df.reset_index(drop=True))
+        h = df["url_hash"].to_numpy().astype(np.uint64)
+        df = df.assign(salt=(h % np.uint64(n_salts)).astype(np.int32))
+        # the whole frame is one partition of both stages
+        return rd.from_pandas(stage2(stage1(df)).reset_index(drop=True))
 
     salted = frontier.map_batches(with_salt, batch_format="pyarrow", zero_copy_batch=True)
     ranked = copartition(salted, ["host", "salt"], stage1, batch_format="pandas")

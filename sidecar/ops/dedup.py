@@ -135,10 +135,8 @@ def _minhash_sig(shingles: list[str],
 def fp_rows_batch(batch: pa.Table) -> pa.Table:
     """(fp, doc_id) rows: md5 content fingerprint per document — the ONE
     definition shared by exact_dedup and prep_corpus's stage 2.  Both
-    co-partition on fp, so the Ray shuffle sorts a 64-value int key and the
-    string grouping stays inside each task (a groupby on 1M fp STRINGS pays
-    the same ~6 MB/core-s row-repack as every other string-payload sort
-    here)."""
+    co-partition on fp, so the exchange moves rows by a coarse hash and the
+    per-fp grouping runs vectorized inside each task."""
     md5 = hashlib.md5
     fps = [md5((t or "").encode()).hexdigest()
            for t in batch.column("text").to_pylist()]
@@ -161,7 +159,7 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
     return copartition(
         read_documents(sf_dir).map_batches(
             fp_rows_batch, batch_format="pyarrow", zero_copy_batch=True),
-        "fp", fp_agg, batch_format="pandas", stage=True)
+        "fp", fp_agg, batch_format="pandas")
 
 
 # ------------------------------------------------------------- minhash + LSH
@@ -281,7 +279,7 @@ def minhash_lsh_pairs(sf_dir: str, family: str = "md5") -> "rd.Dataset":
         batch_format="pyarrow", zero_copy_batch=True)
     candidates = copartition(
         bands, "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
-        batch_format="pandas", stage=True)
+        batch_format="pandas")
     return _dedup_pairs(candidates)
 
 
@@ -398,7 +396,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
     for b in copartition(
             docs.map_batches(partial_df, batch_format="pyarrow",
                              zero_copy_batch=True),
-            "h", reduce_df, batch_format="pandas", stage=True,
+            "h", reduce_df, batch_format="pandas",
     ).iter_batches(batch_format="pyarrow", batch_size=None):
         t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
         if t.num_rows:
@@ -458,8 +456,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
     candidates = _dedup_pairs(copartition(
         docs.map_batches(prefix_rows, batch_format="pyarrow",
                          zero_copy_batch=True),
-        "s", lambda g: _pairs_within(g, ["s"]), batch_format="pandas",
-        stage=True))
+        "s", lambda g: _pairs_within(g, ["s"]), batch_format="pandas"))
 
     # stage 3: exact verification — the ONLY driver-held state is the set of
     # candidate doc_ids (int64, bounded by candidate count); shingle sets are
@@ -697,13 +694,17 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
         return pd.DataFrame({"vec_a": pd.Series(a[keep], dtype="int64"),
                              "vec_b": pd.Series(b[keep], dtype="int64")})
 
-    return (
+    def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        # one matmul per block pair in this partition: the loop runs over at
+        # most num_blocks·(num_blocks+1)/2 block-sized groups, never per row
+        return pd.concat([cross(p) for _, p in g.groupby("pairkey", sort=False)],
+                         ignore_index=True)
+
+    return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet",
                            columns=["vec_id", "embedding"])
-        .map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pairkey")
-        .map_groups(cross, batch_format="pandas")
-    )
+        .map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True),
+        "pairkey", cross_pairs, batch_format="pandas")
 
 
 def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
@@ -817,15 +818,11 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     # its (table, bucket)-hash partition, and a vector colliding in two
     # tables lands in two partitions — the id-keyed second pass makes both
     # the broadcast gate and the shipped id array exact (id rows only)
-    # staged banding groupby: the band rows arrive in ~256 tiny blocks from
-    # the auto-split read, and Ray's sort pays per-task scheduling per input
-    # block (18.8 s vs 1.4 s on an identical 38M-row groupby at 512 vs 64
-    # blocks — shuffle._stage docstring)
     cand = copartition(
         copartition(src.map_batches(band_ids, batch_format="pyarrow",
                                     zero_copy_batch=True),
                     ["table", "bucket"], nonsingleton_ids,
-                    batch_format="pyarrow", stage=True),
+                    batch_format="pyarrow"),
         "vec_id", distinct_ids, batch_format="pyarrow").materialize()
     n_cand = cand.count()
     if n_cand == 0:
@@ -914,13 +911,11 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
             return pa.table({"vec_a": pa.array(a[keep], pa.int64()),
                              "vec_b": pa.array(b[keep], pa.int64())})
 
-        # staged here (key-sized band rows): coalesces the subset's inherited
-        # tiny-block lineage before the sort pays per-input-block scheduling
         candidates = copartition(
             sub.map_batches(band_cand_ids, batch_format="pyarrow",
                             zero_copy_batch=True),
             ["table", "bucket"], pairs_ids_in_partition,
-            batch_format="pyarrow", stage=True,
+            batch_format="pyarrow",
         ).map_batches(verify_pairs, batch_format="pyarrow",
                       zero_copy_batch=True)
         return _dedup_pairs(candidates, a="vec_a", b="vec_b")
@@ -1135,8 +1130,9 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
             pairs_ds.iter_batches(batch_format="pyarrow", batch_size=None),
             a_col, b_col, id_col, comp_col, node_t)
 
-    out = labels.rename_columns([id_col, comp_col]).sort(id_col)
-    return pa.concat_tables(out.iter_batches(batch_format="pyarrow", batch_size=None))
+    out = labels.rename_columns([id_col, comp_col])
+    return pa.concat_tables(
+        out.iter_batches(batch_format="pyarrow", batch_size=None)).sort_by(id_col)
 
 
 def lsh_components(sf_dir: str) -> "pa.Table":
@@ -1301,8 +1297,7 @@ def passage_dedup(sf_dir: str) -> "rd.Dataset":
     passage and keep-first vectorized per partition; (2) co-partition
     winners on doc_id and reconstruct per document.
     Both use the repo's coarse-partition + in-task fine grouping pattern
-    (per-key map_groups dispatch is the measured bottleneck, not data
-    volume).
+    (per-key dispatch is the measured bottleneck, not data volume).
     """
     def chunk(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)

@@ -81,14 +81,16 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
         return pa.table({"digest": pa.array(d, pa.string()),
                          "image_id": batch.column("image_id")})
 
-    from ray.data.aggregate import Min
+    def min_id(t: pa.Table) -> pa.Table:
+        return t.group_by("digest").aggregate([("image_id", "min")])
 
     survivors: set[str] = set()
-    for b in (images_ds.map_batches(digest_rows, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-              .groupby("digest").aggregate(Min("image_id", alias_name="keep"))
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
-        survivors.update(b.column("keep").to_pylist())
+    for b in copartition(
+            images_ds.map_batches(digest_rows, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+            "digest", min_id, batch_format="pyarrow",
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
+        survivors.update(b.column("image_id_min").to_pylist())
     # broadcast an Arrow array (zero-copy from plasma per worker) and filter
     # with the vectorized is_in kernel — never a per-row Python membership
     surv_ref = ray.put(pa.array(sorted(survivors), pa.string()))
@@ -167,7 +169,7 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
         kept.map_batches(bucketize_batch, batch_format="pyarrow",
                          zero_copy_batch=True),
         "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
-        batch_format="pandas", stage=True))
+        batch_format="pandas"))
 
     dropped: set[int] = set()
     for b in pairs.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -221,8 +223,6 @@ def source_balance(sf_dir: str, quota: int = BALANCE_QUOTA) -> "rd.Dataset":
         g = g.sort_values(["source", "rk", "doc_id"], kind="mergesort")
         g = g.groupby("source", sort=False).head(quota)
         return g[["doc_id", "source"]]
-
-    import pandas as pd  # noqa: F401  (map_groups pandas format)
 
     return copartition(
         read_documents(sf_dir, columns=("doc_id", "source"))
@@ -331,8 +331,6 @@ def token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "rd.Dataset":
             "source": pa.array(g["source"], pa.string()),
             "n_tokens": pa.array(g["n_tokens"].to_numpy(), pa.int64()),
         })
-
-    import pandas as pd  # noqa: F401  (map_groups pandas format)
 
     return copartition(
         read_documents(sf_dir, columns=("doc_id", "source", "text"))

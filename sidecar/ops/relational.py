@@ -25,7 +25,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
@@ -62,31 +61,26 @@ def pricing_summary(sf_dir: str) -> "rd.Dataset":
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
     def finalize(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+            [("p_qty", "sum"), ("p_base", "sum"), ("p_disc", "sum"),
+             ("p_cnt", "sum")])
         return pa.table({
-            "l_returnflag": batch.column("l_returnflag"),
-            "l_linestatus": batch.column("l_linestatus"),
-            "sum_qty_cents": _cents(batch.column("sum_qty")),
-            "sum_base_price_cents": _cents(batch.column("sum_base_price")),
-            "sum_disc_price_cents": _cents(batch.column("sum_disc_price")),
-            "count_order": batch.column("count_order"),
+            "l_returnflag": g.column("l_returnflag"),
+            "l_linestatus": g.column("l_linestatus"),
+            "sum_qty_cents": _cents(g.column("p_qty_sum")),
+            "sum_base_price_cents": _cents(g.column("p_base_sum")),
+            "sum_disc_price_cents": _cents(g.column("p_disc_sum")),
+            "count_order": g.column("p_cnt_sum"),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_returnflag", "l_linestatus", "l_quantity",
                      "l_extendedprice", "l_discount"],
         )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("p_qty", alias_name="sum_qty"),
-            Sum("p_base", alias_name="sum_base_price"),
-            Sum("p_disc", alias_name="sum_disc_price"),
-            Sum("p_cnt", alias_name="count_order"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"], finalize, batch_format="pyarrow")
 
 
 def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
@@ -163,22 +157,20 @@ def events_windowed(sf_dir: str, window_s: int = 3600) -> "rd.Dataset":
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
     def finalize(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(["event_type", "win"]).aggregate(
+            [("p_n", "sum"), ("p_sum", "sum")])
         return pa.table({
-            "event_type": batch.column("event_type"),
-            "win": batch.column("win"),
-            "n_events": batch.column("n_events"),
-            "sum_value_cents": _cents(batch.column("sum_value")),
+            "event_type": g.column("event_type"),
+            "win": g.column("win"),
+            "n_events": g.column("p_n_sum"),
+            "sum_value_cents": _cents(g.column("p_sum_sum")),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet",
                         columns=["event_type", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "win"])
-        .aggregate(Sum("p_n", alias_name="n_events"),
-                   Sum("p_sum", alias_name="sum_value"))
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "win"], finalize, batch_format="pyarrow")
 
 
 def customer_order_stats(sf_dir: str) -> "rd.Dataset":
@@ -193,27 +185,22 @@ def customer_order_stats(sf_dir: str) -> "rd.Dataset":
                          "o_totalprice": batch.column("o_totalprice")})
 
     def finalize(batch: pa.Table) -> pa.Table:
+        g = batch.group_by("o_custkey").aggregate(
+            [([], "count_all"), ("date_us", "min"), ("date_us", "max"),
+             ("o_totalprice", "sum")])
         return pa.table({
-            "o_custkey": batch.column("o_custkey"),
-            "n_orders": batch.column("n_orders"),
-            "first_date_us": batch.column("first_date_us"),
-            "last_date_us": batch.column("last_date_us"),
-            "total_price_cents": _cents(batch.column("total_price")),
+            "o_custkey": g.column("o_custkey"),
+            "n_orders": g.column("count_all"),
+            "first_date_us": g.column("date_us_min"),
+            "last_date_us": g.column("date_us_max"),
+            "total_price_cents": _cents(g.column("o_totalprice_sum")),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .aggregate(
-            Count(alias_name="n_orders"),
-            Min("date_us", alias_name="first_date_us"),
-            Max("date_us", alias_name="last_date_us"),
-            Sum("o_totalprice", alias_name="total_price"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        .map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey", finalize, batch_format="pyarrow")
 
 
 def supplier_part_join(sf_dir: str) -> "rd.Dataset":
@@ -235,24 +222,23 @@ def supplier_part_join(sf_dir: str) -> "rd.Dataset":
 
     def enrich(batch: pa.Table) -> pa.Table:
         s2n_, p2b_ = ray.get(side)
-        sk = batch.column("l_suppkey").to_pylist()
-        pk = batch.column("l_partkey").to_pylist()
+        g = batch.group_by(["l_suppkey", "l_partkey"]).aggregate(
+            [("l_quantity", "sum")])
+        sk = g.column("l_suppkey").to_pylist()
+        pk = g.column("l_partkey").to_pylist()
         return pa.table({
             "l_suppkey": pa.array(sk, pa.int64()),
             "l_partkey": pa.array(pk, pa.int64()),
-            "sum_qty_cents": _cents(batch.column("sum_qty")),
+            "sum_qty_cents": _cents(g.column("l_quantity_sum")),
             "s_nationkey": pa.array([s2n_.get(x) for x in sk], pa.int64()),
             "p_brand": pa.array([p2b_.get(x) for x in pk], pa.string()),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                         columns=["l_suppkey", "l_partkey", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_suppkey", "l_partkey"])
-        .aggregate(Sum("l_quantity", alias_name="sum_qty"))
-        .map_batches(enrich, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_suppkey", "l_partkey"], enrich, batch_format="pyarrow")
 
 
 def asof_last_order(sf_dir: str) -> "rd.Dataset":
@@ -262,8 +248,8 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
     inner semantics keep the output int64-clean for the hash compare).
 
     Plan: tag + union both sides into one dataset, ONE shuffle
-    co-partitioned on the user key (64 tasks at any scale — per-
-    USER map_groups would dispatch one pandas call per tiny group, the
+    co-partitioned on the user key (64 tasks at any scale — a per-
+    USER group would dispatch one pandas call per tiny group, the
     pathology frontier.py's budget stage documents), then ONE lexsort +
     grouped forward-fill inside the partition: sort (key, t_us,
     orders-before-events, id), forward-fill the last order row position with
@@ -348,10 +334,11 @@ def union_nations(sf_dir: str) -> "rd.Dataset":
     sup = read_parquet_clean(f"{sf_dir}/supplier.parquet", columns=["s_nationkey"]) \
         .map_batches(proj("s_nationkey"), batch_format="pyarrow", zero_copy_batch=True)
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.iloc[:1]
+    def distinct(g: pa.Table) -> pa.Table:
+        return pa.table({"nationkey": pc.unique(g.column("nationkey"))})
 
-    return cust.union(sup).groupby("nationkey").map_groups(first, batch_format="pandas")
+    return copartition(cust.union(sup), "nationkey", distinct,
+                       batch_format="pyarrow")
 
 
 def except_customers(sf_dir: str, min_bal: float = 5000.0,
@@ -404,7 +391,7 @@ def systematic_sample(sf_dir: str, every: int = 100) -> "rd.Dataset":
 def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
     """Session windows over the events log: per user, events separated by
     more than ``gap_s`` start a new session.  One shuffle co-partitioned on
-    the user (per-USER map_groups would dispatch
+    the user (a per-USER group would dispatch
     one pandas call per tiny group — the frontier.py budget-stage
     pathology); inside the partition, ONE lexsort by (user, ts, event_id)
     and boundary vectorization: a session starts where the user changes or
@@ -477,21 +464,26 @@ def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 1800) -> "r
         g = g.rename(columns={"size": "p_n"})
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
-    return (
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by(["event_type", "win_start"]).aggregate([("p_n", "sum")])
+        return pa.table({"event_type": g.column("event_type"),
+                         "win_start": g.column("win_start"),
+                         "n_events": g.column("p_n_sum")})
+
+    return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "win_start"])
-        .aggregate(Sum("p_n", alias_name="n_events"))
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "win_start"], total, batch_format="pyarrow")
 
 
 def running_totals(sf_dir: str) -> "rd.Dataset":
     """Stateful-streaming shape (§2.8): per event_type running event count
     and value sum in event-time order.  One shuffle keyed by type; the
-    running state is a vectorized cumsum over the sorted group — order
-    dependence is explicit (ts, then event_id), which is what makes the
-    prefix sums bit-identical to the SQL window oracle (both engines add
-    doubles left-to-right in the same order)."""
+    running state is a grouped cumsum over the sorted partition — order
+    dependence is explicit (ts, then event_id).  pandas' grouped cumsum
+    compensates rounding (Kahan), so its doubles can differ from a plain
+    left-to-right sum in the last ulp; the emitted integer cents match the
+    SQL window oracle (and the plain sum's cents, at sf0.01 and sf0.1)."""
 
     def proj(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -502,22 +494,21 @@ def running_totals(sf_dir: str) -> "rd.Dataset":
         })
 
     def totals(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts_us", "event_id"])
+        g = g.sort_values(["event_type", "ts_us", "event_id"])
+        by_type = g.groupby("event_type", sort=False)
         return pd.DataFrame({
             "event_type": g["event_type"].to_numpy(),
             "event_id": g["event_id"].to_numpy(),
-            "running_n": np.arange(1, len(g) + 1, dtype=np.int64),
+            "running_n": by_type.cumcount().to_numpy().astype(np.int64) + 1,
             "running_value_cents": np.round(
-                g["value"].to_numpy().cumsum() * 100).astype(np.int64),
+                by_type["value"].cumsum().to_numpy() * 100).astype(np.int64),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet",
                         columns=["event_type", "event_id", "ts", "value"])
-        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(totals, batch_format="pandas")
-    )
+        .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type", totals, batch_format="pandas")
 
 
 def group_topk_orders(sf_dir: str, k: int = 3) -> "rd.Dataset":
@@ -538,18 +529,18 @@ def group_topk_orders(sf_dir: str, k: int = 3) -> "rd.Dataset":
             preserve_index=False).replace_schema_metadata(None)
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice_cents", "o_orderkey"],
-                          ascending=[False, True]).head(k)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["o_custkey", "o_orderkey", "o_totalprice_cents", "rank"]]
+        g = (g.sort_values(["o_custkey", "o_totalprice_cents", "o_orderkey"],
+                           ascending=[True, False, True])
+             .groupby("o_custkey", sort=False).head(k))
+        rank = g.groupby("o_custkey", sort=False).cumcount().to_numpy() + 1
+        return g[["o_custkey", "o_orderkey", "o_totalprice_cents"]].assign(
+            rank=rank.astype(np.int64))
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .map_groups(final_topk, batch_format="pandas")
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey", final_topk, batch_format="pandas")
 
 
 def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
@@ -558,10 +549,11 @@ def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
     the values are elements of the input and hash-stable.  The discrete rule
     matches DuckDB's ``quantile_disc``: sorted[ceil(q*n) - 1].
 
-    One shuffle keyed by nation (25 groups); within the group the quantile is
-    a vectorized sort + index.  At web scale with billions of rows per key
-    this becomes a two-pass t-digest/histogram sketch; the exact per-group
-    sort is correct while a group fits a worker (~10^8 rows)."""
+    One shuffle keyed by nation (25 groups); within each partition the
+    quantiles are one vectorized sort by (nation, balance) + index.  At web
+    scale with billions of rows per key this becomes a two-pass
+    t-digest/histogram sketch; the exact per-group sort is correct while a
+    group fits a worker (~10^8 rows)."""
 
     def to_cents(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -569,27 +561,25 @@ def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
             "bal_cents": _cents(batch.column("c_acctbal")),
         })
 
-    def quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        s = np.sort(g["bal_cents"].to_numpy())
-        n = len(s)
+    def quantiles(g: dict) -> dict:
+        order = np.lexsort((g["bal_cents"], g["c_nationkey"]))
+        nation, bal = g["c_nationkey"][order], g["bal_cents"][order]
+        keys, start, n = np.unique(nation, return_index=True,
+                                   return_counts=True)
 
-        def disc(q: float) -> int:
-            return int(s[min(n - 1, int(np.ceil(q * n)) - 1)])
+        def disc(q: float) -> np.ndarray:
+            return bal[start + np.minimum(n - 1, np.ceil(q * n).astype(np.int64) - 1)]
 
-        return pd.DataFrame({
-            "c_nationkey": [np.int64(g["c_nationkey"].iloc[0])],
-            "n_customers": np.array([n], dtype=np.int64),
-            "median_bal_cents": np.array([disc(0.5)], dtype=np.int64),
-            "p90_bal_cents": np.array([disc(0.9)], dtype=np.int64),
-        })
+        return {"c_nationkey": keys.astype(np.int64),
+                "n_customers": n.astype(np.int64),
+                "median_bal_cents": disc(0.5).astype(np.int64),
+                "p90_bal_cents": disc(0.9).astype(np.int64)}
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/customer.parquet",
                         columns=["c_nationkey", "c_acctbal"])
-        .map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c_nationkey")
-        .map_groups(quantiles, batch_format="pandas")
-    )
+        .map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+        "c_nationkey", quantiles, batch_format="numpy")
 
 
 def semi_join_big_orders(sf_dir: str, min_qty: float = 47.0) -> "rd.Dataset":
@@ -656,16 +646,19 @@ def small_qty_lineitems(sf_dir: str) -> "rd.Dataset":
     # the per-part aggregate stays distributed; the driver only concatenates
     # its (key, n, sum) Arrow columns into sorted numpy arrays — no per-row
     # Python dict building — and broadcasts the object ref once
+    def total(t: pa.Table) -> pa.Table:
+        return t.group_by("l_partkey").aggregate([("p_n", "sum"), ("p_s", "sum")])
+
     kc, nc, sc = [], [], []
-    for b in (read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                              columns=["l_partkey", "l_quantity"])
-              .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-              .groupby("l_partkey")
-              .aggregate(Sum("p_n", alias_name="n"), Sum("p_s", alias_name="s"))
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
+    for b in copartition(
+            read_parquet_clean(f"{sf_dir}/lineitem.parquet",
+                               columns=["l_partkey", "l_quantity"])
+            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "l_partkey", total, batch_format="pyarrow",
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
         kc.append(b.column("l_partkey").to_numpy(zero_copy_only=False))
-        nc.append(b.column("n").to_numpy(zero_copy_only=False))
-        sc.append(b.column("s").to_numpy(zero_copy_only=False))
+        nc.append(b.column("p_n_sum").to_numpy(zero_copy_only=False))
+        sc.append(b.column("p_s_sum").to_numpy(zero_copy_only=False))
     if not kc:  # empty lineitem table: same guard as customers_order_counts
         kc = [np.array([], dtype=np.int64)]
         nc = sc = [np.array([], dtype=np.int64)]
@@ -744,15 +737,16 @@ def global_rank_sample(sf_dir: str, every: int = 1000) -> "rd.Dataset":
         acc += counts[k]
     off_ref = ray.put(offsets)
 
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_buckets(g: pd.DataFrame) -> pd.DataFrame:
         offs = ray.get(off_ref)
-        g = g.sort_values(["t_us", "o_orderkey"])
-        rn = np.arange(1, len(g) + 1, dtype=np.int64) + offs[int(g["bucket"].iloc[0])]
+        g = g.sort_values(["bucket", "t_us", "o_orderkey"])
+        rn = (g.groupby("bucket", sort=False).cumcount().to_numpy() + 1
+              + g["bucket"].map(offs).to_numpy()).astype(np.int64)
         keep = rn % every == 0
         return pd.DataFrame({"o_orderkey": g["o_orderkey"].to_numpy()[keep],
                              "rn": rn[keep]})
 
-    return base.groupby("bucket").map_groups(rank_bucket, batch_format="pandas")
+    return copartition(base, "bucket", rank_buckets, batch_format="pandas")
 
 
 def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
@@ -772,13 +766,17 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
         return pa.table({"o_custkey": pa.array(u, pa.int64()),
                          "p_n": pa.array(c.astype(np.int64), pa.int64())})
 
+    def total(t: pa.Table) -> pa.Table:
+        return t.group_by("o_custkey").aggregate([("p_n", "sum")])
+
     kc, nc = [], []
-    for b in (read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-              .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-              .groupby("o_custkey").aggregate(Sum("p_n", alias_name="n"))
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
+    for b in copartition(
+            read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "o_custkey", total, batch_format="pyarrow",
+    ).iter_batches(batch_format="pyarrow", batch_size=None):
         kc.append(b.column("o_custkey").to_numpy(zero_copy_only=False))
-        nc.append(b.column("n").to_numpy(zero_copy_only=False))
+        nc.append(b.column("p_n_sum").to_numpy(zero_copy_only=False))
     k_all = np.concatenate(kc) if kc else np.array([], dtype=np.int64)
     order = np.argsort(k_all)
     counts_ref = ray.put((k_all[order],
@@ -969,17 +967,20 @@ def pricing_rollup(sf_dir: str) -> "pd.DataFrame":
             p_qty=("l_quantity", "sum"), p_cnt=("l_quantity", "size"))
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
-    finest = (
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+            [("p_qty", "sum"), ("p_cnt", "sum")])
+        return pa.table({"l_returnflag": g.column("l_returnflag"),
+                         "l_linestatus": g.column("l_linestatus"),
+                         "sum_qty_cents": _cents(g.column("p_qty_sum")),
+                         "n_rows": g.column("p_cnt_sum")})
+
+    finest = copartition(
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                         columns=["l_returnflag", "l_linestatus", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("p_qty", alias_name="sum_qty"),
-                   Sum("p_cnt", alias_name="n_rows"))
-        .to_pandas()  # |flags| × |statuses| rows
-    )
-    finest["sum_qty_cents"] = np.round(finest["sum_qty"] * 100).astype(np.int64)
-    finest = finest[["l_returnflag", "l_linestatus", "sum_qty_cents", "n_rows"]]
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"], total, batch_format="pyarrow",
+    ).to_pandas()  # |flags| × |statuses| rows
     lvl1 = (finest.groupby("l_returnflag", as_index=False)
             .agg(sum_qty_cents=("sum_qty_cents", "sum"), n_rows=("n_rows", "sum")))
     lvl1["l_linestatus"] = "ALL"
@@ -1025,23 +1026,28 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
             "bal": pa.array(np.tile(bal, 3), pa.float64()),
         })
 
-    def match_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cust = g[g["side"] == 0]
-        supp = g[g["side"] == 1]
-        if cust.empty or supp.empty:
-            return pd.DataFrame({"s_suppkey": pd.Series([], dtype="int64"),
-                                 "p_n": pd.Series([], dtype="int64")})
-        # count only pairs whose CUSTOMER lives in this bucket (it does by
-        # construction) — each pair counted exactly once across buckets
-        cb = np.sort(cust["bal"].to_numpy())
-        sk = supp["key"].to_numpy()
-        sb = supp["bal"].to_numpy()
-        lo = np.searchsorted(cb, sb - band, side="left")
-        hi = np.searchsorted(cb, sb + band, side="right")
-        # restrict to customers in THIS bucket: cb is already only this bucket
-        n = hi - lo
+    def match_buckets(g: dict) -> dict:
+        cust = g["side"] == 0
+        # floor(bal / band) is monotone in bal, so customers sorted by
+        # balance are sorted by bucket too: each bucket is one run of cb
+        order = np.argsort(g["bal"][cust], kind="stable")
+        cb = g["bal"][cust][order]
+        cbucket = g["bucket"][cust][order]
+        sk, sb, sbucket = g["key"][~cust], g["bal"][~cust], g["bucket"][~cust]
+        # count only pairs whose CUSTOMER lives in the supplier row's bucket
+        # — each pair counted exactly once across buckets
+        lo = np.maximum(np.searchsorted(cb, sb - band, side="left"),
+                        np.searchsorted(cbucket, sbucket, side="left"))
+        hi = np.minimum(np.searchsorted(cb, sb + band, side="right"),
+                        np.searchsorted(cbucket, sbucket, side="right"))
+        n = (hi - lo).astype(np.int64)
         keep = n > 0
-        return pd.DataFrame({"s_suppkey": sk[keep], "p_n": n[keep]})
+        return {"s_suppkey": sk[keep], "p_n": n[keep]}
+
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("s_suppkey").aggregate([("p_n", "sum")])
+        return pa.table({"s_suppkey": g.column("s_suppkey"),
+                         "n_close_customers": g.column("p_n_sum")})
 
     cust = read_parquet_clean(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_acctbal"]) \
@@ -1049,13 +1055,9 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
     supp = read_parquet_clean(f"{sf_dir}/supplier.parquet",
                            columns=["s_suppkey", "s_acctbal"]) \
         .map_batches(supp_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        cust.union(supp)
-        .groupby("bucket")
-        .map_groups(match_bucket, batch_format="pandas")
-        .groupby("s_suppkey")
-        .aggregate(Sum("p_n", alias_name="n_close_customers"))
-    )
+    matched = copartition(cust.union(supp), "bucket", match_buckets,
+                          batch_format="numpy")
+    return copartition(matched, "s_suppkey", total, batch_format="pyarrow")
 
 
 def order_gaps(sf_dir: str) -> "rd.Dataset":
@@ -1065,7 +1067,7 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
 
     Plan: one shuffle co-partitioned on custkey (64 groups), then a
     vectorized in-task pass — sort by (custkey, ts, orderkey), np.diff, mask
-    customer boundaries — instead of per-customer ``map_groups`` dispatch
+    customer boundaries — instead of per-customer group dispatch
     (64 tasks regardless of customer count; the per-key-dispatch version is
     ~50× slower on high-cardinality keys).  Order dependence is explicit:
     ties on (ts) break by orderkey, matching the SQL window's ORDER BY."""
@@ -1160,10 +1162,11 @@ def mode_segment(sf_dir: str) -> "rd.Dataset":
     smallest segment, so the result is deterministic).
 
     Two-level plan: per-batch partial (nation, segment) counts collapse each
-    block to ≤ |nations|×|segments| rows before the shuffle, the global
-    groupby sums partials, and the tiny per-nation argmax runs as
-    ``map_groups`` — the exchange carries counter rows only, never
-    customers, so cardinality at 100 TB is bounded by the key-pair count."""
+    block to ≤ |nations|×|segments| rows before the shuffle, which
+    co-partitions on nation; each partition sums the partials per (nation,
+    segment) and takes each nation's argmax — the exchange carries counter
+    rows only, never customers, so cardinality at 100 TB is bounded by the
+    key-pair count."""
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1179,24 +1182,22 @@ def mode_segment(sf_dir: str) -> "rd.Dataset":
         })
 
     def argmax(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["n_customers", "c_mktsegment"],
-                          ascending=[False, True])
-        top = g.iloc[0]
+        g = (g.groupby(["c_nationkey", "c_mktsegment"], as_index=False)["p_n"]
+             .sum()
+             .sort_values(["c_nationkey", "p_n", "c_mktsegment"],
+                          ascending=[True, False, True])
+             .groupby("c_nationkey", sort=False).head(1))
         return pa.table({
-            "c_nationkey": pa.array([int(top["c_nationkey"])], pa.int64()),
-            "top_segment": pa.array([str(top["c_mktsegment"])], pa.string()),
-            "n_customers": pa.array([int(top["n_customers"])], pa.int64()),
+            "c_nationkey": pa.array(g["c_nationkey"].to_numpy(), pa.int64()),
+            "top_segment": pa.array(g["c_mktsegment"], pa.string()),
+            "n_customers": pa.array(g["p_n"].to_numpy(), pa.int64()),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/customer.parquet",
                            columns=["c_nationkey", "c_mktsegment"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["c_nationkey", "c_mktsegment"])
-        .aggregate(Sum("p_n", alias_name="n_customers"))
-        .groupby("c_nationkey")
-        .map_groups(argmax, batch_format="pandas")
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "c_nationkey", argmax, batch_format="pandas")
 
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
@@ -1226,10 +1227,14 @@ def pivot_events(sf_dir: str) -> "rd.Dataset":
             cols[f"n_{t}"] = pa.array(cnt.astype(np.int64), pa.int64())
         return pa.table(cols)
 
-    return (
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("day_us").aggregate(
+            [(f"n_{e}", "sum") for e in EVENT_TYPES])
+        return g.select(["day_us"] + [f"n_{e}_sum" for e in EVENT_TYPES]) \
+            .rename_columns(["day_us"] + [f"n_{e}" for e in EVENT_TYPES])
+
+    return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet",
                            columns=["ts", "event_type"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day_us")
-        .aggregate(*[Sum(f"n_{t}", alias_name=f"n_{t}") for t in EVENT_TYPES])
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "day_us", total, batch_format="pyarrow")

@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
 
@@ -68,13 +69,15 @@ def _unit_rows(E: np.ndarray) -> np.ndarray:
 
 
 def _final_topk(k: int):
-    """THE deterministic final top-k group fn (score desc, vec_id asc
-    tie-break) — one definition so the tie-break contract can't drift
-    between the brute-force / IVF / int8 paths."""
+    """THE deterministic final top-k per query (score desc, vec_id asc
+    tie-break), over one query_id partition — one definition so the
+    tie-break contract can't drift between the brute-force / IVF / int8
+    paths."""
 
     def f(g: pd.DataFrame) -> pd.DataFrame:
-        top = g.nlargest(k, "score", keep="all").sort_values(
-            ["score", "vec_id"], ascending=[False, True]).head(k)
+        top = g.sort_values(["query_id", "score", "vec_id"],
+                            ascending=[True, False, True]) \
+            .groupby("query_id", sort=False).head(k)
         return top[["query_id", "vec_id"]]
 
     return f
@@ -131,12 +134,10 @@ def ann_topk(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
             "score": pa.array(out_s, pa.float64()),
         })
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-    )
+        .map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True),
+        "query_id", _final_topk(k), batch_format="pandas")
 
 
 def quantize_int8(sf_dir: str) -> "rd.Dataset":
@@ -334,44 +335,35 @@ def ann_topk_ivf(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
                          "vec_id": sub.column("vec_id"),
                          "embedding": sub.column("embedding")})
 
-    def search_cell(g: pa.Table) -> pa.Table:
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "vec_id": pa.array([], pa.int64()),
-                          "score": pa.array([], pa.float64())})
-        if g.num_rows == 0:
-            return empty
+    def search_cells(g: pa.Table) -> pa.Table:
+        """Per query, the top k+1 over the rows of its probed cells in this
+        partition: the final top-k of every per-cell cut equals the final
+        top-k of one cut over their union, under the same total order."""
         qi, Qn, _, probes, _ = ray.get(refs)
-        cell = g.column("cell")[0].as_py()
+        cell = g.column("cell").to_numpy(zero_copy_only=False)
         ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         E = _emb_matrix(g.column("embedding"))
         S = Qn @ _unit_rows(E).T
         out_q, out_v, out_s = [], [], []
         for row, qid in enumerate(qi):
-            if cell not in probes[int(qid)]:
-                continue
-            kk = min(k + 1, S.shape[1])
+            probed = np.flatnonzero(np.isin(cell, sorted(probes[int(qid)])))
             # tie-DETERMINISTIC cut (see partial_topk): argpartition breaks
             # ties by introselect order, which varies with block shape
-            idx = np.lexsort((ids, -S[row]))[:kk]
+            idx = probed[np.lexsort((ids[probed], -S[row, probed]))[:k + 1]]
             for j in idx:
                 if ids[j] != qid:
                     out_q.append(int(qid))
                     out_v.append(int(ids[j]))
                     out_s.append(S[row, j])
-        if not out_q:
-            return empty
         return pa.table({"query_id": pa.array(out_q, pa.int64()),
                          "vec_id": pa.array(out_v, pa.int64()),
                          "score": pa.array(out_s, pa.float64())})
 
-    return (
+    cells = copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cell")
-        .map_groups(search_cell, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-    )
+        .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
+        "cell", search_cells, batch_format="pyarrow")
+    return copartition(cells, "query_id", _final_topk(k), batch_format="pandas")
 
 
 def ann_topk_int8(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
@@ -469,9 +461,7 @@ def ann_topk_int8(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
                          "vec_id": pa.array(out_v, pa.int64()),
                          "score": pa.array(out_s, pa.float64())})
 
-    return (
+    return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(rerank_exact, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-    )
+        .map_batches(rerank_exact, batch_format="pyarrow", zero_copy_batch=True),
+        "query_id", _final_topk(k), batch_format="pandas")

@@ -152,36 +152,23 @@ def fingerprint(sf_dir: str) -> "rd.Dataset":
 
 def lang_counts(sf_dir: str) -> "rd.Dataset":
     """lang, n — grouped counts with per-batch partial pre-aggregation before
-    the (tiny) global groupby — the scale pattern for counters (A1)."""
-
-    # Ray's sort-based aggregate cannot order null keys, so the null GROUP
-    # (which the SQL GROUP BY emits — value_counts' default dropna silently
-    # removed those rows) rides the shuffle as a sentinel and decodes after.
-    _NULL = "\x00<null>"
+    the (tiny) global groupby — the scale pattern for counters (A1).  Null
+    languages form their own group, as in the SQL GROUP BY: pyarrow's
+    group_by keeps the null key, and copartition sends every null-key row to
+    one partition."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+        return batch.group_by("lang").aggregate([([], "count_all")])
 
-        s = pd.Series(batch.column("lang").to_pylist()).value_counts(dropna=False)
-        langs = [_NULL if pd.isna(x) else str(x) for x in s.index]
-        return pa.table({"lang": pa.array(langs, pa.string()),
-                         "partial_n": s.values.astype(np.int64)})
+    def total(t: pa.Table) -> pa.Table:
+        g = t.group_by("lang").aggregate([("count_all", "sum")])
+        return pa.table({"lang": g.column("lang"),
+                         "n": g.column("count_all_sum")})
 
-    def decode_null(batch: pa.Table) -> pa.Table:
-        langs = [None if x == _NULL else x
-                 for x in batch.column("lang").to_pylist()]
-        return batch.set_column(batch.schema.get_field_index("lang"), "lang",
-                                pa.array(langs, pa.string()))
-
-    from ray.data.aggregate import Sum
-
-    return (
+    return copartition(
         read_documents(sf_dir, columns=("doc_id", "lang"))
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .aggregate(Sum("partial_n", alias_name="n"))
-        .map_batches(decode_null, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "lang", total, batch_format="pyarrow")
 
 
 def token_count_regex(sf_dir: str) -> "rd.Dataset":
@@ -260,7 +247,6 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     vocab never lands on the driver: the df table joins the (doc, term, tf)
     rows through a hash-partitioned join on term, then one doc-keyed
     shuffle ranks per-doc top-k — output identical (asserted in tests)."""
-    from ray.data.aggregate import Sum
 
     def partial_df(batch: pa.Table) -> pa.Table:
         f = _doc_term_tf(batch)  # already distinct per (doc, term)
@@ -268,11 +254,13 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
         return pa.table({"term": pa.array(vc.index, pa.string()),
                          "p_df": pa.array(vc.to_numpy(), pa.int64())})
 
-    df_ds = (read_documents(sf_dir)
-             .map_batches(partial_df, batch_format="pyarrow",
-                          zero_copy_batch=True)
-             .groupby("term").aggregate(Sum("p_df", alias_name="df"))
-             .materialize())
+    def total_df(t: pa.Table) -> pa.Table:
+        g = t.group_by("term").aggregate([("p_df", "sum")])
+        return pa.table({"term": g.column("term"), "df": g.column("p_df_sum")})
+
+    df_ds = copartition(read_documents(sf_dir).map_batches(
+        partial_df, batch_format="pyarrow", zero_copy_batch=True),
+        "term", total_df, batch_format="pyarrow")
     if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _tfidf_topk_partitioned(sf_dir, k, df_ds)
 
@@ -306,11 +294,12 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
 def _tfidf_topk_partitioned(sf_dir: str, k: int,
                             df_ds: "rd.Dataset") -> "rd.Dataset":
     """tfidf_topk's no-broadcast plan, int-keyed: term STRINGS never enter a
-    shuffle (they repack through Ray sorts at ~6 MB/core-s — the same
-    measurement that drove the jaccard join's hash-keyed df table in
-    dedup.py).  Together with the vectorized tokenize/score kernels
-    (_doc_term_tf/_rank_topk) and the block coalesce at both shuffle
-    barriers, this plan went 96 s → 22.7 s at 1M docs / 32 CPUs.
+    shuffle (string payloads repacked through Ray's sort shuffle at ~6
+    MB/core-s — the same measurement that drove the jaccard join's
+    hash-keyed df table in dedup.py).  Together with the vectorized
+    tokenize/score kernels (_doc_term_tf/_rank_topk) and the block coalesce
+    at both shuffle barriers, this plan went 96 s → 22.7 s at 1M docs / 32
+    CPUs.
 
     Plan: (a) each doc ships one (h, doc_id) int64 row per DISTINCT term,
     where ``h`` is the term's 64-bit md5; the reduced (term, df) dataset
@@ -436,30 +425,25 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         m = f.merge(dfr, on=["doc_id", "h"])
         return _rank_topk(m, k)
 
-    # staging at both groupby barriers does double duty here: executor
-    # fair-share isolation AND the tiny-block coalesce (the upstream maps
-    # emit ~512 small blocks; the identical 38M-row groupby measured 18.8 s
-    # at 512 input blocks vs 1.4 s at 64 — see shuffle._stage's docstring).
     matched = copartition(
         df_ds.map_batches(df_rows, batch_format="pyarrow")
         .union(read_documents(sf_dir).map_batches(
             doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)),
-        "h", join_df, batch_format="pyarrow", stage=True)
+        "h", join_df, batch_format="pyarrow")
     return copartition(
         matched.union(read_documents(sf_dir).map_batches(
             text_rows, batch_format="pyarrow", zero_copy_batch=True)),
-        "doc_id", topk_local, batch_format="pyarrow", stage=True)
+        "doc_id", topk_local, batch_format="pyarrow")
 
 
 def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":
     """s, n — the corpus's k most frequent word bigrams (with multiplicity).
     Per-batch partial counts collapse each block to its distinct bigrams
-    before the vocab-keyed groupby; a per-block partial top-k then feeds a
-    driver-side merge of ≤ k rows per block — no global sort.  Ties at the
+    before the bigram-keyed exchange; each partition sums its counts and
+    keeps its top-k, and the driver merges ≤ k rows per partition — no
+    global sort.  Ties at the
     cut are broken by the bigram string, so the result set is deterministic."""
     from collections import Counter
-
-    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -469,19 +453,16 @@ def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":
         return pa.table({"s": pa.array(list(c.keys()), pa.string()),
                          "p_n": pa.array(list(c.values()), pa.int64())})
 
-    def block_topk(batch: pa.Table) -> pa.Table:
-        import pandas as pd
+    def partition_topk(t: pa.Table) -> pa.Table:
+        g = t.group_by("s").aggregate([("p_n", "sum")])
+        g = pa.table({"s": g.column("s"), "n": g.column("p_n_sum")})
+        return g.sort_by([("n", "descending"), ("s", "ascending")]).slice(0, k)
 
-        df = batch.to_pandas().sort_values(["n", "s"], ascending=[False, True]).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    merged = (
+    merged = copartition(
         read_documents(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("s").aggregate(Sum("p_n", alias_name="n"))
-        .map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # ≤ k rows per block by construction
-    )
+        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "s", partition_topk, batch_format="pyarrow",
+    ).to_pandas()  # ≤ k rows per partition by construction
     return (merged.sort_values(["n", "s"], ascending=[False, True])
             .head(k).reset_index(drop=True))
 

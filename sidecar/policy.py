@@ -9,7 +9,7 @@ re-prioritize or re-budget a crawl WITHOUT editing ``sidecar/crawl.py`` /
 up the detector set.
 
 Both hooks are batch-vectorized (numpy in, numpy out) because they run
-inside ``map_batches`` / ``map_groups`` hot stages.  Determinism contract:
+inside ``map_batches`` / ``copartition`` hot stages.  Determinism contract:
 a policy must be a pure function of its inputs — the single-threaded oracle
 (``sidecar/oracle.py``) routes through the SAME policy object, which is what
 keeps bit-for-bit crawl equality testable (see

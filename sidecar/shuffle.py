@@ -1,24 +1,25 @@
 """Co-partitioned shuffles: the one place a key becomes a shuffle partition.
 
-Every high-cardinality grouping in the engine (frontier budget selection,
-the dedup/prep/relational/text operators, the CDXJ merge and the digest
-join) has the same shape: hash the key column(s) to one of at most
-``NUM_PARTS`` coarse partitions, exchange rows by that partition, and
-fine-group inside each task with vectorized code.  A ``groupby(key)`` on the
-raw key would dispatch one Python call per distinct key, which is the
+Every grouping in the engine (frontier budget selection, the dedup, prep,
+relational, similarity and text operators, the CDXJ merge, the digest join
+and the batch CLI writers) has the same shape: hash the key column(s) to one
+of at most ``NUM_PARTS`` coarse partitions, exchange rows by that partition,
+and fine-group inside each task with vectorized code.  A ``groupby(key)`` on
+the raw key would dispatch one Python call per distinct key, which is the
 measured bottleneck at these cardinalities, not data volume.
 
-``copartition`` owns that decision: the partition count, the hash and the
-optional tiny-block coalesce before the barrier.  Its contract for the body:
-every row sharing a ``key`` value lands in the same call, so ``key`` must be
-a subset of the columns the body groups by.  Tagged-union joins union both
-sides first and call it once.  Input tables may carry a column of their own
-called ``part``, but not one named ``PART_COL``, which is reserved.
+``copartition`` owns that decision: the partition count and the hash.  Its
+contract for the body: every row sharing a ``key`` value lands in the same
+call (rows with a null key too), so ``key`` must be a subset of the columns
+the body groups by.  Tagged-union joins union both sides first and call it
+once.  Input tables may carry a column of their own called ``part``, but not
+one named ``PART_COL``, which is reserved.
 
-The exchange is a direct hash exchange on Ray core tasks.  Ray Data's
-sort-based ``groupby().map_groups`` runs a sampling pass, a sort map, a sort
-reduce and a group-splitting map, which is nearly all fixed cost at crawl
-frontier sizes; its hash-shuffle strategy hung on Ray 2.49 in local
+The exchange is a direct hash exchange on Ray core tasks, and the only one
+in the engine (``tests/test_shuffle.py`` fails on any Ray Data groupby under
+``sidecar/``).  Ray Data's sort-based groupby runs a sampling pass, a sort
+map, a sort reduce and a group-splitting map, which is nearly all fixed cost
+at crawl frontier sizes; its hash-shuffle strategy hung on Ray 2.49 in local
 measurements (ROADMAP.md).
 
 The other way rows meet is a broadcast: a small build side is gathered on the
@@ -77,26 +78,6 @@ def _partition_ids(table: pa.Table, keys: list[str],
     return (h % np.uint64(n)).astype(np.int64)
 
 
-def _stage(ds):
-    """Materialize a small key-row intermediate at a shuffle barrier, and
-    coalesce it when the upstream maps left it in many tiny blocks.
-
-    Every copartition materializes its upstream before the exchange, which
-    also keeps a compute-heavy map from sharing the CPU pool with the rest of
-    a streamed plan (measured: minhash banding 172 s streamed vs 28 s staged
-    at 8 CPUs / 500k docs).  What staging adds is the coalesce: an exchange
-    pays per-task scheduling for every input block and partition, and the
-    IDENTICAL 38M-row groupby measured 18.8 s from 512 input blocks vs 1.4 s
-    from 64 (Ray's sort, isolated A/B, BASELINE.md round 5).  Upstream
-    parquet reads auto-split to ~256 blocks, so staged intermediates
-    coalesce to ``NUM_PARTS`` blocks, one split task each.
-    Only key-sized rows are ever held — never payloads."""
-    out = ds.materialize()
-    if out.num_blocks() > NUM_PARTS:
-        out = out.repartition(NUM_PARTS).materialize()
-    return out
-
-
 def _arrow(block) -> pa.Table:
     # pandas-produced blocks carry a b'pandas' schema-metadata blob: drop it
     # so every body sees the same plain Arrow schema whatever made the block
@@ -104,10 +85,10 @@ def _arrow(block) -> pa.Table:
 
 
 @ray.remote
-def _split(block, keys: list[str], n: int) -> list[pa.Table]:
-    """``block`` cut into ``n`` zero-copy slices, slice ``p`` holding the
-    rows whose key hashes to partition ``p``."""
-    t = _arrow(block)
+def _split(keys: list[str], n: int, *blocks) -> list[pa.Table]:
+    """The rows of ``blocks`` cut into ``n`` zero-copy slices, slice ``p``
+    holding the rows whose key hashes to partition ``p``."""
+    t = pa.concat_tables(map(_arrow, blocks), promote_options="default")
     ids = _partition_ids(t, keys, n)
     t = t.take(np.argsort(ids, kind="stable"))
     counts = np.bincount(ids, minlength=n)
@@ -128,8 +109,7 @@ def _reduce(fn, batch_format: str, *slices):
     return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
-def copartition(ds, key: "str | list[str]", fn, *, batch_format: str,
-                stage: bool = False):
+def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
     """``fn`` over each hash partition of ``ds`` on ``key``, as a
     materialized dataset.
 
@@ -137,18 +117,23 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str,
     gets its partition as ``batch_format`` and may return a pandas
     DataFrame, an Arrow table or a dict of numpy arrays; each output block
     keeps the format ``fn`` returned.  The upstream executes here, at the
-    call, so its errors surface here too (``stage=True`` runs it through
-    :func:`_stage`).  Output rows come in no particular order: a caller
-    that needs one sorts.
+    call, so its errors surface here too, and a compute-heavy map never
+    shares the CPU pool with the rest of a streamed plan (measured: minhash
+    banding 172 s streamed vs 28 s materialized at 8 CPUs / 500k docs).
+    Output rows come in no particular order: a caller that needs one sorts.
 
-    The exchange runs on Ray core tasks: one split task per non-empty input
-    block cuts it into ``n = min(NUM_PARTS, blocks)`` slices by key hash,
-    and one reduce task per partition concatenates its slices and calls
-    ``fn``.  Sizing ``n`` by the input keeps as many output blocks as the
-    input had, up to ``NUM_PARTS``, so a small frontier's second shuffle
-    reads few blocks."""
+    The exchange runs on Ray core tasks.  With ``B`` non-empty input blocks
+    there are ``n = min(NUM_PARTS, B)`` partitions and as many split tasks,
+    each taking a run of about ``B / n`` consecutive blocks and cutting it
+    into ``n`` slices by key hash; one reduce task per partition
+    concatenates its slices and calls ``fn``.  So at most ``NUM_PARTS × n``
+    slices move whatever ``B`` is: an exchange pays scheduling per task and
+    per slice, and the same groupby on Ray's sort measured 18.8 s from 512
+    input blocks vs 1.4 s from 64 (BASELINE.md round 5).  Sizing ``n`` by the input keeps
+    as many output blocks as the input had, up to ``NUM_PARTS``, so a small
+    frontier's second shuffle reads few blocks."""
     keys = [key] if isinstance(key, str) else list(key)
-    src = _stage(ds) if stage else ds.materialize()
+    src = ds.materialize()
     held = src._plan.execute()  # no-op: the blocks ``src`` already holds
     blocks = [ref for ref, m in held.blocks if m.num_rows]
     if blocks and PART_COL in held.schema.names:
@@ -156,7 +141,9 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str,
     n = min(NUM_PARTS, len(blocks))
     if n > 1:
         split = _split.options(num_returns=n)
-        cut = [split.remote(b, keys, n) for b in blocks]
+        bounds = np.linspace(0, len(blocks), n + 1).astype(int)
+        cut = [split.remote(keys, n, *blocks[a:b])
+               for a, b in zip(bounds[:-1], bounds[1:])]
         parts = [[c[p] for c in cut] for p in range(n)]
     else:
         parts = [blocks] if blocks else []

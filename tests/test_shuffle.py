@@ -1,9 +1,13 @@
 """sidecar.shuffle.copartition: co-location, a process-independent hash and
 a partition column no body or output ever sees."""
 
+import pathlib
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data as rd
@@ -68,16 +72,60 @@ def test_own_part_column_round_trips():
 
 
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
-@pytest.mark.parametrize("stage", [False, True])
-def test_body_never_sees_partition_column(batch_format, stage):
+def test_body_never_sees_partition_column(batch_format):
     def body(g):
         names = g.columns if batch_format == "pandas" else g.column_names
         assert PART_COL not in names
         return g
 
     got = copartition(rd.from_arrow(_table()), "s", body,
-                      batch_format=batch_format, stage=stage)
+                      batch_format=batch_format)
     assert sorted(_collect(got).column_names) == sorted(_table().column_names)
+
+
+def test_one_block_and_many_tiny_blocks_give_equal_output():
+    t = _table().slice(0, 300)
+
+    def distinct_keys(g: pa.Table) -> pa.Table:
+        return g.group_by(["s", "j"]).aggregate([("row", "sum"), ([], "count_all")])
+
+    one = copartition(rd.from_arrow(t), ["s", "j"], distinct_keys,
+                      batch_format="pyarrow")
+    tiny = copartition(rd.from_arrow([t.slice(i, 1) for i in range(300)]),
+                       ["s", "j"], distinct_keys, batch_format="pyarrow")
+    # 300 blocks are split in runs: the partition count stays capped
+    assert f"{NUM_PARTS} partitions" in tiny.stats()
+    order = [("s", "ascending"), ("j", "ascending")]
+    assert _collect(one).sort_by(order).equals(_collect(tiny).sort_by(order))
+
+
+@pytest.mark.parametrize("key", ["s", "i"])
+def test_null_keys_reach_one_call(key):
+    t = _table()
+    nulls = pa.array(np.arange(N) % 7 == 0)
+    t = t.set_column(t.schema.get_field_index(key), key,
+                     pc.if_else(nulls, pa.scalar(None, t.schema.field(key).type),
+                                t.column(key)))
+
+    def count_nulls(g: pa.Table) -> pa.Table:
+        return pa.table({"n_null": [g.column(key).null_count]})
+
+    got = _collect(copartition(rd.from_arrow(t).repartition(8), key,
+                               count_nulls, batch_format="pyarrow"))
+    per_call = [n for n in got.column("n_null").to_pylist() if n]
+    assert per_call == [int(pc.sum(nulls).as_py())]
+
+
+def test_no_ray_data_groupby_in_the_engine():
+    """copartition is the engine's one exchange: no module may group rows
+    with Ray Data's sort-based groupby."""
+    banned = re.compile(r"map_groups|ray\.data\.aggregate"
+                        r"|\.groupby\([^()]*\)\s*\.aggregate\(")
+    root = pathlib.Path(__file__).resolve().parent.parent / "sidecar"
+    hits = [f"{path.relative_to(root.parent)}: {m.group(0)!r}"
+            for path in sorted(root.rglob("*.py"))
+            for m in banned.finditer(path.read_text(encoding="utf-8"))]
+    assert not hits, hits
 
 
 def test_reserved_column_name_is_rejected():
