@@ -360,10 +360,10 @@ def run_scaling_crawl() -> dict:
 
 def run_headline_only(sf_dir: str, num_cpus: int) -> dict:
     """Scaled headline for the scaling criterion: a synthetic URL frontier
-    (size from $GRAFT_SCALE_URLS, default 60k) through fetch+sidecar.  The
+    (size from $GRAFT_SCALE_URLS, default 100k) through fetch+sidecar.  The
     frontier must be large enough that per-URL compute, not fixed pipeline
     latency, dominates — at 5k URLs the job finishes in ~1s and 32 CPUs can
-    only lose to 8; at 60k the measurement reflects sustained throughput."""
+    only lose to 8; at 100k the measurement reflects sustained throughput."""
     import ray
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,

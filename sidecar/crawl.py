@@ -579,22 +579,26 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
             # at different cluster sizes, which skews scaling and makes runs
             # non-comparable; 128 blocks keeps tasks uniform at any parallelism
             # (the same fixed-plan rule the headline benchmark uses).
-            n_remaining_est = m["selected"] - m.get("resumed_rows", 0)
-            n_blocks = max(1, min(128, n_remaining_est // 256 + 1))
+            n_remaining = m["selected"] - m.get("resumed_rows", 0)
+            n_blocks = max(1, min(128, n_remaining // 256 + 1))
             if selected.num_blocks() < min(32, n_blocks):
                 # only the small-frontier driver plan (1 block) needs the
-                # re-split; the Ray budget path already emits one block per
-                # block of its filtered input (at most shuffle.NUM_PARTS), and
-                # repartition is an extra all-to-all BARRIER that delays the
-                # first fetch task by the whole shuffle
+                # re-split.  The Ray budget path emits one block per block of
+                # its filtered input (at most shuffle.NUM_PARTS), and its
+                # input is few blocks: filter_robots' integer batch_size
+                # bundles the frontier's blocks into tasks, so the crawl
+                # workload's selection is 3 blocks.  repartition is an extra
+                # all-to-all BARRIER that delays the first fetch task by the
+                # whole shuffle
                 to_fetch = to_fetch.repartition(n_blocks)
+            # one fetch task per block; 256 rows per fetcher call inside it
             sidecar_ds = to_fetch.map_batches(
-                make_fetcher(shards, cfg.num_seen_shards, cfg.seed),
+                pipeline.sliced(
+                    make_fetcher(shards, cfg.num_seen_shards, cfg.seed), 256),
                 batch_format="pyarrow",
-                batch_size=256,
+                batch_size=None,
                 zero_copy_batch=True,
             )
-            n_remaining = m["selected"] - m.get("resumed_rows", 0)
             if storage.HAVE_LANCE:  # pragma: no cover - lance absent in sandbox
                 storage.write_table(sidecar_ds, sidecar_path)
                 m["sidecar_rows"] = rd.read_lance(sidecar_path).count()

@@ -38,7 +38,8 @@ def images_dataset(sf_dir: str, *, batch_size: int = 256):
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return docs.map_batches(
-        _docs_to_images, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+        pipeline.sliced(_docs_to_images, batch_size), batch_format="pyarrow",
+        batch_size=None, zero_copy_batch=True
     )
 
 
@@ -100,6 +101,10 @@ def synthetic_frontier_sidecar(n_urls: int, *, seed: int = 42,
     frontier metric (BASELINE.json).  Pure function of (seed, index): no
     input table needed, so the work scales to any n_urls and the measurement
     is dominated by fetch+extract compute, not fixed pipeline latency.
+
+    Read, fetch and extract run as one fused operator with one task per
+    input block (``num_blocks`` tasks); ``batch_size`` bounds the rows per
+    fetch and extractor call inside a task, not the task size.
     """
 
     def fetch(batch: pa.Table) -> pa.Table:
@@ -108,6 +113,7 @@ def synthetic_frontier_sidecar(n_urls: int, *, seed: int = 42,
         return pa.Table.from_pylist(rows, schema=synth.IMAGES_SCHEMA)
 
     urls = rd.range(n_urls, override_num_blocks=num_blocks)
-    images = urls.map_batches(fetch, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True)
+    images = urls.map_batches(pipeline.sliced(fetch, batch_size),
+                              batch_format="pyarrow", batch_size=None,
+                              zero_copy_batch=True)
     return pipeline.sidecar_dataset(images, batch_size=batch_size)

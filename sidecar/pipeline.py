@@ -24,6 +24,7 @@ payload, broadcast the metadata back) for when extraction dwarfs hashing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -184,11 +185,40 @@ def extract_sidecar_batch(batch: pa.Table, registry=None) -> pa.Table:
     return out.filter(pa.array(nonempty))
 
 
+def sliced(fn, batch_size: int):
+    """Wrap the pyarrow batch UDF ``fn`` for ``map_batches(batch_size=None)``.
+
+    Ray then hands the wrapper a whole block, and the wrapper calls ``fn`` on
+    zero-copy slices of at most ``batch_size`` rows, yielding each result.  An
+    empty block still gets exactly one call, so its output schema survives.
+
+    This keeps ``batch_size`` as a memory bound (rows per ``fn`` call) without
+    Ray's reading of it as a task size: an integer ``batch_size`` makes Ray
+    bundle input blocks smaller than it into one task, and it stops Ray from
+    fusing the map with an upstream that can change row counts
+    (``OperatorFusionRule._can_fuse_map_ops``).  Through this wrapper a
+    read → fetch → extract → write chain runs as one operator with one task
+    per input block.
+    """
+
+    @functools.wraps(fn)  # keeps ``fn``'s name in the Ray operator name
+    def per_slice(block: pa.Table):
+        n = block.num_rows
+        if n == 0:
+            yield fn(block)
+            return
+        for lo in range(0, n, batch_size):
+            yield fn(block.slice(lo, batch_size))
+
+    return per_slice
+
+
 def sidecar_dataset(images_ds, *, batch_size: int = 1024, concurrency=None):
     """IMAGES Dataset → SIDECAR Dataset (lazy; the caller consumes/streams).
 
     Stateless tasks by default; pass ``concurrency`` to pin an actor pool.
-    batch_size is small because rows carry image payloads (memory-aware,
+    One task per input block; ``batch_size`` bounds the rows per extractor
+    call inside it, small because rows carry image payloads (memory-aware,
     SURVEY.md §4.2).
     """
     from sidecar.detect import protocol as proto
@@ -202,9 +232,9 @@ def sidecar_dataset(images_ds, *, batch_size: int = 1024, concurrency=None):
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
     return images_ds.map_batches(
-        extract_with_registry,
+        sliced(extract_with_registry, batch_size),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
         **kwargs,
     )
@@ -278,8 +308,8 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
     scoring, OCR) and the corpus has heavy exact duplication (mirrors).
 
     Plan, keeping payload shuffles minimal:
-      1. per-block first-occurrence dedup (vectorized) — at most one payload
-         per (block × digest) continues;
+      1. per-slice first-occurrence dedup (vectorized) — at most one payload
+         per (``batch_size``-row slice × digest) continues;
       2. groupby co-partitioned on the digest → global keep-first (the only
          stage where payload bytes cross the wire, one per surviving
          candidate);
@@ -315,8 +345,8 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
         return g.drop_duplicates("payload_digest").drop(columns=["payload_digest"])
 
     uniq = copartition(
-        images_ds.map_batches(reps, batch_format="pyarrow",
-                              batch_size=batch_size, zero_copy_batch=True),
+        images_ds.map_batches(sliced(reps, batch_size), batch_format="pyarrow",
+                              batch_size=None, zero_copy_batch=True),
         "payload_digest", keep_first, batch_format="pandas")
     reg = __import__("sidecar.detect.protocol",
                      fromlist=["protocol"]).snapshot()
@@ -324,8 +354,9 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
     def extract_with_registry(b: pa.Table) -> pa.Table:
         return extract_sidecar_batch(b, registry=reg)
 
-    meta = (uniq.map_batches(extract_with_registry, batch_format="pyarrow",
-                             batch_size=batch_size, zero_copy_batch=True)
+    meta = (uniq.map_batches(sliced(extract_with_registry, batch_size),
+                             batch_format="pyarrow", batch_size=None,
+                             zero_copy_batch=True)
             .select_columns(list(PAYLOAD_DERIVED_COLS))
             .materialize())
     if meta.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
@@ -343,8 +374,9 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
         digests = _digest_batch(batch.column("bytes"))
         return _assemble_from_lookup(batch, digests, lk)
 
-    return images_ds.map_batches(assemble, batch_format="pyarrow",
-                                 batch_size=batch_size, zero_copy_batch=True)
+    return images_ds.map_batches(sliced(assemble, batch_size),
+                                 batch_format="pyarrow", batch_size=None,
+                                 zero_copy_batch=True)
 
 
 def _dedup_digest_join(images_ds, meta, *, batch_size: int):
@@ -425,8 +457,9 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int):
 
     union = (meta.map_batches(meta_rows, batch_format="pyarrow",
                               zero_copy_batch=True)
-             .union(images_ds.map_batches(row_rows, batch_format="pyarrow",
-                                          batch_size=batch_size,
+             .union(images_ds.map_batches(sliced(row_rows, batch_size),
+                                          batch_format="pyarrow",
+                                          batch_size=None,
                                           zero_copy_batch=True)))
     return copartition(union, "payload_digest", join_group,
                        batch_format="pyarrow")

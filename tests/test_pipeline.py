@@ -207,3 +207,86 @@ def test_flagship_memo_parity():
         assert fresh.equals(memod)
     finally:
         fsmod.invalidate_flagship_memo()
+
+
+def test_frontier_sidecar_runs_as_one_task_per_block():
+    """Read, fetch and extract fuse into one Ray Data operator with one task
+    per input block: an integer map ``batch_size`` would keep the read a
+    separate operator and bundle the 250-row blocks into 500-row tasks."""
+    import re
+
+    from sidecar import flagship
+
+    stats = flagship.synthetic_frontier_sidecar(3000, num_blocks=12) \
+        .materialize().stats()
+    fused = re.findall(
+        r"^Operator \d+ ReadRange->MapBatches\(fetch\)"
+        r"->MapBatches\(extract_with_registry\)[^:]*: (\d+) tasks executed",
+        stats, flags=re.M)
+    assert fused == ["12"], stats
+
+
+def test_hot_maps_pass_no_integer_batch_size():
+    """Every ``map_batches`` in the fetch/extract modules hands its UDF whole
+    blocks (``batch_size=None``) and bounds rows per call with
+    ``pipeline.sliced``."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(pipeline.__file__).parent
+    found = []
+    for name in ("pipeline.py", "flagship.py", "crawl.py"):
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                continue
+            for kw in node.keywords:
+                if kw.arg == "batch_size" and not (
+                        isinstance(kw.value, ast.Constant) and kw.value.value is None):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found
+
+
+def test_sliced_calls_never_exceed_batch_size():
+    def rows(t: pa.Table) -> pa.Table:
+        return pa.table({"n": pa.array([t.num_rows], pa.int64())})
+
+    direct = pa.concat_tables(
+        pipeline.sliced(rows, 64)(pa.table({"id": np.arange(1000)})))
+    via_ray = rd.range(1000, override_num_blocks=3).map_batches(
+        pipeline.sliced(rows, 64), batch_format="pyarrow", batch_size=None,
+        zero_copy_batch=True).to_pandas()
+    for n in (direct.column("n").to_pylist(), via_ray["n"].tolist()):
+        assert max(n) <= 64
+        assert sum(n) == 1000
+
+
+def test_sliced_extract_equals_one_whole_table_call():
+    table = synth.make_images_table(1000, seed=11)
+    fmts = set(table.column("fmt").to_pylist())
+    assert {"text", "html"} & fmts and {"png", "ppm"} & fmts  # mixed corpus
+    whole = pipeline.extract_sidecar_batch(table)
+    sliced = pa.concat_tables(
+        pipeline.sliced(pipeline.extract_sidecar_batch, 96)(table))
+    assert sliced.equals(whole)
+    ds = pipeline.sidecar_dataset(rd.from_arrow(table).repartition(5),
+                                  batch_size=96)
+    via_ray = pa.concat_tables(
+        [b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
+         for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)])
+    assert via_ray.sort_by("image_id").equals(whole.sort_by("image_id"))
+
+
+def test_sliced_empty_block_gets_one_call():
+    calls = []
+
+    def extract(t: pa.Table) -> pa.Table:
+        calls.append(t.num_rows)
+        return pipeline.extract_sidecar_batch(t)
+
+    out = list(pipeline.sliced(extract, 256)(
+        synth.make_images_table(4, seed=1).slice(0, 0)))
+    assert calls == [0]
+    assert len(out) == 1 and out[0].num_rows == 0
+    assert out[0].schema.names == schemas.SIDECAR.names
