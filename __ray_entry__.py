@@ -438,26 +438,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         stats = multimodal.image_decode_stats_with_b16(base)
         return multimodal.phash_components(None, stats_ds=stats)
 
-    def mm_audio_features(sf_dir: str):
-        """Audio feature-extract PLUMBING over opaque binary payloads (the
-        decode itself is a deterministic fake — no audio libs in this
-        container; the actor-pool stage, schema and batch sizing are real).
-        Rows-only."""
-        return images_dataset(sf_dir).map_batches(
-            multimodal.AudioFeatureStage,
-            fn_constructor_kwargs={"fake": True},
-            batch_format="pyarrow", batch_size=64, zero_copy_batch=True,
-            concurrency=(1, 4))
-
-    def mm_video_frame_sample(sf_dir: str):
-        """Video frame-index sampling PLUMBING (deterministic fake decode,
-        real Ray-side stage).  Rows-only."""
-        return images_dataset(sf_dir).map_batches(
-            multimodal.VideoFrameSample,
-            fn_constructor_kwargs={"fake": True, "every_n": 30},
-            batch_format="pyarrow", batch_size=64, zero_copy_batch=True,
-            concurrency=(1, 4))
-
     def mm_image_resize(sf_dir: str):
         """Nearest-neighbor 32x32 thumbnailing through the actor-pool
         decode→resize→re-encode stage (ST8 family); returns the resized
@@ -751,8 +731,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multimodal_image_stats_exact": multimodal.image_stats_exact,
         "multimodal_phash_neardup": mm_phash_neardup,
         "multimodal_phash_components": mm_phash_components,
-        "multimodal_audio_features": mm_audio_features,
-        "multimodal_video_frame_sample": mm_video_frame_sample,
         "multimodal_image_resize": mm_image_resize,
         "crawl_demo": crawl_demo,
     })

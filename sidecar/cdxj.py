@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -238,46 +236,24 @@ def _enrich_batch(batch: pa.Table, build: dict[str, str]) -> pa.Table:
 
 def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
     """Large-build-side plan: hash-partition both sides on the join key and
-    merge per group (SURVEY.md §2.4 J1 'large build side')."""
-    # union sides must agree on schema (names, ORDER, and dtypes): the meta
-    # side has no lineno column, so tag() emits a canonical column order and
-    # an int64 -1 sentinel lineno for meta rows (meta rows never survive the
-    # merge, so the sentinel never escapes)
-    has_lineno = "lineno" in original_ds.schema().base_schema.names
-
-    def tag(side: str):
-        def f(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {"surt": batch.column("surt"), "ts": batch.column("ts"),
-                    "json": batch.column("json")}
-            if has_lineno:
-                cols["lineno"] = (batch.column("lineno")
-                                  if "lineno" in batch.column_names
-                                  else pa.array(np.full(n, -1, np.int64),
-                                                pa.int64()))
-            cols["side"] = pa.array([side] * n, pa.string())
-            return pa.table(cols)
-        return f
-
-    both = meta_ds.map_batches(tag("meta"), batch_format="pyarrow").union(
-        original_ds.map_batches(tag("orig"), batch_format="pyarrow")
-    )
+    merge per partition (SURVEY.md §2.4 J1 'large build side')."""
 
     def add_key(batch: pa.Table) -> pa.Table:
         key = [cdxj_key(s, t) for s, t in zip(batch.column("surt").to_pylist(),
                                               batch.column("ts").to_pylist())]
         return batch.append_column("key", pa.array(key, pa.string()))
 
-    def merge_partition(g: pa.Table) -> pa.Table:
+    def merge_partition(meta: pa.Table, orig: pa.Table) -> pa.Table:
         """Within one coarse hash partition: build a dict of the meta side,
         probe the orig side — the exchange key is the 64-way partition
-        (per-join-key dispatch doesn't scale; SURVEY.md J1).  A
-        meta-only partition returns the same columns with no rows."""
-        is_meta = pc.equal(g.column("side"), "meta")
-        metas = g.filter(is_meta)
-        build = dict(zip(metas.column("key").to_pylist(),
-                         metas.column("json").to_pylist()))
-        return _enrich_batch(g.filter(pc.invert(is_meta)), build)
+        (per-join-key dispatch doesn't scale; SURVEY.md J1).  A meta-only
+        partition returns the same columns with no rows.  A meta side with
+        no rows at all may lack ``key``: Ray skips ``add_key`` on empty
+        blocks."""
+        build = dict(zip(meta.column("key").to_pylist(),
+                         meta.column("json").to_pylist())) if meta.num_rows else {}
+        return _enrich_batch(orig, build)
 
-    return copartition(both.map_batches(add_key, batch_format="pyarrow"),
+    return copartition([d.map_batches(add_key, batch_format="pyarrow")
+                        for d in (meta_ds, original_ds)],
                        "key", merge_partition, batch_format="pyarrow")

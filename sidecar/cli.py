@@ -461,9 +461,6 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
     if not todo:
         return {"pairs": len(pairs), "processed": 0, "skipped": len(pairs)}
 
-    items = ([{"pair": n, "path": m, "side": "m"} for n, m, _ in todo]
-             + [{"pair": n, "path": o, "side": "o"} for n, _, o in todo])
-
     def read_file(row: dict) -> list[dict]:
         out = []
         with open(row["path"], encoding="utf-8") as fh:
@@ -473,17 +470,21 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
                 if not ln.strip():
                     continue
                 s, t, j = ln.split(" ", 2)
-                out.append({"pair": row["pair"], "side": row["side"],
-                            "surt": s, "ts": t, "json": j, "lineno": i})
+                out.append({"pair": row["pair"], "surt": s, "ts": t, "json": j,
+                            "lineno": i})
                 i += 1
         return out
 
-    def merge_one(g: pd.DataFrame) -> pd.DataFrame:
-        name = g["pair"].iloc[0]
+    def lines(side: int) -> "rd.Dataset":
+        """Every line of each todo pair's meta (1) or original (2) file."""
+        return rd.from_items([{"pair": p[0], "path": p[side]} for p in todo]) \
+            .flat_map(read_file)
+
+    def merge_one(name: str, metas: pd.DataFrame, origs: pd.DataFrame) -> tuple:
         # metas in FILE ORDER so a duplicated (surt, ts) key resolves
         # last-line-wins, matching cmd_merge's ordered dict build
-        metas = g[g["side"] == "m"].sort_values("lineno")
-        origs = g[g["side"] == "o"].sort_values("lineno")
+        metas = metas.sort_values("lineno")
+        origs = origs.sort_values("lineno")
         build = {cdxj_key(s, t): j for s, t, j in
                  zip(metas["surt"], metas["ts"], metas["json"])}
         out_path = os.path.join(cdxj_dir, warc.merged_cdxj_name(name))
@@ -497,15 +498,19 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
                 edited += matched
                 fh.write(cdxj_line(s, t, j))
         os.replace(tmp_path, out_path)
-        return pd.DataFrame({"pair": [name], "edited": [edited],
-                             "non_edited": [len(origs) - edited]})
+        return name, edited, len(origs) - edited
 
-    def merge_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat([merge_one(g) for _, g in df.groupby("pair", sort=False)],
-                         ignore_index=True)
+    def merge_pairs(m: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
+        # a side with no lines in this partition may have no columns
+        none = pd.DataFrame(columns=["surt", "ts", "json", "lineno"])
+        metas = dict(tuple(m.groupby("pair", sort=False))) if len(m) else {}
+        origs = dict(tuple(o.groupby("pair", sort=False))) if len(o) else {}
+        return pd.DataFrame([merge_one(n, metas.get(n, none), origs.get(n, none))
+                             for n in {**metas, **origs}],
+                            columns=["pair", "edited", "non_edited"])
 
-    per_pair = copartition(rd.from_items(items).flat_map(read_file), "pair",
-                           merge_pairs, batch_format="pandas").to_pandas()
+    per_pair = copartition([lines(1), lines(2)], "pair", merge_pairs,
+                           batch_format="pandas").to_pandas()
     if len(per_pair):  # all-blank inputs yield a column-less empty frame
         per_pair = per_pair.sort_values("pair")
 

@@ -264,7 +264,6 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
                         f"epoch {e} was written by {man['lineage_id']}, "
                         f"this config is {cfg.lineage_id()}")
                 ddir = os.path.join(_epoch_dir(cfg, e), "seen_delta")
-                legacy = os.path.join(_epoch_dir(cfg, e), "seen_delta.npy")
                 if os.path.isdir(ddir):  # per-shard delta files: one scatter
                     # task per file — the driver touches paths only.  Filter
                     # to *.npy: a crash during write_delta can leave a
@@ -274,26 +273,19 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
                             os.path.join(ddir, fn), shards, cfg.num_seen_shards)
                         for fn in sorted(os.listdir(ddir))
                         if fn.endswith(".npy"))
-                elif os.path.exists(legacy):  # pre-r2 single-file layout
-                    restore_futs.append(_restore_delta_file.remote(
-                        legacy, shards, cfg.num_seen_shards))
                 crawl_order.append(man["crawl_order"])
                 metrics.append(man["metrics"])
             ray.get(restore_futs)
             start_epoch = last + 1
             fdir = os.path.join(_epoch_dir(cfg, last), "next_frontier")
-            fpath = fdir + ".parquet"   # legacy single-file layout
-            # STREAM the checkpointed frontier (parquet dir/file source for
-            # the epoch loop) — a driver-side read_table of a large crawl's
+            # STREAM the checkpointed frontier (parquet dir source for the
+            # epoch loop) — a driver-side read_table of a large crawl's
             # frontier is exactly the materialization the loop avoids
             frontier_tbl = None
             if os.path.isdir(fdir):
                 resume_rows = _parquet_rows(fdir)
                 if resume_rows:
                     resume_frontier_src = fdir
-            elif os.path.exists(fpath):
-                resume_frontier_src = fpath
-                resume_rows = pq.read_metadata(fpath).num_rows
 
     import time as _time
 

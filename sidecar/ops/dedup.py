@@ -495,60 +495,25 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                                    zero_copy_batch=True) \
         .repartition(8).materialize()  # candidate-bounded, same reason
 
-    # union-tagged join rows share one schema: (doc_a, doc_b, sh, side)
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "doc_a": batch.column("doc_a"),
-            "doc_b": batch.column("doc_b"),
-            "sh": pa.nulls(n, sh_list_t),
-            "side": pa.array(["p"] * n, pa.string()),
-        })
-
-    def tag_sets(key_col: str):
-        def f(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table({
-                "doc_a": batch.column("doc_id") if key_col == "doc_a"
-                         else pa.nulls(n, pa.int64()),
-                "doc_b": batch.column("doc_id") if key_col == "doc_b"
-                         else pa.nulls(n, pa.int64()),
-                "sh": batch.column("sh"),
-                "side": pa.array(["s"] * n, pa.string()),
-            })
-        return f
-
-    def join_on_a(g: pa.Table) -> pa.Table:
+    def join_on_a(sets: pa.Table, pairs: pa.Table) -> pa.Table:
         """Attach sh_a to each pair (the second join re-keys on doc_b)."""
-        sides = g.column("side").to_pylist()
-        aa = g.column("doc_a").to_pylist()
-        bb = g.column("doc_b").to_pylist()
-        shs = g.column("sh").to_pylist()
-        built = {a: s for a, s, sd in zip(aa, shs, sides) if sd == "s"}
-        out_a, out_b, out_sh = [], [], []
-        for a, b, sd in zip(aa, bb, sides):
-            if sd == "p":
-                out_a.append(a)
-                out_b.append(b)
-                out_sh.append(built[a])
+        built = dict(zip(sets.column("doc_a").to_pylist(),
+                         sets.column("sh").to_pylist()))
         return pa.table({
-            "doc_a": pa.array(out_a, pa.int64()),
-            "doc_b": pa.array(out_b, pa.int64()),
-            "sh": pa.array(out_sh, sh_list_t),
-            "side": pa.array(["p"] * len(out_a), pa.string()),
+            "doc_a": pairs.column("doc_a"),
+            "doc_b": pairs.column("doc_b"),
+            "sh": pa.array([built[a] for a in pairs.column("doc_a").to_pylist()],
+                           sh_list_t),
         })
 
-    def join_on_b(g: pa.Table) -> pa.Table:
+    def join_on_b(sets: pa.Table, half: pa.Table) -> pa.Table:
         """Intersect sh_a (riding with the pair) against sh_b (set rows)."""
-        sides = g.column("side").to_pylist()
-        aa = g.column("doc_a").to_pylist()
-        bb = g.column("doc_b").to_pylist()
-        shs = g.column("sh").to_pylist()
-        built = {b: frozenset(s) for b, s, sd in zip(bb, shs, sides) if sd == "s"}
+        built = {b: frozenset(s) for b, s in zip(sets.column("doc_b").to_pylist(),
+                                                 sets.column("sh").to_pylist())}
         out_a, out_b, out_j = [], [], []
-        for a, b, s, sd in zip(aa, bb, shs, sides):
-            if sd != "p":
-                continue
+        for a, b, s in zip(half.column("doc_a").to_pylist(),
+                           half.column("doc_b").to_pylist(),
+                           half.column("sh").to_pylist()):
             A, B = frozenset(s), built[b]
             i = len(A & B)
             jac = i / (len(A) + len(B) - i)
@@ -561,15 +526,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
                          "jaccard": pa.array(out_j, pa.float64())})
 
     half = copartition(
-        set_rows_ds.map_batches(tag_sets("doc_a"), batch_format="pyarrow",
-                                zero_copy_batch=True)
-        .union(candidates.map_batches(tag_pairs, batch_format="pyarrow",
-                                      zero_copy_batch=True)),
+        [set_rows_ds.rename_columns({"doc_id": "doc_a"}), candidates],
         "doc_a", join_on_a, batch_format="pyarrow")
     return copartition(
-        set_rows_ds.map_batches(tag_sets("doc_b"), batch_format="pyarrow",
-                                zero_copy_batch=True)
-        .union(half),
+        [set_rows_ds.rename_columns({"doc_id": "doc_b"}), half],
         "doc_b", join_on_b, batch_format="pyarrow")
 
 
@@ -1018,7 +978,8 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
     edge list to one driver).  Repeats "every node takes the min label of
     itself and its neighbors" until fixpoint: O(diameter) rounds (near-dup
     graphs are shallow — dup clusters are cliques-ish), each round two
-    coarse hash-partitioned shuffles of (node, label)/(node, nbr) rows.
+    coarse hash-partitioned shuffles: the (node, label) rows joined with
+    the (node, nbr) edge rows on node, then a min per receiving node.
     The edge list and the per-round labels stay Datasets (the convergence
     test is a distributed ``sum("changed")``); only the final node →
     component table is collected, as the returned ``pa.Table``.  A graph
@@ -1064,15 +1025,9 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
                          comp_col: pa.array([], t)})
 
     for _ in range(max_rounds):
-        # stage 1 (co-partitioned on node): label flows across each edge.
-        # Filter arrow-side FIRST — converting the whole (nulls-bearing)
-        # group to pandas would coerce int64 labels to float64.
-        def scatter(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc_
-
-            is_lbl = pc_.is_null(t.column("nbr"))
-            lp = t.filter(is_lbl).select(["node", "label"]).to_pandas()
-            ep = t.filter(pc_.invert(is_lbl)).select(["node", "nbr"]).to_pandas()
+        # stage 1 (co-partitioned on node): label flows across each edge
+        def scatter(lt: pa.Table, et: pa.Table) -> pa.Table:
+            lp, ep = lt.to_pandas(), et.to_pandas()
             cand = ep.merge(lp, on="node")[["nbr", "label"]] \
                 .rename(columns={"nbr": "node"})
             return pa.table({
@@ -1085,26 +1040,8 @@ def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
                 "is_old": pa.array([True] * len(lp) + [False] * len(cand)),
             })
 
-        def tag_labels(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch.column("node"),
-                "label": batch.column("label"),
-                "nbr": pa.nulls(batch.num_rows, batch.column("node").type),
-            })
-
-        def tag_edges(batch: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": batch.column("node"),
-                "label": pa.nulls(batch.num_rows, batch.column("node").type),
-                "nbr": batch.column("nbr"),
-            })
-
-        flowed = copartition(
-            labels.map_batches(tag_labels, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .union(edges.map_batches(tag_edges, batch_format="pyarrow",
-                                     zero_copy_batch=True)),
-            "node", scatter, batch_format="pyarrow")
+        flowed = copartition([labels, edges], "node", scatter,
+                             batch_format="pyarrow")
 
         # stage 2 (re-partition on the RECEIVING node): min label per node,
         # changed flag vs the node's old label

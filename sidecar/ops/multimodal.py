@@ -1,15 +1,10 @@
-"""Multimodal column operators: image decode / resize / feature-extract and
-audio/video stubs, as actor-pool ``map_batches`` stages over IMAGES-shaped
-rows (opaque ``binary`` payload + typed metadata — the data model from
-BASELINE.json:input_hint).
+"""Multimodal column operators: image decode / resize / feature-extract, as
+actor-pool ``map_batches`` stages over IMAGES-shaped rows (opaque ``binary``
+payload + typed metadata — the data model from BASELINE.json:input_hint).
 
 The image path is REAL end-to-end: png/ppm/b16 codecs are implemented
 in-repo (sidecar/codecs.py), so decode, nearest-neighbor resize, phash and
-pixel stats run on actual pixels.  Audio/video decode is STUBBED (the
-container ships no av libraries): ``AudioFeatureStage``/``VideoFrameSample``
-raise ``NotImplementedError`` for real payloads but the Ray-side plumbing —
-schema, actor signature, batch sizing, output layout — is real and tested
-with the deterministic fake (`fake=True`).
+pixel stats run on actual pixels.
 
 Scale notes: payload-carrying batches are kept SMALL (batch_size≈64) so
 batch × concurrency fits worker heaps; stages are callable CLASSES so any
@@ -148,60 +143,6 @@ class ImageResize:
             "h": pa.array([self.out_h] * n, pa.int32()),
             "fmt": pa.array([self.out_fmt] * n, pa.string()),
             "caption": pa.array(caps, pa.string()),
-        })
-
-
-class AudioFeatureStage:
-    """STUB actor-pool stage for audio payloads (no audio libs in this
-    container).  With ``fake=True`` it emits a deterministic per-payload
-    feature vector (blake2b-seeded), exercising the real Ray plumbing; with
-    ``fake=False`` it raises NotImplementedError as a clearly-marked gap."""
-
-    def __init__(self, fake: bool = True, n_mfcc: int = 8) -> None:
-        self.fake = fake
-        self.n_mfcc = n_mfcc
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "real audio decode requires an audio library not present in "
-                "this environment; run with fake=True for plumbing tests")
-        import hashlib
-
-        ids, feats = [], []
-        for pid, data in zip(batch.column("image_id").to_pylist(),
-                             batch.column("bytes").to_pylist()):
-            h = hashlib.blake2b(data or b"", digest_size=self.n_mfcc)
-            feats.append([b / 255.0 for b in h.digest()])
-            ids.append(pid)
-        return pa.table({
-            "id": pa.array(ids, pa.string()),
-            "mfcc": pa.array(feats, pa.list_(pa.float64())),
-        })
-
-
-class VideoFrameSample:
-    """STUB actor-pool stage for video payloads: deterministic frame-index
-    sampling of a notional n_frames-long clip (metadata-only; no real
-    decode).  Real decode path raises NotImplementedError."""
-
-    def __init__(self, every_n: int = 30, fake: bool = True) -> None:
-        self.every_n = every_n
-        self.fake = fake
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake:
-            raise NotImplementedError(
-                "real video decode requires an av library not present here")
-        ids, frames = [], []
-        for pid, data in zip(batch.column("image_id").to_pylist(),
-                             batch.column("bytes").to_pylist()):
-            n_frames = max(1, len(data or b"") // 64)  # notional clip length
-            ids.append(pid)
-            frames.append(list(range(0, n_frames, self.every_n)))
-        return pa.table({
-            "id": pa.array(ids, pa.string()),
-            "frame_indices": pa.array(frames, pa.list_(pa.int64())),
         })
 
 

@@ -247,45 +247,32 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
     (ties on date broken by max orderkey; events with no prior order drop —
     inner semantics keep the output int64-clean for the hash compare).
 
-    Plan: tag + union both sides into one dataset, ONE shuffle
-    co-partitioned on the user key (64 tasks at any scale — a per-
-    USER group would dispatch one pandas call per tiny group, the
-    pathology frontier.py's budget stage documents), then ONE lexsort +
-    grouped forward-fill inside the partition: sort (key, t_us,
-    orders-before-events, id), forward-fill the last order row position with
-    ``np.maximum.accumulate``, and keep matches whose filled order shares the
-    event's key.  Exactly equivalent to a per-user searchsorted — orders at
-    the same (key, t) sort before events (<= semantics) and ascending by id
-    (max-orderkey tie-break) — with zero per-user dispatch.
+    Plan: ONE shuffle co-partitioning both sides on the user key (64
+    tasks at any scale — a per-USER group would dispatch one pandas call
+    per tiny group, the pathology frontier.py's budget stage documents),
+    then ONE lexsort + grouped forward-fill inside the partition over both
+    sides' rows: sort (key, t_us, orders-before-events, id), forward-fill
+    the last order row position with ``np.maximum.accumulate``, and keep
+    matches whose filled order shares the event's key.  Exactly equivalent
+    to a per-user searchsorted — orders at the same (key, t) sort before
+    events (<= semantics) and ascending by id (max-orderkey tie-break) —
+    with zero per-user dispatch.
     """
 
-    def ev_rows(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch.column("ts"), pa.int64())
-        n = batch.num_rows
-        key = pc.cast(batch.column("user_id"), pa.int64())
-        return pa.table({
-            "key": key,
-            "is_order": pa.array([0] * n, pa.int64()),
-            "t_us": us,
-            "id": pc.cast(batch.column("event_id"), pa.int64()),
-        })
+    def rows(key: str, t: str, id_: str):
+        def f(batch: pa.Table) -> pa.Table:
+            return pa.table({
+                "key": pc.cast(batch.column(key), pa.int64()),
+                "t_us": pc.cast(batch.column(t), pa.int64()),
+                "id": pc.cast(batch.column(id_), pa.int64()),
+            })
+        return f
 
-    def ord_rows(batch: pa.Table) -> pa.Table:
-        us = pc.cast(batch.column("o_orderdate"), pa.int64())
-        n = batch.num_rows
-        key = pc.cast(batch.column("o_custkey"), pa.int64())
-        return pa.table({
-            "key": key,
-            "is_order": pa.array([1] * n, pa.int64()),
-            "t_us": us,
-            "id": pc.cast(batch.column("o_orderkey"), pa.int64()),
-        })
-
-    def asof_partition(g: pd.DataFrame) -> pd.DataFrame:
-        key = g["key"].to_numpy()
-        t = g["t_us"].to_numpy()
-        is_order = g["is_order"].to_numpy()
-        ids = g["id"].to_numpy()
+    def asof_partition(e: dict, o: dict) -> dict:
+        key = np.concatenate([e["key"], o["key"]])
+        t = np.concatenate([e["t_us"], o["t_us"]])
+        ids = np.concatenate([e["id"], o["id"]])
+        is_order = np.repeat([0, 1], [len(e["key"]), len(o["key"])])
         # primary key last in lexsort; orders (is_order=1) before events at
         # the same (key, t) — "order date <= event ts" includes equality —
         # and orders ascending by id so the forward-fill lands on max id
@@ -302,26 +289,28 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         # shares the event's key (valid as-of match) or belongs to an
         # earlier key (no prior order for this user)
         ok[ok] = k[li[ok]] == k[ev][ok]
-        return pd.DataFrame({
+        return {
             "event_id": di[ev][ok],
             "user_id": k[ev][ok],
             "last_orderkey": di[li[ok]],
-        })
+        }
 
     ev = read_parquet_clean(f"{sf_dir}/events.parquet",
                          columns=["event_id", "ts", "user_id"]) \
-        .map_batches(ev_rows, batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(rows("user_id", "ts", "event_id"), batch_format="pyarrow",
+                     zero_copy_batch=True)
     orders = read_parquet_clean(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(ord_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return copartition(ev.union(orders), "key", asof_partition,
-                       batch_format="pandas")
+        .map_batches(rows("o_custkey", "o_orderdate", "o_orderkey"),
+                     batch_format="pyarrow", zero_copy_batch=True)
+    return copartition([ev, orders], "key", asof_partition,
+                       batch_format="numpy")
 
 
 def union_nations(sf_dir: str) -> "rd.Dataset":
     """Set op: distinct nation keys present in customer UNION supplier —
-    `ds.union` then a per-block-partial distinct (no full shuffle: partials
-    are tiny)."""
+    per-block-partial distincts of both sides, co-partitioned on the key
+    (the partials are tiny)."""
 
     def proj(col: str):
         def f(batch: pa.Table) -> pa.Table:
@@ -334,11 +323,11 @@ def union_nations(sf_dir: str) -> "rd.Dataset":
     sup = read_parquet_clean(f"{sf_dir}/supplier.parquet", columns=["s_nationkey"]) \
         .map_batches(proj("s_nationkey"), batch_format="pyarrow", zero_copy_batch=True)
 
-    def distinct(g: pa.Table) -> pa.Table:
-        return pa.table({"nationkey": pc.unique(g.column("nationkey"))})
+    def distinct(c: dict, s: dict) -> dict:
+        return {"nationkey": np.union1d(c["nationkey"], s["nationkey"])}
 
-    return copartition(cust.union(sup), "nationkey", distinct,
-                       batch_format="pyarrow")
+    return copartition([cust, sup], "nationkey", distinct,
+                       batch_format="numpy")
 
 
 def except_customers(sf_dir: str, min_bal: float = 5000.0,
@@ -900,38 +889,25 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     lineitem row joined to its order's priority — the shuffle-join shape for
     when NEITHER side fits a broadcast.
 
-    Plan: tag each side, union into one Dataset, ONE shuffle
-    co-partitioned on the join key (64 groups at any scale — the same
-    co-partitioning trick as the as-of join), then a vectorized pandas merge
-    inside each partition.  Each key's rows from both sides land in the same
-    partition by construction, so the per-partition merge is exact.  Output
-    is row-level (one row per lineitem), proving the join itself rather
-    than a joined aggregate."""
+    Plan: ONE shuffle co-partitioning both sides on the join key (64
+    groups at any scale — the same co-partitioning trick as the as-of
+    join), then a vectorized pandas merge inside each partition.  Each
+    key's rows from both sides land in the same partition by construction,
+    so the per-partition merge is exact.  Output is row-level (one row per
+    lineitem), proving the join itself rather than a joined aggregate."""
 
     def ord_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": pa.array(k, pa.int64()),
-            "side": pa.array(np.zeros(len(k), dtype=np.int64)),
-            "lineno": pa.array(np.zeros(len(k), dtype=np.int64)),
-            "qty_cents": pa.array(np.zeros(len(k), dtype=np.int64)),
-            "o_orderpriority": batch.column("o_orderpriority"),
-        })
+        return pa.table({"key": pc.cast(batch.column("o_orderkey"), pa.int64()),
+                         "o_orderpriority": batch.column("o_orderpriority")})
 
     def li_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        n = len(k)
         return pa.table({
-            "key": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(n, dtype=np.int64)),
+            "key": pc.cast(batch.column("l_orderkey"), pa.int64()),
             "lineno": pc.cast(batch.column("l_linenumber"), pa.int64()),
             "qty_cents": _cents(batch.column("l_quantity")),
-            "o_orderpriority": pa.array([""] * n, pa.string()),
         })
 
-    def join_partition(g: pd.DataFrame) -> pd.DataFrame:
-        orders = g[g["side"] == 0][["key", "o_orderpriority"]]
-        items = g[g["side"] == 1][["key", "lineno", "qty_cents"]]
+    def join_partition(orders: pd.DataFrame, items: pd.DataFrame) -> pd.DataFrame:
         out = items.merge(orders, on="key", how="inner")
         return pd.DataFrame({
             "l_orderkey": out["key"].to_numpy(),
@@ -946,7 +922,7 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     items = read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                             columns=["l_orderkey", "l_linenumber", "l_quantity"]) \
         .map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return copartition(orders.union(items), "key", join_partition,
+    return copartition([orders, items], "key", join_partition,
                        batch_format="pandas")
 
 
@@ -1009,8 +985,6 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
         bal = batch.column("c_acctbal").to_numpy(zero_copy_only=False)
         return pa.table({
             "bucket": pa.array(np.floor(bal / band).astype(np.int64)),
-            "side": pa.array(np.zeros(len(bal), dtype=np.int64)),
-            "key": pc.cast(batch.column("c_custkey"), pa.int64()),
             "bal": pa.array(bal, pa.float64()),
         })
 
@@ -1021,19 +995,17 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
         buckets = np.concatenate([b0 - 1, b0, b0 + 1])
         return pa.table({
             "bucket": pa.array(buckets),
-            "side": pa.array(np.ones(3 * len(bal), dtype=np.int64)),
             "key": pa.array(np.tile(key, 3), pa.int64()),
             "bal": pa.array(np.tile(bal, 3), pa.float64()),
         })
 
-    def match_buckets(g: dict) -> dict:
-        cust = g["side"] == 0
+    def match_buckets(c: dict, s: dict) -> dict:
         # floor(bal / band) is monotone in bal, so customers sorted by
         # balance are sorted by bucket too: each bucket is one run of cb
-        order = np.argsort(g["bal"][cust], kind="stable")
-        cb = g["bal"][cust][order]
-        cbucket = g["bucket"][cust][order]
-        sk, sb, sbucket = g["key"][~cust], g["bal"][~cust], g["bucket"][~cust]
+        order = np.argsort(c["bal"], kind="stable")
+        cb = c["bal"][order]
+        cbucket = c["bucket"][order]
+        sk, sb, sbucket = s["key"], s["bal"], s["bucket"]
         # count only pairs whose CUSTOMER lives in the supplier row's bucket
         # — each pair counted exactly once across buckets
         lo = np.maximum(np.searchsorted(cb, sb - band, side="left"),
@@ -1050,12 +1022,12 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
                          "n_close_customers": g.column("p_n_sum")})
 
     cust = read_parquet_clean(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_acctbal"]) \
+                           columns=["c_acctbal"]) \
         .map_batches(cust_rows, batch_format="pyarrow", zero_copy_batch=True)
     supp = read_parquet_clean(f"{sf_dir}/supplier.parquet",
                            columns=["s_suppkey", "s_acctbal"]) \
         .map_batches(supp_rows, batch_format="pyarrow", zero_copy_batch=True)
-    matched = copartition(cust.union(supp), "bucket", match_buckets,
+    matched = copartition([cust, supp], "bucket", match_buckets,
                           batch_format="numpy")
     return copartition(matched, "s_suppkey", total, batch_format="pyarrow")
 

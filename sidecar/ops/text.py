@@ -326,13 +326,8 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         return (md5_u64(terms) ^ np.uint64(1 << 63)).view(np.int64)
 
     def df_rows(batch: pa.Table) -> pa.Table:
-        h = _h64(batch.column("term").to_pylist())
-        n = len(h)
-        return pa.table({
-            "h": pa.array(h, pa.int64()),
-            "n": pc.cast(batch.column("df"), pa.int64()),
-            "doc_id": pa.nulls(n, pa.int64()),
-        })
+        return pa.table({"h": _h64(batch.column("term").to_pylist()),
+                         "n": pc.cast(batch.column("df"), pa.int64())})
 
     def doc_term_rows(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -343,13 +338,10 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         h = f["term"].map(hmap).to_numpy(dtype=np.int64)
         return pa.table({
             "h": pa.array(h, pa.int64()),
-            "n": pa.nulls(len(h), pa.int64()),
             "doc_id": pa.array(f["doc_id"].to_numpy(), pa.int64()),
         })
 
-    def join_df(t: pa.Table) -> pa.Table:
-        is_df = pc.is_null(t.column("doc_id"))
-        dfh = t.filter(is_df)
+    def join_df(dfh: pa.Table, docs: pa.Table) -> pa.Table:
         keys = dfh.column("h").to_numpy()
         vals = dfh.column("n").to_numpy()
         order = np.argsort(keys)
@@ -364,7 +356,6 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
             starts = np.flatnonzero(first)
             vals = np.add.reduceat(vals, starts)
             keys = keys[starts]
-        docs = t.filter(pc.invert(is_df))
         h = docs.column("h").to_numpy()
         doc_id = docs.column("doc_id").to_numpy()
         # every doc term is in the df table by construction (same tokenizer
@@ -377,39 +368,16 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
             raise ValueError(
                 "tfidf partitioned plan: doc term hash missing from the df "
                 "table — the two passes tokenized different corpora")
-        n = len(h)
         return pa.table({
             "doc_id": pa.array(doc_id, pa.int64()),
             "h": pa.array(h, pa.int64()),
             "df": pa.array(vals[pos], pa.int64()),
-            "text": pa.nulls(n, pa.string()),
         })
 
-    def text_rows(batch: pa.Table) -> pa.Table:
-        doc_id = batch.column("doc_id").to_numpy()
-        n = len(doc_id)
-        # fill_null matches _doc_term_tf's tokenizer (NULL ≡ ""): topk_local
-        # routes union rows by is_valid(text), so a raw NULL here would
-        # misclassify the doc's text row as a df row and drop the doc —
-        # diverging from the broadcast twin and the oracle
-        txt = batch.column("text")
-        if isinstance(txt, pa.ChunkedArray):
-            txt = txt.combine_chunks()
-        return pa.table({
-            "doc_id": pa.array(doc_id, pa.int64()),
-            "h": pa.nulls(n, pa.int64()),
-            "df": pa.nulls(n, pa.int64()),
-            "text": txt.fill_null(""),
-        })
-
-    def topk_local(t: pa.Table) -> pa.Table:
+    def topk_local(hd: pa.Table, txt: pa.Table) -> pa.Table:
         import pandas as pd
 
-        is_txt = pc.is_valid(t.column("text"))
-        hd = t.filter(pc.invert(is_txt))
-        txt = t.filter(is_txt)
-        f = _doc_term_tf(pa.table({"doc_id": txt.column("doc_id"),
-                                   "text": txt.column("text")}))
+        f = _doc_term_tf(txt)  # NULL text tokenizes as "", as in pass 1
         uniq = pd.unique(f["term"])
         hmap = dict(zip(uniq.tolist(), _h64(uniq.tolist()).tolist()))
         f = f.assign(h=f["term"].map(hmap).to_numpy(dtype=np.int64))
@@ -426,13 +394,12 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         return _rank_topk(m, k)
 
     matched = copartition(
-        df_ds.map_batches(df_rows, batch_format="pyarrow")
-        .union(read_documents(sf_dir).map_batches(
-            doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)),
+        [df_ds.map_batches(df_rows, batch_format="pyarrow"),
+         read_documents(sf_dir).map_batches(
+             doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)],
         "h", join_df, batch_format="pyarrow")
     return copartition(
-        matched.union(read_documents(sf_dir).map_batches(
-            text_rows, batch_format="pyarrow", zero_copy_batch=True)),
+        [matched, read_documents(sf_dir)],
         "doc_id", topk_local, batch_format="pyarrow")
 
 

@@ -321,7 +321,7 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
          in place.  The metadata dataset is materialized and broadcast only
          while its measured Arrow size is within
          ``shuffle.BROADCAST_MAX_BYTES``; over it (billions of distinct
-         payloads), step 4 becomes ``_dedup_digest_join`` — a tagged-union
+         payloads), step 4 becomes ``_dedup_digest_join`` — a
          hash-partitioned join on payload_digest where the original rows
          ship WITHOUT their bytes (digest + row-specific columns only) — the
          upstream stages are unchanged and outputs are identical (asserted
@@ -381,87 +381,33 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
 
 def _dedup_digest_join(images_ds, meta, *, batch_size: int):
     """``sidecar_dataset_dedup_digest`` step 4 at metadata-outgrows-broadcast
-    scale: tagged-union co-partition join on payload_digest (same pattern as
-    ``_tfidf_topk_partitioned`` / the relational large×large join).
+    scale: a co-partition join of the metadata rows with the original rows
+    on payload_digest (the same shape as ``_tfidf_topk_partitioned`` and
+    the relational large×large join).
 
-    The original rows ship WITHOUT their payload bytes — the row side is
-    (digest, image_id, url, ts, caption, passthrough) only, co-partitioned
-    on the digest with the metadata rows; the per-partition group then
-    assembles via a partition-local digest dict.  Nothing corpus-sized is
-    ever on the driver, and the only payload-byte shuffle remains step 2's
-    keep-first (one representative per surviving candidate)."""
-    src = images_ds.schema().base_schema
-    passthrus = [c for c in ("part", "lineno", "concurrent_id", "warcinfo_id")
-                 if c in src.names]
-    id_type = src.field("image_id").type
-    caption_type = src.field("caption").type
-    url_type = src.field("url").type if "url" in src.names else pa.string()
-    ts_type = src.field("ts").type if "ts" in src.names else pa.string()
-    has_url, has_ts = "url" in src.names, "ts" in src.names
-
-    META_FIELDS = [
-        ("mime_fido", pa.string()), ("mime_magic", pa.string()),
-        ("puid", pa.string()), ("charset", schemas.CHARSET_T),
-        ("languages", schemas.LANGUAGES_T), ("soft404", pa.float64()),
-        ("phash", pa.int64()), ("w", pa.int32()), ("h", pa.int32()),
-        ("fmt", pa.string()), ("is_text", pa.bool_()),
-    ]
-    union_schema = pa.schema(
-        [("is_meta", pa.bool_()),
-         ("payload_digest", pa.string()), ("image_id", id_type),
-         ("url", url_type), ("ts", ts_type), ("caption", caption_type)]
-        + META_FIELDS
-        + [(c, src.field(c).type) for c in passthrus])
+    The original rows ship WITHOUT their payload bytes: the row side is
+    (digest, image_id, url, ts, caption, passthrough) only.  Each partition
+    assembles its rows from a partition-local digest dict.  Nothing
+    corpus-sized is ever on the driver, and the only payload-byte shuffle
+    remains step 2's keep-first (one representative per surviving
+    candidate)."""
+    keep = ("image_id", "url", "ts", "caption",
+            "part", "lineno", "concurrent_id", "warcinfo_id")
 
     def row_rows(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))
-        n = batch.num_rows
-        cols = {
-            "is_meta": pa.array(np.zeros(n, dtype=bool)),
-            "payload_digest": pa.array(digests, pa.string()),
-            "image_id": batch.column("image_id"),
-            "url": batch.column("url") if has_url else pa.nulls(n, url_type),
-            "ts": batch.column("ts") if has_ts else pa.nulls(n, ts_type),
-            "caption": batch.column("caption"),
-        }
-        for nm, t in META_FIELDS:
-            cols[nm] = pa.nulls(n, t)
-        for c in passthrus:
-            cols[c] = batch.column(c)
-        return pa.table(cols, schema=union_schema)
+        return batch.select([c for c in keep if c in batch.column_names]) \
+            .append_column("payload_digest", pa.array(digests, pa.string()))
 
-    def meta_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {
-            "is_meta": pa.array(np.ones(n, dtype=bool)),
-            "payload_digest": batch.column("payload_digest"),
-            "image_id": pa.nulls(n, id_type),
-            "url": pa.nulls(n, url_type),
-            "ts": pa.nulls(n, ts_type),
-            "caption": pa.nulls(n, caption_type),
-        }
-        for nm, t in META_FIELDS:
-            cols[nm] = batch.column(nm)
-        for c in passthrus:
-            cols[c] = pa.nulls(n, src.field(c).type)
-        return pa.table(cols, schema=union_schema)
+    def join_group(meta_t: pa.Table, rows_t: pa.Table) -> pa.Table:
+        lk = {r["payload_digest"]: r for r in meta_t.to_pylist()}
+        return _assemble_from_lookup(
+            rows_t, rows_t.column("payload_digest").to_pylist(), lk)
 
-    def join_group(g: pa.Table) -> pa.Table:
-        is_meta = g.column("is_meta").combine_chunks()
-        meta_t = g.filter(is_meta)
-        rows_t = g.filter(pc.invert(is_meta))
-        lk = {r["payload_digest"]: r
-              for r in meta_t.select(list(PAYLOAD_DERIVED_COLS)).to_pylist()}
-        digests = rows_t.column("payload_digest").to_pylist()
-        return _assemble_from_lookup(rows_t, digests, lk)
-
-    union = (meta.map_batches(meta_rows, batch_format="pyarrow",
-                              zero_copy_batch=True)
-             .union(images_ds.map_batches(sliced(row_rows, batch_size),
-                                          batch_format="pyarrow",
-                                          batch_size=None,
-                                          zero_copy_batch=True)))
-    return copartition(union, "payload_digest", join_group,
+    rows = images_ds.map_batches(sliced(row_rows, batch_size),
+                                 batch_format="pyarrow", batch_size=None,
+                                 zero_copy_batch=True)
+    return copartition([meta, rows], "payload_digest", join_group,
                        batch_format="pyarrow")
 
 

@@ -11,9 +11,11 @@ measured bottleneck at these cardinalities, not data volume.
 ``copartition`` owns that decision: the partition count and the hash.  Its
 contract for the body: every row sharing a ``key`` value lands in the same
 call (rows with a null key too), so ``key`` must be a subset of the columns
-the body groups by.  Tagged-union joins union both sides first and call it
-once.  Input tables may carry a column of their own called ``part``, but not
-one named ``PART_COL``, which is reserved.
+the body groups by.  A join passes its sides as a list, ``copartition([a,
+b], key, fn)``, and ``fn(a_part, b_part)`` gets each side's rows of one
+partition as a separate batch: no side is padded into a shared schema or
+tagged.  Input tables may carry a column of their own called ``part``, but
+not one named ``PART_COL``, which is reserved.
 
 The exchange is a direct hash exchange on Ray core tasks, and the only one
 in the engine (``tests/test_shuffle.py`` fails on any Ray Data groupby under
@@ -32,6 +34,8 @@ partitioned plan.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pyarrow as pa
@@ -96,22 +100,29 @@ def _split(keys: list[str], n: int, *blocks) -> list[pa.Table]:
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, batch_format: str, *slices):
-    """``fn`` once over one partition; returns the block and its metadata,
-    or no metadata when the partition has no rows (``fn`` is not called)."""
+def _reduce(fn, batch_format: str, counts: list[int], *slices):
+    """``fn`` once over one partition, given one batch per input (the input
+    ``i`` owns the next ``counts[i]`` slices); returns the block and its
+    metadata, or no metadata when no input has rows (``fn`` is not called)."""
     stats = BlockExecStats.builder()
-    tables = [t for t in map(_arrow, slices) if t.num_rows]
-    if not tables:
+    batches, it = [], iter(slices)
+    for c in counts:
+        tables = [_arrow(s) for s in itertools.islice(it, c)]
+        rows = [t for t in tables if t.num_rows]
+        # a zero-row slice still carries its input's columns
+        batches.append(pa.concat_tables(rows, promote_options="default")
+                       if rows else tables[0] if tables else pa.table({}))
+    if not any(b.num_rows for b in batches):
         return None, None
-    batch = pa.concat_tables(tables, promote_options="default")
-    block = BlockAccessor.batch_to_block(
-        fn(BlockAccessor.for_block(batch).to_batch_format(batch_format)))
+    block = BlockAccessor.batch_to_block(fn(*(
+        BlockAccessor.for_block(b).to_batch_format(batch_format)
+        for b in batches)))
     return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
 def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
     """``fn`` over each hash partition of ``ds`` on ``key``, as a
-    materialized dataset.
+    materialized dataset.  ``ds`` is one dataset or a list of them.
 
     Every row sharing a ``key`` value reaches the same ``fn`` call, which
     gets its partition as ``batch_format`` and may return a pandas
@@ -122,33 +133,56 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
     banding 172 s streamed vs 28 s materialized at 8 CPUs / 500k docs).
     Output rows come in no particular order: a caller that needs one sorts.
 
+    A list of inputs is a join: ``fn(a_part, b_part, ...)`` gets one batch
+    per input, in input order, each with only that input's columns.  Every
+    input carries the ``key`` column(s) under the same names; integers of
+    any width co-locate with each other, strings and integers do not.  An
+    input with no rows in a partition arrives as an empty batch with that
+    input's columns (with the columns of the zero-row block Ray holds for
+    it, when it has no rows at all: Ray skips a map's UDF on empty blocks),
+    and ``fn`` runs only when some input has rows.
+
     The exchange runs on Ray core tasks.  With ``B`` non-empty input blocks
-    there are ``n = min(NUM_PARTS, B)`` partitions and as many split tasks,
-    each taking a run of about ``B / n`` consecutive blocks and cutting it
+    across all inputs there are ``n = min(NUM_PARTS, B)`` partitions and
+    about as many split tasks, each taking a run of about ``B / n``
+    consecutive blocks of ONE input (so schemas never mix) and cutting it
     into ``n`` slices by key hash; one reduce task per partition
-    concatenates its slices and calls ``fn``.  So at most ``NUM_PARTS × n``
-    slices move whatever ``B`` is: an exchange pays scheduling per task and
-    per slice, and the same groupby on Ray's sort measured 18.8 s from 512
-    input blocks vs 1.4 s from 64 (BASELINE.md round 5).  Sizing ``n`` by the input keeps
-    as many output blocks as the input had, up to ``NUM_PARTS``, so a small
-    frontier's second shuffle reads few blocks."""
+    concatenates each input's slices and calls ``fn``.  So at most
+    ``NUM_PARTS × n`` slices move whatever ``B`` is: an exchange pays
+    scheduling per task and per slice, and the same groupby on Ray's sort
+    measured 18.8 s from 512 input blocks vs 1.4 s from 64 (BASELINE.md
+    round 5).  Sizing ``n`` by the input keeps as many output blocks as the
+    input had, up to ``NUM_PARTS``, so a small frontier's second shuffle
+    reads few blocks."""
     keys = [key] if isinstance(key, str) else list(key)
-    src = ds.materialize()
-    held = src._plan.execute()  # no-op: the blocks ``src`` already holds
-    blocks = [ref for ref, m in held.blocks if m.num_rows]
-    if blocks and PART_COL in held.schema.names:
-        raise ValueError(f"column name {PART_COL!r} is reserved by copartition")
+    srcs = [d.materialize() for d in (ds if isinstance(ds, list) else [ds])]
+    blocks, parts0 = [], []  # (input, non-empty block); each input's seed
+    for i, src in enumerate(srcs):
+        held = src._plan.execute()  # no-op: the blocks ``src`` already holds
+        own = [ref for ref, m in held.blocks if m.num_rows]
+        if own and PART_COL in held.schema.names:
+            raise ValueError(f"column name {PART_COL!r} is reserved by copartition")
+        blocks += [(i, ref) for ref in own]
+        # an input with no rows sends its first zero-row block everywhere
+        parts0.append([] if own else [ref for ref, _ in held.blocks[:1]])
     n = min(NUM_PARTS, len(blocks))
+    # parts[p][i]: the slices of input i in partition p
+    parts = [[list(s) for s in parts0] for _ in range(n)]
     if n > 1:
         split = _split.options(num_returns=n)
         bounds = np.linspace(0, len(blocks), n + 1).astype(int)
-        cut = [split.remote(keys, n, *blocks[a:b])
-               for a, b in zip(bounds[:-1], bounds[1:])]
-        parts = [[c[p] for c in cut] for p in range(n)]
-    else:
-        parts = [blocks] if blocks else []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            for i, run in itertools.groupby(blocks[a:b], key=lambda r: r[0]):
+                cut = split.remote(keys, n, *(ref for _, ref in run))
+                for p in range(n):
+                    parts[p][i].append(cut[p])
+    elif n:
+        for i, ref in blocks:
+            parts[0][i].append(ref)
     fn_ref = ray.put(fn)
-    outs = [_reduce.remote(fn_ref, batch_format, *p) for p in parts]
+    outs = [_reduce.remote(fn_ref, batch_format, [len(s) for s in p],
+                           *itertools.chain(*p))
+            for p in parts]
     metas = ray.get([m for _, m in outs])
     out = []
     for p, ((ref, _), m) in enumerate(zip(outs, metas)):
@@ -157,10 +191,11 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
             out.append((ref, m))
     name = f"Copartition[{','.join(keys)}] {n} partitions"
     stats = DatasetStats(metadata={name: [m.metadata.to_stats() for _, m in out]},
-                         parent=src._plan.stats())
+                         parent=[src._plan.stats() for src in srcs])
     bundles = [RefBundle([(ref, m.metadata)], owns_blocks=False, schema=m.schema)
                for ref, m in out]
-    result = MaterializedDataset(ExecutionPlan(stats, data_context=ds.context),
-                                 LogicalPlan(InputData(bundles), ds.context))
+    context = srcs[0].context
+    result = MaterializedDataset(ExecutionPlan(stats, data_context=context),
+                                 LogicalPlan(InputData(bundles), context))
     result._plan.execute()  # no-op: marks the plan executed, like materialize()
     return result

@@ -180,6 +180,29 @@ def test_merge_auto_small_and_overflow(monkeypatch, spy):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("empty", ["zero_row", "all_filtered"])
+def test_partitioned_merge_with_empty_meta_side(monkeypatch, empty):
+    """No meta lines: every original line passes through unmatched, on the
+    partitioned plan as on the broadcast one — also when the meta side's
+    empty blocks have no columns (a filter that drops every row)."""
+    meta_t = pa.table({"surt": ["com,ex0)/"], "ts": ["20210101000000"],
+                       "json": [json.dumps({"Soft-404-Detected": 0.5})]})
+    meta = (rd.from_arrow(meta_t.slice(0, 0)) if empty == "zero_row"
+            else rd.from_arrow(meta_t).filter(lambda r: False))
+    orig = _mk_cdxj_ds([(f"com,ex{i})/", "20210101000000",
+                         json.dumps({"url": str(i)})) for i in range(50)])
+
+    def merged(plan):
+        return sorted(plan(meta, orig).take_all(), key=lambda r: r["lineno"])
+
+    want = merged(cdxj.merge_cdxj)
+    assert len(want) == 50 and not any(r["matched"] for r in want)
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    assert merged(cdxj.merge_cdxj) == want
+    # an empty build side measures 0 bytes, so call the partitioned plan
+    assert merged(cdxj._merge_cdxj_partitioned) == want
+
+
 def test_canonicalization_port_and_path_rules():
     """Public SURT details: default port dropped, non-default kept, duplicate
     slashes collapsed, %-escapes hex-uppercased, fragment dropped."""

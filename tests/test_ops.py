@@ -393,21 +393,6 @@ class TestMultimodal:
         px = codecs.decode(out.iloc[0]["bytes"], out.iloc[0]["fmt"])
         assert px.shape == (16, 16, 3)
 
-    def test_audio_video_stubs(self, images_table):
-        import pyarrow as pa
-
-        from sidecar.ops.multimodal import AudioFeatureStage, VideoFrameSample
-
-        batch = images_table.slice(0, 8)
-        feats = AudioFeatureStage(fake=True)(batch)
-        assert feats.num_rows == 8 and len(feats.column("mfcc")[0].as_py()) == 8
-        frames = VideoFrameSample(fake=True)(batch)
-        assert frames.num_rows == 8
-        with pytest.raises(NotImplementedError):
-            AudioFeatureStage(fake=False)(batch)
-        with pytest.raises(NotImplementedError):
-            VideoFrameSample(fake=False)(batch)
-
 
 class TestNewRelational:
     def test_group_topk_orders(self):

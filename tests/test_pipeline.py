@@ -165,6 +165,21 @@ def test_dedup_digest_plan_equals_plain_extract(monkeypatch, spy):
                                   list(c.columns) != list(a.columns) else c)
 
 
+def test_dedup_digest_join_with_empty_metadata(monkeypatch):
+    """Every payload empty: no metadata rows, so both plans drop every row,
+    as plain extraction does."""
+    rows = [{"image_id": f"e{i}", "bytes": b"", "w": 0, "h": 0, "fmt": "text",
+             "caption": f"caption {i}", "phash": 0} for i in range(20)]
+    images = rd.from_arrow(pa.Table.from_pylist(rows, schema=synth.IMAGES_SCHEMA))
+    assert pipeline.sidecar_dataset(images).count() == 0
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
+    assert pipeline.sidecar_dataset_dedup_digest(images).count() == 0
+    # an empty build side measures 0 bytes, so call the partitioned plan
+    meta = pipeline.sidecar_dataset(images).select_columns(
+        list(pipeline.PAYLOAD_DERIVED_COLS))
+    assert pipeline._dedup_digest_join(images, meta, batch_size=8).count() == 0
+
+
 def test_extract_tolerates_null_payload():
     """A NULL bytes cell counts as empty payload (dropped by F3) instead of
     poisoning the boolean masks with None."""

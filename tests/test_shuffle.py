@@ -1,6 +1,8 @@
-"""sidecar.shuffle.copartition: co-location, a process-independent hash and
-a partition column no body or output ever sees."""
+"""sidecar.shuffle.copartition: co-location, a process-independent hash,
+a partition column no body or output ever sees, and joins of several
+inputs."""
 
+import ast
 import pathlib
 import re
 
@@ -193,3 +195,111 @@ def test_partition_counts_that_are_not_powers_of_two(n):
     assert not df.duplicated("i").any()
     assert df.set_index("i")["size"].sort_index().equals(
         t.to_pandas().groupby("i").size())
+
+
+@pytest.mark.parametrize("blocks", [1, 8])
+def test_two_inputs_meet_by_key(blocks):
+    """Rows sharing a key reach one call from both inputs, whatever their
+    schemas and integer widths."""
+    a = pa.table({"i": _table().column("i"), "row": _table().column("row")})
+    b = pa.table({"i": pa.array(np.arange(300) % 101, pa.int32()),
+                  "name": pa.array([f"n{x}" for x in range(300)])})
+
+    def counts(ga: pa.Table, gb: pa.Table) -> pd.DataFrame:
+        assert ga.column_names == ["i", "row"]
+        assert gb.column_names == ["i", "name"]
+        return pd.concat([ga.to_pandas().groupby("i").size().rename("na"),
+                          gb.to_pandas().groupby("i").size().rename("nb")],
+                         axis=1).fillna(0).rename_axis("i").reset_index()
+
+    inputs = [rd.from_arrow(t).repartition(blocks) for t in (a, b)]
+    got = copartition(inputs, "i", counts, batch_format="pyarrow")
+    assert f"Copartition[i] {2 * blocks} partitions" in got.stats()
+    df = got.to_pandas()
+    # a key split across two calls would appear twice
+    assert not df.duplicated("i").any()
+    want = counts(a, b)
+    assert (df.set_index("i").sort_index().to_dict("index")
+            == want.set_index("i").sort_index().to_dict("index"))
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow", "numpy"])
+def test_input_without_rows_arrives_empty_with_its_columns(batch_format):
+    """An input empty in a partition, or everywhere, reaches the body as a
+    zero-row batch with that input's columns."""
+    one_key = pa.table({"i": pa.array([3, 3], pa.int64()),
+                        "w": pa.array([1.5, 2.5])})
+    nothing = pa.table({"i": pa.array([], pa.int64()),
+                        "z": pa.array([], pa.string())})
+
+    many = _table()
+    cols = many.column_names
+
+    def body(ga, gb, gc):
+        names = [list(g) if isinstance(g, dict) else list(g.column_names)
+                 if isinstance(g, pa.Table) else list(g.columns)
+                 for g in (ga, gb, gc)]
+        assert names == [cols, ["i", "w"], ["i", "z"]]
+        assert len(gc["i"]) == 0
+        return pd.DataFrame({"na": [len(ga["i"])], "nb": [len(gb["i"])]})
+
+    got = copartition([rd.from_arrow(many).repartition(8),
+                       rd.from_arrow(one_key), rd.from_arrow(nothing)],
+                      "i", body, batch_format=batch_format).to_pandas()
+    assert got["na"].sum() == N and got["nb"].sum() == 2
+    assert (got["nb"] == 0).sum() == len(got) - 1  # one partition holds key 3
+
+
+def test_all_empty_inputs_never_call_body():
+    def body(a, b):
+        raise AssertionError("body called with no rows")
+
+    got = copartition([rd.from_arrow(_table().slice(0, 0)),
+                       rd.from_arrow([pa.table({}), pa.table({})])],
+                      "s", body, batch_format="pyarrow")
+    assert got.count() == 0
+    assert "Copartition[s] 0 partitions" in got.stats()
+
+
+def _union_fed_copartitions(path: pathlib.Path) -> list[int]:
+    """Lines of the ``.union(`` calls a ``copartition`` input is built
+    from in ``path``, following the names each function assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    scopes += [m for c in tree.body if isinstance(c, ast.ClassDef)
+               for m in c.body if isinstance(m, ast.FunctionDef)]
+    hits = set()
+    for scope in scopes:
+        assigned: dict[str, list] = {}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        assigned.setdefault(t.id, []).append(node.value)
+
+        def unions(node, seen: set) -> None:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "union"):
+                    hits.add(sub.lineno)
+                elif isinstance(sub, ast.Name) and sub.id not in seen:
+                    seen.add(sub.id)
+                    for value in assigned.get(sub.id, []):
+                        unions(value, seen)
+
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "copartition" and node.args):
+                unions(node.args[0], set())
+    return sorted(hits)
+
+
+def test_no_copartition_input_is_a_union():
+    """A join passes its sides as a list: no side is padded into a shared
+    schema, tagged and unioned before the exchange."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "sidecar"
+    hits = [f"{path.relative_to(root.parent)}:{line}"
+            for path in sorted(root.rglob("*.py"))
+            for line in _union_fed_copartitions(path)]
+    assert not hits, hits

@@ -95,7 +95,7 @@ def gen_docs_batch(batch: pa.Table) -> pa.Table:
 # customer = n//100 rows.  All columns are pure per-id splitmix functions, so
 # every expected answer is computable on the driver with one vectorized numpy
 # pass over the id range — the checks below compare the DISTRIBUTED plans
-# (coarse-partition shuffles, tagged-union joins, as-of forward fill) against
+# (coarse-partition shuffles, co-partitioned joins, as-of forward fill) against
 # that single-pass ground truth exactly (prices to the cent).
 
 REL_SOAK_OPS = frozenset({"rel_pricing_summary", "rel_top_revenue_orders",
