@@ -14,12 +14,18 @@ Stage semantics (deterministic, mirrored exactly in the SQL oracle):
      version is dedup.lsh_components);
   4. output (doc_id, n_tokens) of the final survivors.
 
-Scale notes: the only driver-held state is ID SETS (survivor ids, dropped
-ids — ints, no text), broadcast via ray.put; at a scale where even ids
-outgrow a broadcast each membership filter becomes a hash-partitioned
-semi-join on doc_id with the same semantics.  Text/shingles stay inside
-map_batches tasks throughout; the LSH banding shuffle carries (band, bucket,
-doc_id) rows only.
+Scale notes: nothing corpus-sized is held on the driver.  Every stage
+meets the next through ``copartition``: the exact-dedup survivors and the
+LSH drop ids are (doc_id, n_tokens) and doc_id rows, joined by doc_id in a
+final anti-join.  Text/shingles stay inside map_batches tasks throughout;
+no exchange carries a ``text`` column, and the LSH banding shuffle carries
+(band, bucket, doc_id) rows only.
+
+Stage 3 bands every gated doc, not just the exact-dedup survivors, so it
+needs no survivor set first, and it is still exact: an exact copy ``d`` of
+survivor ``r < d`` has identical shingles, so it shares every bucket with
+``r``; whenever ``d`` pairs with ``y > d``, ``r < y`` pairs with ``y`` too.
+The pairs therefore drop the same survivors.
 """
 
 from __future__ import annotations
@@ -30,15 +36,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
 import ray.data as rd
 
-from sidecar.ops.dedup import (
-    _dedup_pairs,
-    _pairs_within,
-    bucketize_batch,
-    fp_rows_batch,
-)
+from sidecar.ops.dedup import _pairs_within, bucketize_batch, fp_rows_batch
 from sidecar.ops.text import read_documents
 from sidecar.shuffle import copartition
 
@@ -60,9 +60,13 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
 
     Payload bytes never shuffle: decode+phash happens in the actor pool
     (`multimodal.image_decode_stats`), after which everything downstream is
-    (id, hash)-sized.  Driver state is id/digest sets only (broadcast;
-    hash-semi-join at larger scale).  Near-dup semantics are the pigeonhole-
-    exact ≤``max_dist``-bit banding of ``multimodal.phash_neardup``."""
+    (id, hash)-sized.  Every gated image is decoded once, exact duplicates
+    included, so the near-dup sweep runs beside the digest dedup instead of
+    after it; the same argument as :func:`prep_corpus`' stage 3 keeps it
+    exact (identical payloads give identical phashes).  The stats, survivor
+    ids and drop ids then meet in one co-partition on ``image_id``.
+    Near-dup semantics are the pigeonhole-exact ≤``max_dist``-bit banding
+    of ``multimodal.phash_neardup``."""
     from sidecar.codecs import IMAGE_FMTS
     from sidecar.ops.multimodal import image_decode_stats, phash_neardup
 
@@ -82,46 +86,37 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
                          "image_id": batch.column("image_id")})
 
     def min_id(t: pa.Table) -> pa.Table:
-        return t.group_by("digest").aggregate([("image_id", "min")])
+        g = t.group_by("digest").aggregate([("image_id", "min")])
+        return pa.table({"image_id": g.column("image_id_min")})
 
-    survivors: set[str] = set()
-    for b in copartition(
-            images_ds.map_batches(digest_rows, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-            "digest", min_id, batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        survivors.update(b.column("image_id_min").to_pylist())
-    # broadcast an Arrow array (zero-copy from plasma per worker) and filter
-    # with the vectorized is_in kernel — never a per-row Python membership
-    surv_ref = ray.put(pa.array(sorted(survivors), pa.string()))
+    survivors = copartition(
+        images_ds.map_batches(digest_rows, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        "digest", min_id, batch_format="pyarrow")
 
-    def keep_survivors(batch: pa.Table) -> pa.Table:
-        sv = ray.get(surv_ref)
-        return batch.filter(pc.is_in(batch.column("image_id"), value_set=sv))
-
-    kept = images_ds.map_batches(keep_survivors, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-
-    # decode ONCE: the (id, phash, w, h, fmt, …)-manifest is materialized
+    # decode ONCE: the (id, phash, w, h, fmt)-manifest is materialized
     # (bytes are not in it, so it is object-store-cheap at any scale) and
-    # reused by both the near-dup sweep and the final output — the corpus
-    # is never decoded a second time.
-    stats = image_decode_stats(kept).materialize()
+    # reused by both the near-dup sweep and the final join
+    cols = ["image_id", "phash", "w", "h", "fmt"]
+    stats = image_decode_stats(images_ds).select_columns(cols).materialize()
 
-    # stage 3: perceptual near-dup over the survivors; drop larger id
-    pairs = phash_neardup(None, max_dist=max_dist, stats_ds=stats)
-    dropped: set[str] = set()
-    for b in pairs.iter_batches(batch_format="pyarrow", batch_size=None):
-        dropped.update(b.column("id_b").to_pylist())
-    drop_ref = ray.put(pa.array(sorted(dropped), pa.string()))
+    # stage 3: perceptual near-dup pairs; the larger id of each drops
+    dropped = phash_neardup(None, max_dist=max_dist, stats_ds=stats) \
+        .map_batches(lambda b: pa.table({"image_id": b.column("id_b")}),
+                     batch_format="pyarrow", zero_copy_batch=True)
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        dr = ray.get(drop_ref)
-        keep = pc.invert(pc.is_in(batch.column("image_id"), value_set=dr))
-        return batch.filter(keep).select(
-            ["image_id", "phash", "w", "h", "fmt"])
+    def finalize(st: pa.Table, keep: pa.Table, drop: pa.Table) -> pa.Table:
+        if not (st.num_rows and keep.num_rows):
+            return st.slice(0, 0)
+        ids = st.column("image_id")
+        mask = pc.is_in(ids, value_set=keep.column("image_id").combine_chunks())
+        if drop.num_rows:
+            mask = pc.and_(mask, pc.invert(pc.is_in(
+                ids, value_set=drop.column("image_id").combine_chunks())))
+        return st.filter(mask)
 
-    return stats.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return copartition([stats, survivors, dropped], "image_id", finalize,
+                       batch_format="pyarrow")
 
 
 def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
@@ -135,59 +130,45 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
     gated = read_documents(sf_dir).map_batches(
         quality, batch_format="pyarrow", zero_copy_batch=True)
 
-    # stage 2: exact-dedup survivors (min doc_id per fingerprint) — the
-    # groupby moves (fp, doc_id) rows only, sorted by the coarse int
-    # key; survivor ids collect small (fingerprint formula shared with
-    # dedup.exact_dedup: fp_rows_batch)
-    import pandas as pd
+    # stage 2+4: ONE text scan to (fp, doc_id, n_tokens) rows (fingerprint
+    # formula shared with dedup.exact_dedup: fp_rows_batch); the exchange
+    # on fp keeps the min doc_id per fingerprint.  Equal fingerprints mean
+    # equal text, so any row's n_tokens is the survivor's.
+    def fp_tokens(batch: pa.Table) -> pa.Table:
+        toks = pc.split_pattern(batch.column("text").fill_null(""), " ")
+        return fp_rows_batch(batch).append_column(
+            "n_tokens", pc.cast(pc.list_value_length(toks), pa.int64()))
 
-    def fp_min(g: "pd.DataFrame") -> "pd.DataFrame":
-        return pd.DataFrame(
-            {"keep": g.groupby("fp", sort=False)["doc_id"].min().to_numpy()})
+    def first_doc(t: pa.Table) -> pa.Table:
+        g = t.group_by("fp").aggregate([("doc_id", "min"), ("n_tokens", "max")])
+        return pa.table({"doc_id": g.column("doc_id_min"),
+                         "n_tokens": g.column("n_tokens_max")})
 
-    survivors: set[int] = set()
-    for b in copartition(
-            gated.map_batches(fp_rows_batch, batch_format="pyarrow",
-                              zero_copy_batch=True),
-            "fp", fp_min, batch_format="pandas",
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        survivors.update(b.column("keep").to_pylist())
-    surv_ref = ray.put(np.array(sorted(survivors), dtype=np.int64))
+    survivors = copartition(
+        gated.map_batches(fp_tokens, batch_format="pyarrow", zero_copy_batch=True),
+        "fp", first_doc, batch_format="pyarrow")
 
-    def keep_survivors(batch: pa.Table) -> pa.Table:
-        sv = ray.get(surv_ref)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(ids, sv)))
+    # stage 3: LSH candidate pairs over the gated docs (the SAME banding
+    # implementation as dedup.minhash_lsh_pairs); the larger id of each
+    # pair drops
+    def dropped(g: "pd.DataFrame") -> "pd.DataFrame":
+        return _pairs_within(g, ["band", "bucket"])[["doc_b"]] \
+            .rename(columns={"doc_b": "doc_id"})
 
-    kept = gated.map_batches(keep_survivors, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    drops = copartition(
+        gated.map_batches(bucketize_batch, batch_format="pyarrow",
+                          zero_copy_batch=True),
+        "bucket", dropped, batch_format="pandas")
 
-    # stage 3: LSH candidate pairs over the kept docs (the SAME banding
-    # implementation as dedup.minhash_lsh_pairs); drop the larger id of
-    # each pair
-    pairs = _dedup_pairs(copartition(
-        kept.map_batches(bucketize_batch, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
-        batch_format="pandas"))
+    def anti(keep: pa.Table, drop: pa.Table) -> pa.Table:
+        if not (keep.num_rows and drop.num_rows):
+            return keep
+        return keep.filter(pc.invert(pc.is_in(
+            keep.column("doc_id"),
+            value_set=drop.column("doc_id").combine_chunks())))
 
-    dropped: set[int] = set()
-    for b in pairs.iter_batches(batch_format="pyarrow", batch_size=None):
-        dropped.update(b.column("doc_b").to_pylist())
-    drop_ref = ray.put(np.array(sorted(dropped), dtype=np.int64))
-
-    # stage 4: final survivors → token counts (shuffle-free)
-    def finalize(batch: pa.Table) -> pa.Table:
-        dr = ray.get(drop_ref)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        sub = batch.filter(pa.array(~np.isin(ids, dr)))
-        toks = pc.split_pattern(sub.column("text").fill_null(""), " ")
-        return pa.table({
-            "doc_id": sub.column("doc_id"),
-            "n_tokens": pc.cast(pc.list_value_length(toks), pa.int64()),
-        })
-
-    return kept.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+    return copartition([survivors, drops], "doc_id", anti,
+                       batch_format="pyarrow")
 
 
 # ------------------------------------------------- source balancing (mixture)

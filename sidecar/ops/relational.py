@@ -10,7 +10,9 @@ Scale rules applied throughout:
 - column-pruned `read_parquet` (never read what the query doesn't touch);
 - per-batch partial aggregation before every global groupby, so the shuffle
   moves one row per (block × key), not per input row;
-- broadcast (ray.put) for small build sides instead of a shuffle join;
+- a join co-partitions its sides on the key, ``copartition([a, b], key,
+  fn)``; a broadcast (ray.put) only where tests/test_shuffle.py's
+  DRIVER_GATHERS allowlist names the function and its reason;
 - float aggregates emitted as integer cents (round(x*100)::BIGINT) in BOTH
   engines: float round() differs at the last ulp across engines and sum
   orders, which would break exact value-hash comparison.
@@ -269,6 +271,9 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         return f
 
     def asof_partition(e: dict, o: dict) -> dict:
+        if not (e and o):  # a side with no rows at all arrives without columns
+            return {c: np.empty(0, np.int64)
+                    for c in ("event_id", "user_id", "last_orderkey")}
         key = np.concatenate([e["key"], o["key"]])
         t = np.concatenate([e["t_us"], o["t_us"]])
         ids = np.concatenate([e["id"], o["id"]])
@@ -324,7 +329,9 @@ def union_nations(sf_dir: str) -> "rd.Dataset":
         .map_batches(proj("s_nationkey"), batch_format="pyarrow", zero_copy_batch=True)
 
     def distinct(c: dict, s: dict) -> dict:
-        return {"nationkey": np.union1d(c["nationkey"], s["nationkey"])}
+        none = np.empty(0, np.int64)  # a side with no rows at all has no columns
+        return {"nationkey": np.union1d(c.get("nationkey", none),
+                                        s.get("nationkey", none))}
 
     return copartition([cust, sup], "nationkey", distinct,
                        batch_format="numpy")
@@ -332,29 +339,23 @@ def union_nations(sf_dir: str) -> "rd.Dataset":
 
 def except_customers(sf_dir: str, min_bal: float = 5000.0,
                      segment: str = "BUILDING") -> "rd.Dataset":
-    """Set op (EXCEPT / broadcast anti-join): high-balance customers minus
-    the ``segment`` customers.  The subtract side is broadcast once via
-    ray.put; the probe side streams through map_batches — the anti-join
-    plan for any small-side EXCEPT at scale."""
-    import pyarrow.parquet as pq_
+    """Set op (EXCEPT / anti-join): high-balance customers minus the
+    ``segment`` customers.  Both sides are rows of one table, so ONE
+    co-partition of it on ``c_custkey`` puts every key's rows of both
+    sides in the same call, which drops the high-balance keys its segment
+    rows hold; nothing is gathered on the driver."""
 
-    side = pq_.read_table(f"{sf_dir}/customer.parquet",
-                          columns=["c_custkey", "c_mktsegment"])
-    seg = np.unique(side.filter(pc.equal(side.column("c_mktsegment"), segment))
-                    .column("c_custkey").to_numpy(zero_copy_only=False))
-    seg_ref = ray.put(seg)
+    def anti(t: pa.Table) -> pa.Table:
+        key = pc.cast(t.column("c_custkey"), pa.int64())
+        high = key.filter(pc.greater(t.column("c_acctbal"), min_bal))
+        seg = key.filter(pc.equal(t.column("c_mktsegment"), segment))
+        return pa.table({"c_custkey": high.filter(pc.invert(pc.is_in(
+            high, value_set=seg.combine_chunks())))})
 
-    def anti(batch: pa.Table) -> pa.Table:
-        s = ray.get(seg_ref)
-        keep_bal = pc.greater(batch.column("c_acctbal"), min_bal)
-        sub = batch.filter(keep_bal)
-        vals = sub.column("c_custkey").to_numpy(zero_copy_only=False)
-        keep = ~np.isin(vals, s)
-        return pa.table({"c_custkey": pa.array(vals[keep], pa.int64())})
-
-    return read_parquet_clean(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_acctbal"]) \
-        .map_batches(anti, batch_format="pyarrow", zero_copy_batch=True)
+    return copartition(
+        read_parquet_clean(f"{sf_dir}/customer.parquet",
+                           columns=["c_custkey", "c_acctbal", "c_mktsegment"]),
+        "c_custkey", anti, batch_format="pyarrow")
 
 
 def systematic_sample(sf_dir: str, every: int = 100) -> "rd.Dataset":
@@ -573,52 +574,46 @@ def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
 
 def semi_join_big_orders(sf_dir: str, min_qty: float = 47.0) -> "rd.Dataset":
     """Semi-join (EXISTS): orders having at least one lineitem with
-    l_quantity >= min_qty.  The existence side reduces to a distinct-key
-    ARRAY (per-batch partial distinct, then one driver-side np.unique over
-    the concatenated partials — at most |matching orders| int64s, no row
-    data, no per-row Python), broadcast once via ray.put; the probe side
-    streams through a vectorized np.isin filter.  The same
-    broadcast-semi-join plan as the seen-set anti-join (SURVEY.md J3), with
-    polarity flipped; at a scale where even the key array outgrows a
-    broadcast, co-partition both sides on the key like
-    orders_lineitem_join."""
+    l_quantity >= min_qty.  The existence side reduces to per-block
+    distinct order keys (no row data), which meet the orders in one
+    co-partition on ``o_orderkey``; each partition keeps the orders whose
+    key its existence side holds, with a vectorized ``is_in`` (the
+    seen-set anti-join of SURVEY.md J3 with polarity flipped)."""
+    out = pa.schema([("o_orderkey", pa.int64()),
+                     ("o_totalprice_cents", pa.int64())])
 
     def distinct_keys(batch: pa.Table) -> pa.Table:
         m = pc.greater_equal(batch.column("l_quantity"), min_qty)
         keys = batch.filter(m).column("l_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table({"k": pa.array(np.unique(keys), pa.int64())})
+        return pa.table({"o_orderkey": pa.array(np.unique(keys), pa.int64())})
 
-    chunks = [b.column("k").to_numpy(zero_copy_only=False)
-              for b in (read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                                        columns=["l_orderkey", "l_quantity"])
-                        .map_batches(distinct_keys, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-                        .iter_batches(batch_format="pyarrow", batch_size=None))]
-    keys_ref = ray.put(np.unique(np.concatenate(chunks)) if chunks
-                       else np.array([], dtype=np.int64))
-
-    def semi(batch: pa.Table) -> pa.Table:
-        ks = ray.get(keys_ref)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        keep = np.isin(ok, ks)
+    def semi(orders: pa.Table, big: pa.Table) -> pa.Table:
+        if not (orders.num_rows and big.num_rows):
+            return out.empty_table()
+        sub = orders.filter(pc.is_in(
+            orders.column("o_orderkey"),
+            value_set=big.column("o_orderkey").combine_chunks()))
         return pa.table({
-            "o_orderkey": pa.array(ok[keep], pa.int64()),
-            "o_totalprice_cents": _cents(
-                pa.array(batch.column("o_totalprice").to_numpy(
-                    zero_copy_only=False)[keep])),
+            "o_orderkey": pc.cast(sub.column("o_orderkey"), pa.int64()),
+            "o_totalprice_cents": _cents(sub.column("o_totalprice")),
         })
 
-    return read_parquet_clean(f"{sf_dir}/orders.parquet",
-                           columns=["o_orderkey", "o_totalprice"]) \
-        .map_batches(semi, batch_format="pyarrow", zero_copy_batch=True)
+    return copartition(
+        [read_parquet_clean(f"{sf_dir}/orders.parquet",
+                            columns=["o_orderkey", "o_totalprice"]),
+         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
+                            columns=["l_orderkey", "l_quantity"])
+         .map_batches(distinct_keys, batch_format="pyarrow",
+                      zero_copy_batch=True)],
+        "o_orderkey", semi, batch_format="pyarrow")
 
 
 def small_qty_lineitems(sf_dir: str) -> "rd.Dataset":
     """TPC-H Q17 shape: lineitems whose quantity is below 20% of their
-    part's average quantity — the correlated-aggregate filter, as the
-    two-phase broadcast plan: per-part (count, sum) aggregates first
-    (partial per batch, tiny groupby), broadcast via ray.put, then one
-    shuffle-free filtering pass.
+    part's average quantity — the correlated-aggregate filter as ONE
+    co-partition of the lineitems on ``l_partkey``: every line of a part
+    lands in one call, which computes each part's count and sum and
+    filters its lines in the same pass.
 
     The predicate is evaluated CROSS-MULTIPLIED in exact arithmetic —
     ``qty·5·n_part < sum_qty_part`` instead of ``qty < 0.2·avg`` — because
@@ -626,58 +621,25 @@ def small_qty_lineitems(sf_dir: str) -> "rd.Dataset":
     would flip boundary rows; quantities are integer-valued doubles, so
     both products are exact in float64 and the comparison is bit-stable."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("l_partkey", as_index=False).agg(
-            p_n=("l_quantity", "size"), p_s=("l_quantity", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    # the per-part aggregate stays distributed; the driver only concatenates
-    # its (key, n, sum) Arrow columns into sorted numpy arrays — no per-row
-    # Python dict building — and broadcasts the object ref once
-    def total(t: pa.Table) -> pa.Table:
-        return t.group_by("l_partkey").aggregate([("p_n", "sum"), ("p_s", "sum")])
-
-    kc, nc, sc = [], [], []
-    for b in copartition(
-            read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_partkey", "l_quantity"])
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-            "l_partkey", total, batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        kc.append(b.column("l_partkey").to_numpy(zero_copy_only=False))
-        nc.append(b.column("p_n_sum").to_numpy(zero_copy_only=False))
-        sc.append(b.column("p_s_sum").to_numpy(zero_copy_only=False))
-    if not kc:  # empty lineitem table: same guard as customers_order_counts
-        kc = [np.array([], dtype=np.int64)]
-        nc = sc = [np.array([], dtype=np.int64)]
-    k_all = np.concatenate(kc)
-    order = np.argsort(k_all)
-    stats_ref = ray.put((k_all[order],
-                         np.concatenate(nc)[order].astype(np.float64),
-                         np.concatenate(sc)[order].astype(np.float64)))
-
     def small(batch: pa.Table) -> pa.Table:
-        k_sorted, n_arr, s_arr = ray.get(stats_ref)
         pk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        ln = batch.column("l_linenumber").to_numpy(zero_copy_only=False)
         qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(k_sorted, pk)  # every partkey is present
-        n = n_arr[idx]
-        s = s_arr[idx]
-        keep = qty * 5.0 * n < s
+        _, part = np.unique(pk, return_inverse=True)
+        n = np.bincount(part)[part]
+        s = np.bincount(part, weights=qty)[part]
+        keep = pa.array(qty * 5.0 * n < s)
         return pa.table({
-            "l_orderkey": pa.array(ok[keep], pa.int64()),
-            "l_linenumber": pa.array(ln[keep].astype(np.int64), pa.int64()),
-            "l_partkey": pa.array(pk[keep], pa.int64()),
-            "l_quantity_cents": _cents(pa.array(qty[keep])),
-        })
+            "l_orderkey": pc.cast(batch.column("l_orderkey"), pa.int64()),
+            "l_linenumber": pc.cast(batch.column("l_linenumber"), pa.int64()),
+            "l_partkey": pc.cast(batch.column("l_partkey"), pa.int64()),
+            "l_quantity_cents": _cents(batch.column("l_quantity")),
+        }).filter(keep)
 
-    return read_parquet_clean(f"{sf_dir}/lineitem.parquet",
+    return copartition(
+        read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                            columns=["l_orderkey", "l_linenumber", "l_partkey",
-                                    "l_quantity"]) \
-        .map_batches(small, batch_format="pyarrow", zero_copy_batch=True)
+                                    "l_quantity"]),
+        "l_partkey", small, batch_format="pyarrow")
 
 
 def global_rank_sample(sf_dir: str, every: int = 1000) -> "rd.Dataset":
@@ -742,52 +704,33 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
     """Left-outer join: EVERY customer with their order count — zero for
     customers with no orders (the rows an inner join silently drops).
 
-    The aggregate side collapses to (custkey, n) — one int per customer with
-    ≥1 order — via per-batch partials + groupby; that small side broadcasts
-    (ray.put) and the probe (customer) side streams through a vectorized
-    lookup, exactly the J1 broadcast plan with left-outer pass-through
-    semantics (cdxj merge's unmatched-probe rule, merge_cdxj.py:79-81,
-    generalized to a relational operator)."""
+    The order side collapses to per-block (c_custkey, count) partials,
+    which meet the customers in one co-partition on ``c_custkey``; each
+    partition sums its partials and looks every customer up, with the
+    unmatched-probe pass-through of the cdxj merge (merge_cdxj.py:79-81)
+    generalized to a relational operator."""
 
     def partial(batch: pa.Table) -> pa.Table:
         u, c = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False),
                          return_counts=True)
-        return pa.table({"o_custkey": pa.array(u, pa.int64()),
+        return pa.table({"c_custkey": pa.array(u, pa.int64()),
                          "p_n": pa.array(c.astype(np.int64), pa.int64())})
 
-    def total(t: pa.Table) -> pa.Table:
-        return t.group_by("o_custkey").aggregate([("p_n", "sum")])
+    def left_join(cust: pa.Table, counts: pa.Table) -> pa.Table:
+        keys = (pc.cast(cust.column("c_custkey"), pa.int64()) if cust.num_rows
+                else pa.array([], pa.int64()))
+        n = pa.array(np.zeros(len(keys), np.int64))
+        if len(keys) and counts.num_rows:
+            g = counts.group_by("c_custkey").aggregate([("p_n", "sum")])
+            n = pc.fill_null(pc.take(g.column("p_n_sum"), pc.index_in(
+                keys, value_set=g.column("c_custkey").combine_chunks())), 0)
+        return pa.table({"c_custkey": keys, "n_orders": n})
 
-    kc, nc = [], []
-    for b in copartition(
-            read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-            "o_custkey", total, batch_format="pyarrow",
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        kc.append(b.column("o_custkey").to_numpy(zero_copy_only=False))
-        nc.append(b.column("p_n_sum").to_numpy(zero_copy_only=False))
-    k_all = np.concatenate(kc) if kc else np.array([], dtype=np.int64)
-    order = np.argsort(k_all)
-    counts_ref = ray.put((k_all[order],
-                          (np.concatenate(nc)[order] if kc
-                           else np.array([], dtype=np.int64)).astype(np.int64)))
-
-    def left_join(batch: pa.Table) -> pa.Table:
-        k_sorted, n_arr = ray.get(counts_ref)
-        keys = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(k_sorted, keys)
-        idx_c = np.minimum(idx, max(len(k_sorted) - 1, 0))
-        hit = (idx < len(k_sorted)) & (k_sorted[idx_c] == keys) \
-            if len(k_sorted) else np.zeros(len(keys), dtype=bool)
-        return pa.table({
-            "c_custkey": pa.array(keys, pa.int64()),
-            "n_orders": pa.array(np.where(hit, n_arr[idx_c] if len(k_sorted)
-                                          else 0, 0).astype(np.int64),
-                                 pa.int64()),
-        })
-
-    return read_parquet_clean(f"{sf_dir}/customer.parquet", columns=["c_custkey"]) \
-        .map_batches(left_join, batch_format="pyarrow", zero_copy_batch=True)
+    return copartition(
+        [read_parquet_clean(f"{sf_dir}/customer.parquet", columns=["c_custkey"]),
+         read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
+         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)],
+        "c_custkey", left_join, batch_format="pyarrow")
 
 
 def distinct_count_custkey(sf_dir: str) -> "pa.Table":
@@ -907,7 +850,13 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
             "qty_cents": _cents(batch.column("l_quantity")),
         })
 
+    empty = pa.schema([("l_orderkey", pa.int64()), ("l_linenumber", pa.int64()),
+                       ("l_quantity_cents", pa.int64()),
+                       ("o_orderpriority", pa.string())]).empty_table()
+
     def join_partition(orders: pd.DataFrame, items: pd.DataFrame) -> pd.DataFrame:
+        if orders.empty or items.empty:  # a side with no rows may lack columns
+            return empty.to_pandas()
         out = items.merge(orders, on="key", how="inner")
         return pd.DataFrame({
             "l_orderkey": out["key"].to_numpy(),
@@ -1000,6 +949,8 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
         })
 
     def match_buckets(c: dict, s: dict) -> dict:
+        if not (c and s):  # a side with no rows at all arrives without columns
+            return {"s_suppkey": np.empty(0, np.int64), "p_n": np.empty(0, np.int64)}
         # floor(bal / band) is monotone in bal, so customers sorted by
         # balance are sorted by bucket too: each bucket is one run of cb
         order = np.argsort(c["bal"], kind="stable")

@@ -25,12 +25,18 @@ at crawl frontier sizes; its hash-shuffle strategy hung on Ray 2.49 in local
 measurements (ROADMAP.md).
 
 The other way rows meet is a broadcast: a small build side is gathered on the
-driver once and ``ray.put``.  Every operator with both plans picks by one
-rule, its measured build-side bytes against ``BROADCAST_MAX_BYTES``: at or
-under, broadcast; over, its co-partitioned plan (the embedding-LSH candidate
-matrix alone allows 4x, until its crossover is measured).  Sites read it as
+driver once and ``ray.put``.  The functions that may do so are the
+``DRIVER_GATHERS`` allowlist in ``tests/test_shuffle.py``, each with its
+reason; any other build side that grows with the corpus is a ``copartition``
+join.  Every operator with both plans picks by one rule, its measured
+build-side bytes against ``BROADCAST_MAX_BYTES``: at or under, broadcast;
+over, its co-partitioned plan (the embedding-LSH candidate matrix alone
+allows 4x, until its crossover is measured).  Sites read it as
 ``shuffle.BROADCAST_MAX_BYTES`` at call time, so setting it to 0 forces every
 partitioned plan.
+
+``_split`` and ``_reduce`` are pure functions of their input blocks, so
+Ray's default task retries cover a worker lost mid-exchange.
 """
 
 from __future__ import annotations

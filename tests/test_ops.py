@@ -5,6 +5,7 @@ driver's sf0.001 tables."""
 from __future__ import annotations
 
 import hashlib
+import pathlib
 
 import numpy as np
 import pyarrow as pa
@@ -862,6 +863,57 @@ class TestShuffleJoin:
         pd.testing.assert_frame_equal(got, want)
 
 
+def _sf_with_empty(tmp_path, table: str) -> str:
+    """A copy of the sf0.001 tables in which ``table`` has no rows."""
+    for src in pathlib.Path(SF).glob("*.parquet"):
+        t = pq.read_table(src)
+        pq.write_table(t.slice(0, 0) if src.stem == table else t,
+                       tmp_path / src.name)
+    return str(tmp_path)
+
+
+class TestJoinsOverAnEmptyTable:
+    """A table with no rows reaches a join body with no columns at all (Ray
+    keeps none on the zero-row blocks of an empty read or map), so every
+    two-input body checks its sides' rows before reading their columns."""
+
+    def test_empty_orders(self, tmp_path):
+        from sidecar.ops import relational as r
+
+        sf = _sf_with_empty(tmp_path, "orders")
+        assert r.orders_lineitem_join(sf).count() == 0
+        assert r.semi_join_big_orders(sf).count() == 0
+        assert r.asof_last_order(sf).count() == 0
+        got = r.customers_order_counts_left(sf).to_pandas()
+        cust = pq.read_table(f"{SF}/customer.parquet", columns=["c_custkey"])
+        assert sorted(got["c_custkey"]) == sorted(cust.column("c_custkey").to_pylist())
+        assert (got["n_orders"] == 0).all()
+
+    def test_empty_lineitem(self, tmp_path):
+        from sidecar.ops import relational as r
+
+        sf = _sf_with_empty(tmp_path, "lineitem")
+        assert r.semi_join_big_orders(sf).count() == 0
+        assert r.orders_lineitem_join(sf).count() == 0
+
+    @pytest.mark.parametrize("table, other, col", [
+        ("customer", "supplier", "s_nationkey"),
+        ("supplier", "customer", "c_nationkey")])
+    def test_empty_side_of_customer_supplier_joins(self, tmp_path, table,
+                                                   other, col):
+        from sidecar.ops import relational as r
+
+        sf = _sf_with_empty(tmp_path, table)
+        want = pq.read_table(f"{SF}/{other}.parquet", columns=[col]).column(col)
+        assert set(r.union_nations(sf).to_pandas()["nationkey"]) == set(want.to_pylist())
+        assert r.range_join_acctbal(sf).count() == 0
+
+    def test_empty_events(self, tmp_path):
+        from sidecar.ops.relational import asof_last_order
+
+        assert asof_last_order(_sf_with_empty(tmp_path, "events")).count() == 0
+
+
 class TestDistinctCount:
     def test_exact_distinct_count(self):
         from sidecar.ops.relational import distinct_count_custkey
@@ -974,6 +1026,39 @@ class TestPrepCorpus:
             if d in want_ids:
                 assert got.set_index("doc_id").loc[d, "n_tokens"] == len(t.split(" "))
 
+    def test_exact_copy_of_survivor_drops_its_near_dups(self, tmp_path):
+        """LSH bands every gated doc: the exact copy ``d`` of ``r`` pairs
+        with ``y``, and so does ``r`` itself, so only ``r`` survives."""
+        from sidecar.ops.dedup import bucketize_batch
+        from sidecar.ops.prep import prep_corpus
+
+        r_text = " ".join(f"w{i}" for i in range(200))
+        docs = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                         "text": [r_text, r_text, r_text + " extra"]})
+        pq.write_table(docs, tmp_path / "documents.parquet")
+        bands = bucketize_batch(docs).to_pandas()
+        shared = bands.groupby(["band", "bucket"])["doc_id"].nunique()
+        assert (shared == 3).any()  # r, d and y meet in one LSH bucket
+        got = prep_corpus(str(tmp_path), min_chars=50).to_pandas()
+        assert got.to_dict("list") == {"doc_id": [1], "n_tokens": [200]}
+
+    def test_no_text_enters_an_exchange(self, spy):
+        from sidecar.ops import prep
+
+        calls = spy(prep, "copartition")
+        prep.prep_corpus(SF, min_chars=50).materialize()
+        _assert_no_payload_column(calls)
+
+
+def _assert_no_payload_column(calls):
+    assert calls
+    for args in calls:
+        inputs = args[0] if isinstance(args[0], list) else [args[0]]
+        for ds in inputs:
+            schema = ds.schema()  # None for an input with no rows
+            names = schema.names if schema else []
+            assert not {"text", "bytes"} & set(names), names
+
 
 class TestPrepImages:
     def test_image_prep_stages_fire(self, images_table):
@@ -1017,6 +1102,15 @@ class TestPrepImages:
                 assert r["image_id"] + "~b16" not in ids
                 assert r["image_id"] in ids
         assert len(got) < full.num_rows
+
+    def test_no_bytes_enter_an_exchange(self, images_table, spy):
+        import ray.data as rd
+
+        from sidecar.ops import prep
+
+        calls = spy(prep, "copartition")
+        prep.prep_images(rd.from_arrow(images_table.slice(0, 60))).materialize()
+        _assert_no_payload_column(calls)
 
 
 class TestQuantize:

@@ -303,3 +303,64 @@ def test_no_copartition_input_is_a_union():
             for path in sorted(root.rglob("*.py"))
             for line in _union_fed_copartitions(path)]
     assert not hits, hits
+
+
+# The functions that may gather rows on the driver (``ray.put`` or a
+# driver-side ``.iter_batches(``), each with the reason it may.  Any other
+# corpus-sized build side meets its probe side through ``copartition``.
+_GATED = "gated by BROADCAST_MAX_BYTES, with a partitioned twin"
+_BOUNDED = "bounded by construction"
+_OPEN = "ungated, still open"
+DRIVER_GATHERS = {
+    ("ops/text.py", "tfidf_topk"): _GATED,
+    ("pipeline.py", "sidecar_dataset_dedup_digest"): _GATED,
+    ("cdxj.py", "merge_cdxj"): _GATED,
+    ("ops/dedup.py", "embedding_near_dup"): _GATED,
+    ("ops/dedup.py", "embedding_near_dup_lsh"): _GATED,
+    ("ops/dedup.py", "lsh_components"): _GATED,
+    ("ops/multimodal.py", "phash_components"): _GATED,
+    ("ops/dedup.py", "label_propagation_components"): _GATED,
+    ("ops/similarity.py", "ann_topk"): _BOUNDED,
+    ("ops/similarity.py", "ann_topk_ivf"): _BOUNDED,
+    ("ops/similarity.py", "ann_topk_int8"): _BOUNDED,
+    ("ops/similarity.py", "kmeans"): _BOUNDED,
+    ("ops/relational.py", "global_rank_sample"): _BOUNDED,
+    ("ops/relational.py", "approx_distinct_custkey"): _BOUNDED,
+    ("ops/dedup.py", "decontaminate"): _BOUNDED,
+    ("ops/dedup.py", "ngram_jaccard_pairs"): _OPEN,
+    ("ops/dedup.py", "minhash_jaccard_estimates"): _OPEN,
+    ("ops/relational.py", "supplier_part_join"): _OPEN,
+}
+
+
+def _driver_gathers(root: pathlib.Path) -> set[tuple[str, str]]:
+    """(file, top-level function) of every function in ``sidecar/ops``,
+    ``pipeline.py`` and ``cdxj.py`` that calls ``ray.put`` or
+    ``.iter_batches(``, nested defs included."""
+    found = set()
+    for path in [*sorted(root.glob("ops/*.py")), root / "pipeline.py",
+                 root / "cdxj.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                f = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and isinstance(f, ast.Attribute) and (
+                        f.attr == "iter_batches"
+                        or (f.attr == "put" and isinstance(f.value, ast.Name)
+                            and f.value.id == "ray")):
+                    found.add((path.relative_to(root).as_posix(), fn.name))
+                    break
+    return found
+
+
+def test_every_driver_gather_is_allowlisted():
+    """A build side that grows with the corpus is a ``copartition`` join,
+    not a driver gather: only the allowlisted functions may ``ray.put`` or
+    iterate a dataset on the driver."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "sidecar"
+    found = _driver_gathers(root)
+    assert not found - DRIVER_GATHERS.keys(), sorted(found - DRIVER_GATHERS.keys())
+    # an entry whose function no longer gathers is stale: drop it
+    assert not DRIVER_GATHERS.keys() - found, sorted(DRIVER_GATHERS.keys() - found)
