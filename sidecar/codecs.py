@@ -8,7 +8,9 @@ never decodes; we decode because north_star mandates phash/w/h/fmt sidecar
 fields and PSNR-verified round-trips).
 
 All functions are numpy-vectorized within a row; decode is inherently
-per-row (like any image library) and runs inside actor-pool map_batches.
+per-row (like any image library).  It runs inside the batch functions that
+need pixels: the extraction's ``detect.protocol.ImageDetector`` (tasks, one
+per block) and the ``ops.multimodal`` actor-pool stages.
 """
 
 from __future__ import annotations

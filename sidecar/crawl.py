@@ -129,21 +129,10 @@ def make_fetcher(seen_shards: list, num_shards: int, seed: int):
             part = hashes[shard_of == s]
             if len(part):
                 futures.append(seen_shards[s].add_many.remote(part))
-        epochs = batch.column("epoch").to_pylist()
-        rows = []
-        for canon, url, ep in zip(
-            batch.column("url_canon").to_pylist(), batch.column("url").to_pylist(),
-            epochs,
-        ):
-            row = synth.fetch_url(canon, seed)
-            row["image_id"] = canon
-            row["url"] = url
-            row["ts"] = str(20210101000000 + ep)
-            rows.append(row)
-        schema = synth.IMAGES_SCHEMA.append(pa.field("url", pa.string())).append(
-            pa.field("ts", pa.string())
-        )
-        images = pa.Table.from_pylist(rows, schema=schema)
+        images = synth.fetch_batch(batch.column("url_canon").to_pylist(), seed)
+        images = images.append_column("url", batch.column("url")).append_column(
+            "ts", pa.array([str(20210101000000 + ep)
+                            for ep in batch.column("epoch").to_pylist()], pa.string()))
         if "part" in batch.column_names:  # fetch-partition id, row-aligned
             images = images.append_column("part", batch.column("part"))
         out = pipeline.extract_sidecar_batch(images, registry=registry)

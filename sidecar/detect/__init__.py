@@ -9,13 +9,14 @@ reference's own (warc_metadata_sidecar.py:76-131):
 - :mod:`sidecar.detect.charset`  ≈ chardet              (F7)
 - :mod:`sidecar.detect.language` ≈ pycld2               (F8)
 - :mod:`sidecar.detect.soft404`  ≈ soft404              (F9)
-- :mod:`sidecar.detect.phash`    — new, 64-bit DCT perceptual hash (ST8)
+- :mod:`sidecar.detect.phash`    — new, 64-bit DCT perceptual hash (ST8),
+  batched: one stacked kernel per image shape
 """
 
 from sidecar.detect.charset import find_character_set, find_character_set_batch
 from sidecar.detect.language import find_language, find_language_batch
 from sidecar.detect.mime import TEXT_FORMAT_MIMES, sniff, sniff_batch
-from sidecar.detect.phash import phash64
+from sidecar.detect.phash import phash64, phash64_batch
 from sidecar.detect.soft404 import soft404_probability
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "find_language_batch",
     "soft404_probability",
     "phash64",
+    "phash64_batch",
 ]

@@ -191,8 +191,9 @@ class Soft404Detector:
 
 
 class ImageDetector:
-    """ST8: decode + phash/w/h/fmt for image rows, with the within-batch
-    digest memo (A3 cache semantics)."""
+    """ST8: decode + phash/w/h/fmt for image rows.  Each payload digest is
+    decoded once per batch (the within-batch memo, A3 cache semantics) and
+    all decoded images are hashed with one ``phash64_batch`` call."""
 
     name = "image"
 
@@ -201,14 +202,16 @@ class ImageDetector:
 
     def run(self, ctx: DetectCtx, mask: np.ndarray) -> dict[str, pa.Array]:
         from sidecar import codecs
-        from sidecar.detect.phash import phash64
+        from sidecar.detect.phash import phash64_batch
 
         n = ctx.num_rows
         w = np.zeros(n, dtype=np.int32)
         h = np.zeros(n, dtype=np.int32)
         ph = np.zeros(n, dtype=np.int64)
         fmt = np.full(n, "", dtype=object)
-        memo: dict[str, tuple[int, int, int, str]] = {}
+        first: dict[str, int] = {}       # digest → its first row
+        dst, src = [], []                # later rows of a digest, and its first
+        decoded, pixels = [], []
         fmt_by_mime = {
             "image/png": "png",
             "image/x-portable-pixmap": "ppm",
@@ -219,22 +222,25 @@ class ImageDetector:
                 fmt[i] = "html" if ctx.html[i] else \
                     ("text" if ctx.is_text[i] else "")
                 continue
-            d = ctx.digests[i]
-            hit = memo.get(d)
-            if hit is not None:
-                w[i], h[i], ph[i], fmt[i] = hit
+            j = first.setdefault(ctx.digests[i], i)
+            if j != i:
+                dst.append(i)
+                src.append(j)
                 continue
             f = fmt_by_mime.get(ctx.mime_magic[i] or "")
             if f is None:
                 continue
             try:
-                pixels = codecs.decode(ctx.payload[i].as_py(), f)
+                px = codecs.decode(ctx.payload[i].as_py(), f)
             except Exception:
                 continue
-            hh, ww = pixels.shape[:2]
-            p = np.int64(np.uint64(phash64(pixels))).item()
-            w[i], h[i], ph[i], fmt[i] = ww, hh, p, f
-            memo[d] = (ww, hh, p, f)
+            h[i], w[i] = px.shape[:2]
+            fmt[i] = f
+            decoded.append(i)
+            pixels.append(px)
+        ph[decoded] = phash64_batch(pixels).view(np.int64)
+        for col in (w, h, ph, fmt):
+            col[dst] = col[src]
         return {
             "phash": pa.array(ph, type=pa.int64()),
             "w": pa.array(w, type=pa.int32()),

@@ -19,16 +19,13 @@ from sidecar import pipeline, synth
 
 
 def _docs_to_images(batch: pa.Table) -> pa.Table:
-    rows, urls = [], []
-    for doc_id, text in zip(
-        batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-    ):
-        rows.append(synth.make_row(f"doc-{doc_id}", seed=42, caption=text or ""))
-        urls.append(f"https://example.com/doc/{doc_id}")
-    t = pa.Table.from_pylist(rows, schema=synth.IMAGES_SCHEMA)
+    doc_ids = batch.column("doc_id").to_pylist()
+    t = synth.make_rows([f"doc-{d}" for d in doc_ids], seed=42,
+                        captions=[x or "" for x in batch.column("text").to_pylist()])
     # url + ts ride along so the sidecar rows key a CDXJ index (F13/J1)
-    t = t.append_column("url", pa.array(urls, pa.string()))
-    return t.append_column("ts", pa.array(["20210101000000"] * len(urls), pa.string()))
+    t = t.append_column("url", pa.array(
+        [f"https://example.com/doc/{d}" for d in doc_ids], pa.string()))
+    return t.append_column("ts", pa.array(["20210101000000"] * len(doc_ids), pa.string()))
 
 
 def images_dataset(sf_dir: str, *, batch_size: int = 256):
@@ -108,9 +105,8 @@ def synthetic_frontier_sidecar(n_urls: int, *, seed: int = 42,
     """
 
     def fetch(batch: pa.Table) -> pa.Table:
-        rows = [synth.make_row(f"url-{i}", seed=seed)
-                for i in batch.column("id").to_pylist()]
-        return pa.Table.from_pylist(rows, schema=synth.IMAGES_SCHEMA)
+        return synth.fetch_batch(
+            [f"url-{i}" for i in batch.column("id").to_pylist()], seed)
 
     urls = rd.range(n_urls, override_num_blocks=num_blocks)
     images = urls.map_batches(pipeline.sliced(fetch, batch_size),

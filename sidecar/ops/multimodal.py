@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from sidecar import codecs, shuffle
-from sidecar.detect.phash import phash64
+from sidecar.detect.phash import phash64_batch
 from sidecar.shuffle import copartition
 
 
@@ -32,15 +32,14 @@ class _StatsAcc:
 
     def __init__(self) -> None:
         self.ids, self.ws, self.hs, self.fmts = [], [], [], []
-        self.ph, self.sr, self.sg, self.sb = [], [], [], []
+        self.px, self.sr, self.sg, self.sb = [], [], [], []
 
     def emit(self, image_id: str, px: np.ndarray, fmt: str) -> None:
         self.ids.append(image_id)
         self.hs.append(px.shape[0])
         self.ws.append(px.shape[1])
         self.fmts.append(fmt)
-        # 2s-complement int64, matches synth
-        self.ph.append(np.int64(np.uint64(phash64(px))).item())
+        self.px.append(px)  # hashed as one batch in table()
         s = px.reshape(-1, 3).sum(axis=0, dtype=np.int64)
         self.sr.append(int(s[0]))
         self.sg.append(int(s[1]))
@@ -52,7 +51,8 @@ class _StatsAcc:
             "w": pa.array(self.ws, pa.int32()),
             "h": pa.array(self.hs, pa.int32()),
             "fmt": pa.array(self.fmts, pa.string()),
-            "phash": pa.array(self.ph, pa.int64()),
+            # 2s-complement int64, matches synth
+            "phash": pa.array(phash64_batch(self.px).view(np.int64)),
             "sum_r": pa.array(self.sr, pa.int64()),
             "sum_g": pa.array(self.sg, pa.int64()),
             "sum_b": pa.array(self.sb, pa.int64()),

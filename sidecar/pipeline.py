@@ -9,9 +9,10 @@ Ray-Data-native restatement of the reference's per-record loop
 
 Everything is ONE vectorized ``map_batches`` stage over zero-copy Arrow —
 the per-record orchestration in the reference becomes boolean masks over
-columns.  Stateless, so it runs as Ray tasks (cheap, elastic); image decode
-is the only per-row loop (inherent, like any image library) and is bounded
-to the image-typed rows of the batch.
+columns.  Stateless, so it runs as Ray tasks (cheap, elastic).  Image
+decode stays a per-row loop (zlib is inherent, like any image library),
+bounded to the image-typed rows of the batch and to one decode per distinct
+payload; the decoded images are then hashed with one ``phash64_batch`` call.
 
 Work-dedup by payload digest (reference DIGEST_CACHE, :39,231-246) is done
 as a *within-batch memo* plus deterministic detectors: re-computing a digest

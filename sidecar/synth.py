@@ -10,12 +10,13 @@ No external data, no wall clock, no ``random`` module state.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 import pyarrow as pa
 
 from sidecar import codecs
-from sidecar.detect.phash import phash64
+from sidecar.detect.phash import phash64_batch
 
 IMAGES_SCHEMA = pa.schema(
     [
@@ -28,6 +29,7 @@ IMAGES_SCHEMA = pa.schema(
         ("phash", pa.int64()),
     ]
 )
+FETCH_SCHEMA = IMAGES_SCHEMA.remove(IMAGES_SCHEMA.get_field_index("phash"))
 
 _SIZES = (16, 32, 64, 128)
 _IMG_FMTS = ("png", "ppm", "b16")
@@ -48,7 +50,7 @@ _SOFT404_PHRASES = (
 
 def _h(*parts: object) -> int:
     """Stable 64-bit hash of the argument tuple."""
-    b = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode(), digest_size=8)
+    b = hashlib.blake2b("\x1f".join(map(str, parts)).encode(), digest_size=8)
     return int.from_bytes(b.digest(), "big")
 
 
@@ -77,17 +79,14 @@ def _priority_md5(url: str, seed: int) -> float:
 def make_pixels(key: str, w: int, h: int, seed: int = 42) -> np.ndarray:
     """Seeded gradient + noise pattern, HxWx3 uint8 (FIXTURES.md §1)."""
     rng = np.random.Generator(np.random.PCG64(_h(seed, "pixels", key) & 0x7FFFFFFFFFFFFFFF))
-    yy, xx = np.mgrid[0:h, 0:w]
-    base = np.stack(
-        [
-            (xx * 255) // max(1, w - 1),
-            (yy * 255) // max(1, h - 1),
-            ((xx + yy) * 255) // max(1, w + h - 2),
-        ],
-        axis=-1,
-    ).astype(np.int64)
-    noise = rng.integers(-24, 25, size=(h, w, 3))
-    return (base + noise).clip(0, 255).astype(np.uint8)
+    px = rng.integers(-24, 25, size=(h, w, 3))
+    # the gradient is added into the noise in place, per channel
+    x = np.arange(w, dtype=np.int64)
+    y = np.arange(h, dtype=np.int64)[:, None]
+    px[..., 0] += (x * 255) // max(1, w - 1)
+    px[..., 1] += (y * 255) // max(1, h - 1)
+    px[..., 2] += ((x + y) * 255) // max(1, w + h - 2)
+    return px.clip(0, 255).astype(np.uint8)
 
 
 def make_caption(key: str, seed: int = 42) -> tuple[str, str]:
@@ -107,45 +106,67 @@ def make_caption(key: str, seed: int = 42) -> tuple[str, str]:
     return cap, lang
 
 
+def _fetch(keys: Sequence[str], seed: int,
+           captions: Sequence[str] | None) -> tuple[pa.Table, list]:
+    """``keys`` fetched: the FETCH_SCHEMA table, and each row's source
+    pixels (None for html/text rows)."""
+    rows = []
+    for j, key in enumerate(keys):
+        caption = make_caption(key, seed)[0] if captions is None else captions[j]
+        r = _h(seed, "row", key)
+        kind = r % 10
+        if kind == 0:  # html payload row (text path incl. soft-404 gate)
+            body = "<!DOCTYPE html>\n<html><body><p>%s</p></body></html>" % caption
+            rows.append((key, body.encode(), 0, 0, "html", caption, None))
+        elif kind == 1:  # plain-text payload row
+            rows.append((key, ("caption: %s\n" % caption).encode(), 0, 0,
+                         "text", caption, None))
+        else:
+            w = _SIZES[(r >> 4) % len(_SIZES)]
+            h = _SIZES[(r >> 6) % len(_SIZES)]
+            fmt = _IMG_FMTS[(r >> 2) % len(_IMG_FMTS)]
+            pixels = make_pixels(key, w, h, seed)
+            rows.append((key, codecs.encode(pixels, fmt), w, h, fmt, caption, pixels))
+    cols = list(zip(*rows)) or [()] * 7
+    table = pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, FETCH_SCHEMA)], schema=FETCH_SCHEMA)
+    return table, cols[6]
+
+
+def fetch_batch(keys: Sequence[str], seed: int = 42,
+                captions: Sequence[str] | None = None) -> pa.Table:
+    """The deterministic 'fetcher' (ST7) for a batch of keys: IMAGES columns
+    without ``phash``, i.e. what a network fetch returns (the extraction
+    decodes and hashes the payload itself).  Stands in for the network: at
+    scale this is the only stage that touches bytes."""
+    return _fetch(keys, seed, captions)[0]
+
+
+def make_rows(keys: Sequence[str], seed: int = 42,
+              captions: Sequence[str] | None = None) -> pa.Table:
+    """IMAGES rows for ``keys``: ``fetch_batch`` plus ``phash``, from one
+    ``phash64_batch`` call.  Pure function of (seed, key[, caption])."""
+    table, pixels = _fetch(keys, seed, captions)
+    fmts = table.column("fmt").to_pylist()
+    img = [i for i, px in enumerate(pixels) if px is not None]
+    # phash is over the *decoded* pixels, so lossy fmts hash what a reader
+    # decodes.  That result is known without the zlib round-trip: lossless
+    # fmts give the source pixels back, b16 their 7-bit quantization.
+    ph = np.zeros(len(pixels), dtype=np.uint64)
+    ph[img] = phash64_batch([
+        pixels[i] if fmts[i] in codecs.LOSSLESS
+        else ((pixels[i] >> 1) << 1 | 1).astype(np.uint8) for i in img])
+    return table.append_column(IMAGES_SCHEMA.field("phash"),
+                               pa.array(ph.view(np.int64)))
+
+
 def make_row(key: str, seed: int = 42, caption: str | None = None) -> dict:
     """One IMAGES row as a dict; pure function of (seed, key[, caption])."""
-    r = _h(seed, "row", key)
-    if caption is None:
-        caption, _ = make_caption(key, seed)
-    kind = r % 10
-    if kind == 0:  # html payload row (text path incl. soft-404 gate)
-        body = "<!DOCTYPE html>\n<html><body><p>%s</p></body></html>" % caption
-        return {
-            "image_id": key, "bytes": body.encode(), "w": 0, "h": 0,
-            "fmt": "html", "caption": caption, "phash": 0,
-        }
-    if kind == 1:  # plain-text payload row
-        return {
-            "image_id": key, "bytes": ("caption: %s\n" % caption).encode(), "w": 0,
-            "h": 0, "fmt": "text", "caption": caption, "phash": 0,
-        }
-    w = _SIZES[(r >> 4) % len(_SIZES)]
-    h = _SIZES[(r >> 6) % len(_SIZES)]
-    fmt = _IMG_FMTS[(r >> 2) % len(_IMG_FMTS)]
-    pixels = make_pixels(key, w, h, seed)
-    data = codecs.encode(pixels, fmt)
-    # phash is computed over the *decoded* pixels so lossy fmts round-trip.
-    # The decode result is analytically known (lossless: the input pixels;
-    # b16: the 7-bit quantization), so the zlib round-trip is skipped —
-    # bit-identical phash, ~25% less compute per fetched image.
-    if fmt in codecs.LOSSLESS:
-        ph = phash64(pixels)
-    else:
-        ph = phash64(((pixels >> 1) << 1 | 1).astype(pixels.dtype))
-    return {
-        "image_id": key, "bytes": data, "w": w, "h": h,
-        "fmt": fmt, "caption": caption, "phash": np.int64(np.uint64(ph)).item(),
-    }
+    return make_rows([key], seed, None if caption is None else [caption]).to_pylist()[0]
 
 
 def make_images_table(n: int, seed: int = 42, prefix: str = "img") -> pa.Table:
-    rows = [make_row(f"{prefix}-{i:08d}", seed) for i in range(n)]
-    return pa.Table.from_pylist(rows, schema=IMAGES_SCHEMA)
+    return make_rows([f"{prefix}-{i:08d}" for i in range(n)], seed)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +257,7 @@ def robots_rules(n_hosts: int = 20, seed: int = 42,
 
 
 def fetch_url(url_canon: str, seed: int = 42) -> dict:
-    """The deterministic 'fetcher' (ST7): resolve a canonical URL to an
-    IMAGES-shaped row. Stands in for network fetch + decode (no network in
-    the sandbox; at scale this is the only stage that touches bytes)."""
+    """One URL through the deterministic fetcher, as an IMAGES row with its
+    ``phash``: the per-URL form the crawl oracle replays.  The engine's
+    fetch stages call :func:`fetch_batch`."""
     return make_row(url_canon, seed)

@@ -2,6 +2,10 @@
 (tests/test_warc_metadata_sidecar.py:55-106) — table-level asserts on our
 deterministic detectors, same shapes as fido/chardet/pycld2/soft404 output."""
 
+import hashlib
+import pathlib
+import re
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -293,3 +297,150 @@ def test_registry_swapped_mime_detector_keeps_pipeline_working():
     out = extract_sidecar_batch(batch, registry=reg)
     assert out.num_rows == 1
     assert out.column("mime_magic").to_pylist() == ["text/plain"]
+
+
+# ---------------------------------------------------------------- frozen pins
+# sha1 literals computed before the image path was batched: they hold the
+# hashes, the fetched rows and the sidecar image columns to the exact bytes
+# of the per-image implementation, which the program's own synth + extract
+# cross-checks cannot catch drifting.
+
+PIN_SEEDS = (1, 42, 777)
+ODD_SHAPES = ((1, 1), (3, 50), (31, 33), (33, 32), (200, 7), (17, 300), (100, 100))
+PHASH_PIN = "663ab0013a53875de00ab8836afe9d8ebbde8add"
+
+
+@pytest.fixture(scope="module")
+def pin_tables() -> dict:
+    return {seed: synth.make_images_table(3000, seed=seed) for seed in PIN_SEEDS}
+
+
+def _pin_pixels(t: pa.Table) -> list:
+    """The first 2,400 decoded images of the sidecar mix ``t``, then seeded
+    odd shapes (h×w) that exercise the resize's degenerate blocks."""
+    out = [codecs.decode(b, f) for b, f in zip(t.column("bytes").to_pylist(),
+                                                t.column("fmt").to_pylist())
+           if f in codecs.IMAGE_FMTS][:2400]
+    assert len(out) == 2400
+    return out + [synth.make_pixels(f"odd-{h}x{w}", w, h, seed=7)
+                  for h, w in ODD_SHAPES]
+
+
+def test_frozen_phash_pin(pin_tables):
+    hashes = np.array([phash64(p) for p in _pin_pixels(pin_tables[1])],
+                      dtype=">u8")
+    assert hashlib.sha1(hashes.tobytes()).hexdigest() == PHASH_PIN
+
+
+def test_frozen_images_table_pin(pin_tables):
+    d = hashlib.sha1()
+    for seed in PIN_SEEDS:
+        t = pin_tables[seed]
+        for r in zip(*(t.column(c).to_pylist() for c in
+                       ("bytes", "w", "h", "fmt", "caption", "phash"))):
+            d.update(r[0])
+            d.update(repr(r[1:]).encode())
+    assert d.hexdigest() == "72f2348356a140a62a566607905d6574f8d71855"
+
+
+def test_frozen_extract_pin(pin_tables):
+    from sidecar.pipeline import extract_sidecar_batch
+
+    d = hashlib.sha1()
+    for seed in PIN_SEEDS:
+        out = extract_sidecar_batch(pin_tables[seed])
+        for r in zip(*(out.column(c).to_pylist() for c in
+                       ("phash", "w", "h", "fmt", "payload_digest"))):
+            d.update(repr(r).encode())
+    assert d.hexdigest() == "880ec1f7d5f60a11ebac9ddd8a787c96e6cbebea"
+
+
+def test_phash64_batch_matches_pin_in_any_order(pin_tables, monkeypatch):
+    """One stacked kernel per shape gives the per-image hashes, whatever the
+    batch order and however a shape group is cut into stacks."""
+    from sidecar.detect import phash as phash_mod
+    from sidecar.detect import phash64_batch
+
+    px = _pin_pixels(pin_tables[1])
+    got = phash64_batch(px)
+    assert got.dtype == np.uint64
+    assert hashlib.sha1(got.astype(">u8").tobytes()).hexdigest() == PHASH_PIN
+    order = np.random.default_rng(3).permutation(len(px))
+    monkeypatch.setattr(phash_mod, "_MAX_PIXELS", 5000)
+    shuffled = phash64_batch([px[i] for i in order])
+    assert np.array_equal(shuffled, got[order])
+    assert phash64_batch([]).shape == (0,)
+
+
+def test_fetch_batch_is_make_rows_without_phash():
+    keys = [f"url-{i}" for i in range(40)] + ["https://h.example.com/page/7", ""]
+    caps = [f"caption {i}" for i in range(len(keys))]
+    for captions in (None, caps):
+        got = synth.fetch_batch(keys, seed=9, captions=captions)
+        want = synth.make_rows(keys, seed=9, captions=captions)
+        assert set(want.column("fmt").to_pylist()) >= {
+            "html", "text", "png", "ppm", "b16"}
+        assert got.equals(want.drop_columns(["phash"]))
+        assert want.schema.equals(synth.IMAGES_SCHEMA)
+    assert synth.fetch_batch([]).num_rows == 0
+
+
+def test_image_detector_duplicates_corrupt_and_empty_payloads():
+    """Duplicate digests copy their first row, a PNG whose IDAT does not
+    inflate gets phash 0, w/h 0 and fmt "", and an empty payload drops."""
+    from sidecar.pipeline import extract_sidecar_batch
+
+    base = synth.make_images_table(12, seed=5)
+    ids = base.column("image_id").to_pylist()
+    blobs = base.column("bytes").to_pylist()
+    assert base.column("fmt").to_pylist()[1] == "png"
+    bad = bytearray(blobs[1])
+    at = bad.index(b"IDAT") + 4 + 16
+    bad[at:at + 8] = b"\x00" * 8
+    dups = [1, 2, 4, 9, 11]
+    batch = pa.table({
+        "image_id": ["dup-first"] + ids + [f"dup-{ids[i]}" for i in dups]
+        + ["corrupt", "empty", "corrupt-dup"],
+        "bytes": pa.array([blobs[11]] + blobs + [blobs[i] for i in dups]
+                          + [bytes(bad), b"", bytes(bad)], pa.binary()),
+        "caption": [""] * 21,
+    })
+    out = extract_sidecar_batch(batch)
+    got = list(zip(*(out.column(c).to_pylist()
+                     for c in ("image_id", "phash", "w", "h", "fmt"))))
+    b16, png1, ppm2, png4, b16_9 = (
+        (-6328518194803774171, 32, 64, "b16"),
+        (-6901810135884552094, 32, 32, "png"),
+        (-6265347999100146065, 16, 16, "ppm"),
+        (-8612023619352145877, 64, 64, "png"),
+        (-6160978918182919357, 64, 128, "b16"))
+    html, text, failed = (0, 0, 0, "html"), (0, 0, 0, "text"), (0, 0, 0, "")
+    want = [
+        ("dup-first",) + b16, ("img-00000000",) + text, ("img-00000001",) + png1,
+        ("img-00000002",) + ppm2,
+        ("img-00000003", -6178989133671953096, 32, 128, "ppm"),
+        ("img-00000004",) + png4, ("img-00000005",) + html,
+        ("img-00000006", -9187641035872608507, 32, 32, "ppm"),
+        ("img-00000007",) + html,
+        ("img-00000008", -9215915814793981322, 128, 128, "ppm"),
+        ("img-00000009",) + b16_9, ("img-00000010",) + html,
+        ("img-00000011",) + b16,
+        ("dup-img-00000001",) + png1, ("dup-img-00000002",) + ppm2,
+        ("dup-img-00000004",) + png4, ("dup-img-00000009",) + b16_9,
+        ("dup-img-00000011",) + b16,
+        ("corrupt",) + failed, ("corrupt-dup",) + failed,
+    ]
+    assert got == want
+
+
+def test_no_per_image_phash_call_in_the_engine():
+    """Images are hashed a batch at a time: ``phash64`` (a batch of one) is
+    for tests and tools, never called inside the engine."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "sidecar"
+    offenders = [
+        f"{p.relative_to(root)}:{n}"
+        for p in sorted(root.rglob("*.py")) if p != root / "detect" / "phash.py"
+        for n, line in enumerate(p.read_text().splitlines(), 1)
+        if re.search(r"\bphash64\(", line)
+    ]
+    assert offenders == []

@@ -7,12 +7,14 @@ two things: the engine's scaling AND the host's per-core throughput roll-off
 with occupancy (turbo/memory-bandwidth sharing).  A real N→4N adds NODES,
 each with its own memory bandwidth, so the roll-off does not apply there.
 
-This script isolates the host term: it runs the exact per-URL fetch compute
-(``sidecar.synth.fetch_url`` — pixel synthesis + image encode + phash) in a
-plain ``multiprocessing.Pool`` at two worker counts, interleaved best-of-N
-like ``bench.py``.  The reported ``ceiling_eff`` is the best ANY engine
-could measure for this workload at these levels on this host; BASELINE.md
-reports the crawl loop's measured efficiency alongside it.
+This script isolates the host term: it runs the exact fetch compute the
+engine's fetch stages run (``sidecar.synth.fetch_batch`` in 256-key calls —
+pixel synthesis + image encode, no phash: the extraction hashes the decoded
+payload) in a plain ``multiprocessing.Pool`` at two worker counts,
+interleaved best-of-N like ``bench.py``.  The reported ``ceiling_eff`` is
+the best ANY engine could measure for this workload at these levels on
+this host; BASELINE.md reports the crawl loop's measured efficiency
+alongside it.
 
     python tools/fetch_ceiling.py [lo] [hi] [trials]   # default 2 8 3
 """
@@ -26,14 +28,16 @@ from multiprocessing import Pool
 
 N_ROWS = 20_000
 N_CHUNKS = 64
+FETCH_BATCH = 256  # keys per fetch_batch call, the engine's fetch batch size
 
 
 def _work(args: tuple[int, int]) -> int:
     lo, hi = args
     from sidecar import synth
 
-    for i in range(lo, hi):
-        synth.fetch_url(f"http://host{i % 300:02d}.example.com/p/{i}", 42)
+    for b in range(lo, hi, FETCH_BATCH):
+        synth.fetch_batch([f"http://host{i % 300:02d}.example.com/p/{i}"
+                           for i in range(b, min(b + FETCH_BATCH, hi))], 42)
     return hi - lo
 
 
