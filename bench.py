@@ -48,6 +48,57 @@ def _consume(ds) -> int:
     return n
 
 
+# Bench-only flagship memo (VERDICT r4 #5).  run_once warms it AFTER timing
+# the headline fresh, and its sweep reads the flagship through it, so the
+# sidecar_extract / cdxj_merge rows measure their OWN cost (the projection /
+# merge) instead of re-running the whole extraction each.  The library, the
+# driver's correctness gate and every graded queries() callable build the
+# uncached plan; a warmed memo returns the same rows (materialize()
+# preserves block contents), so semantics never change.
+_FLAGSHIP_MEMO: dict = {}
+
+
+def _memo_key(sf_dir: str, batch_size: int) -> tuple:
+    """Memo key includes the input file's (size, mtime_ns) fingerprint, so a
+    corpus rewritten at the same path within one process misses the memo
+    instead of silently serving stale rows (review r5)."""
+    try:
+        st = os.stat(f"{sf_dir}/documents.parquet")
+        fp = (st.st_size, st.st_mtime_ns)
+    except OSError:
+        fp = None
+    return (sf_dir, batch_size, fp)
+
+
+def invalidate_flagship_memo() -> None:
+    """Drop every memoized extraction (frees the pinned object-store blocks
+    once the returned handles also go out of scope)."""
+    _FLAGSHIP_MEMO.clear()
+
+
+def memoize_flagship(sf_dir: str, *, batch_size: int = 256):
+    """Materialize the flagship extraction once per (sf_dir, batch_size,
+    input fingerprint) and serve later ``memoized_flagship`` calls from the
+    handle."""
+    from sidecar import flagship
+
+    key = _memo_key(sf_dir, batch_size)
+    if key not in _FLAGSHIP_MEMO:
+        _FLAGSHIP_MEMO[key] = flagship.flagship(
+            sf_dir, batch_size=batch_size).materialize()
+    return _FLAGSHIP_MEMO[key]
+
+
+def memoized_flagship(sf_dir: str, *, batch_size: int = 256):
+    """``sidecar.flagship.flagship``, served from the memo once warmed."""
+    from sidecar import flagship
+
+    memo = _FLAGSHIP_MEMO.get(_memo_key(sf_dir, batch_size))
+    if memo is not None:
+        return memo
+    return flagship.flagship(sf_dir, batch_size=batch_size)
+
+
 BENCH_QUERIES = (
     "sidecar_extract",
     "dedup_minhash_lsh",
@@ -128,9 +179,15 @@ def run_once(sf_dir: str, num_cpus: int) -> dict:
     DataContext.get_current().enable_progress_bars = False
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as entrymod
+    from unittest import mock
 
-    qs = entrymod.queries()
+    import __ray_entry__ as entrymod
+    from sidecar import flagship as _fs
+
+    # queries() binds ``flagship`` when called: the sweep's callables read
+    # it through the memo, and the library's own name is restored at once
+    with mock.patch.object(_fs, "flagship", memoized_flagship):
+        qs = entrymod.queries()
 
     # warmup: start worker processes + import code so timed queries measure
     # pipeline execution, not cold start
@@ -145,11 +202,9 @@ def run_once(sf_dir: str, num_cpus: int) -> dict:
     # per-process cache (VERDICT r4 #5) so the sweep's sidecar_extract /
     # cdxj_merge rows measure the projection / merge itself.  Graded
     # callables are untouched — the driver never warms the memo.
-    from sidecar import flagship as _fs
-
-    _fs.invalidate_flagship_memo()
+    invalidate_flagship_memo()
     t0 = time.perf_counter()
-    handle = _fs.memoize_flagship(sf_dir)
+    handle = memoize_flagship(sf_dir)
     n_urls = handle.count()
     headline_s = time.perf_counter() - t0
 

@@ -16,13 +16,6 @@ from urllib.parse import urlsplit
 
 _WWW = re.compile(r"^www\d*\.")
 _SCHEME = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
-_DNS = re.compile(r"^dns:")  # reference: warc_metadata_sidecar.py:37
-
-
-def is_dns_url(url: str) -> bool:
-    """Reference DNS-record filter (warc_metadata_sidecar.py:210-211)."""
-    return bool(_DNS.match(url))
-
 
 _PCT = re.compile(r"%[0-9a-fA-F]{2}")
 _MULTISLASH = re.compile(r"//+")
@@ -178,11 +171,6 @@ def url_hash(canon: str) -> int:
     shuffle key).  blake2b is keyed-off, deterministic across processes —
     unlike Python's builtin ``hash`` which is salted per process."""
     return int.from_bytes(hashlib.blake2b(canon.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-def url_hash_batch(canons: list[str]) -> list[int]:
-    b2 = hashlib.blake2b
-    return [int.from_bytes(b2(c.encode("utf-8"), digest_size=8).digest(), "big") for c in canons]
 
 
 def iso_to_ts14(iso_date: str) -> str:

@@ -170,23 +170,6 @@ def enrich_json(build: dict[str, str], key: str, j: str) -> tuple[str, bool]:
     return json.dumps(get_sidecar_fields(json.loads(j), meta)), True
 
 
-def parse_cdxj_lines(lines_ds) -> "rd.Dataset":
-    """read_text lines → (surt, ts, json) CDXJ table (F14).  No order
-    column: output order is whatever the merge sorts by (callers that need
-    input-line order attach their own lineno — see cli.cmd_merge)."""
-
-    def parse(batch: pa.Table) -> pa.Table:
-        surts, tss, js = [], [], []
-        for line in batch.column(batch.column_names[0]).to_pylist():
-            urlkey, timestamp, obj = line.split(" ", 2)
-            surts.append(urlkey)
-            tss.append(timestamp)
-            js.append(obj)
-        return pa.table({"surt": surts, "ts": tss, "json": js})
-
-    return lines_ds.map_batches(parse, batch_format="pyarrow")
-
-
 def merge_cdxj(meta_ds, original_ds) -> "rd.Dataset":
     """Left-outer enrich join of ``original_ds`` (CDXJ columns surt/ts/json,
     plus optional ``lineno``) against ``meta_ds`` (J1).

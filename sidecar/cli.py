@@ -1,5 +1,5 @@
-"""Command-line parity with the reference's three user-facing tools, on the
-Ray engine:
+"""Command-line parity with the reference's three user-facing tools, on
+Ray:
 
     python -m sidecar.cli sidecar <archive_dir> <warc_file> [--operator ..]
         ≈ ``warc_metadata_sidecar.py main()`` (:306-331): WARC/ARC text in,
@@ -13,27 +13,38 @@ Ray engine:
         CDXJ, original line order preserved, at
         <cdxj_dir>/<merged_cdxj_name>.
 
-A user of the reference can run the same three-step lifecycle unchanged in
-shape; each step is the corresponding Ray Data pipeline (streamed, no
-whole-file driver materialization except the small CDXJ build side).
-Only this CLI owns a Ray session (guarded init, like sidecar.crawl).
+plus ``sidecar-all``, ``cdxj-all`` and ``merge-all``, the same steps over
+every file (or file pair) of a directory.
+
+The file is the unit of work, as in the reference's per-file lifecycle:
+``sidecar_file``, ``cdxj_file`` and ``merge_file`` each do one step for one
+file in source order (read, parse, extract if needed, write with an atomic
+tmp+rename) and return one counters row.  Every command runs them as one
+Ray task per file; the driver only finds the files, skips finished
+outputs, sums the counters and writes the log.  Only this CLI owns a Ray
+session (guarded init, like sidecar.crawl).
 """
 
 from __future__ import annotations
 
+import gzip
 import json
+import logging
 import os
+import time
 
-import numpy as np
 import pyarrow as pa
 
 import ray
-import ray.data as rd
 
 from sidecar import pipeline, warc
 from sidecar.canon import cdxj_key, surt
-from sidecar.cdxj import cdxj_line, enrich_json, merge_cdxj, parse_cdxj_lines
-from sidecar.shuffle import copartition
+from sidecar.cdxj import cdxj_line, enrich_json
+from sidecar.detect import protocol as proto
+
+# rows per extractor call inside a sidecar task: small, because rows carry
+# payloads (the memory bound ``pipeline.sidecar_dataset`` uses)
+EXTRACT_ROWS = 1024
 
 
 def payload_to_json(payload: str) -> str:
@@ -86,113 +97,162 @@ def _split_http_payload_bytes(payload: bytes) -> tuple[bytes, int]:
     return body, status
 
 
-def records_to_images(records_ds: "rd.Dataset", *, source_is_warc: bool = True
-                      ) -> "rd.Dataset":
-    """WARC record rows → extraction input (the reference's record loop
+def records_to_images(records: list[dict]) -> pa.Table:
+    """WARC record dicts → extraction input (the reference's record loop
     filters, columnar): F1 keep response/resource, F2 drop ``dns:`` URIs,
     F3 (empty payloads) applied inside extraction; F4 header projection
     keeps WARC-Date as ts14 (+ record/warcinfo ids for header parity).
-    HTTP response blocks are split: detectors run on the BODY only and the
-    real status gates soft-404 (reference :213, :263-265)."""
-
-    return records_ds.map_batches(_records_to_images_batch,
-                                  batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _records_to_images_batch(batch: pa.Table, *,
-                             keep_path: bool = False) -> pa.Table:
-    """The ONE implementation of the record filters + HTTP split (used by
-    both the single-file and batch CLIs — ``keep_path`` adds the source
-    path as the batch mode's ``part`` routing column)."""
-    ids, urls, tss, blobs, paths, linenos, rec_ids, winfo_ids, statuses = \
-        [], [], [], [], [], [], [], [], []
-    for row in batch.to_pylist():
-        if row["rec_type"] not in ("response", "resource"):
+    HTTP response blocks are split: detectors run on the BODY only (the
+    ORIGINAL bytes — charset/mime/phash on a utf-8/replace re-encode would
+    never detect ISO-8859-1, UTF-16 or binary formats) and the real status
+    gates soft-404 (reference :213, :263-265)."""
+    urls, tss, blobs, rec_ids, winfo_ids, statuses = [], [], [], [], [], []
+    for rec in records:
+        if rec["rec_type"] not in ("response", "resource"):
             continue
-        if row["url"].startswith("dns:"):
+        if rec["url"].startswith("dns:"):
             continue
-        # detectors must see the ORIGINAL payload bytes (charset/mime/phash
-        # on a utf-8/replace re-encode would never detect ISO-8859-1, UTF-16
-        # or binary formats); the decoded 'payload' is a fallback for rows
-        # built without the raw slice (tests, synthetic records)
-        raw = row.get("payload_bytes")
-        if raw is None:
-            raw = row["payload"].encode("utf-8", "replace")
-        body, status = _split_http_payload_bytes(raw)
-        ids.append(row["url"])
-        urls.append(row["url"])
-        tss.append(row["ts"])
+        body, status = _split_http_payload_bytes(rec["payload_bytes"])
+        urls.append(rec["url"])
+        tss.append(rec["ts"])
         blobs.append(body)
-        if keep_path:
-            paths.append(row["path"])
-            linenos.append(row["lineno"])
-        rec_ids.append(row["headers"].get("WARC-Record-ID", ""))
-        winfo_ids.append(row["headers"].get("WARC-Warcinfo-ID", ""))
+        rec_ids.append(rec["headers"].get("WARC-Record-ID", ""))
+        winfo_ids.append(rec["headers"].get("WARC-Warcinfo-ID", ""))
         statuses.append(status)
-    n = len(ids)
-    cols = {
-        "image_id": pa.array(ids, pa.string()),
+    return pa.table({
+        "image_id": pa.array(urls, pa.string()),
         "url": pa.array(urls, pa.string()),
         "ts": pa.array(tss, pa.string()),
         "bytes": pa.array(blobs, pa.binary()),
-        "caption": pa.array([""] * n, pa.string()),
+        "caption": pa.array([""] * len(urls), pa.string()),
         "concurrent_id": pa.array(rec_ids, pa.string()),
         "warcinfo_id": pa.array(winfo_ids, pa.string()),
         "status": pa.array(statuses, pa.int64()),
-    }
-    if keep_path:
-        cols["part"] = pa.array(paths, pa.string())  # rides through extraction
-        cols["lineno"] = pa.array(linenos, pa.int64())  # source order, ditto
-    return pa.table(cols)
+    })
+
+
+def _write_atomic(path: str, chunks, *, compress: bool = False) -> None:
+    """Write text ``chunks`` to ``path`` through a tmp file and a rename:
+    resume treats an existing output as done, so a crash mid-write must not
+    leave a truncated file behind.  utf-8, because a WARC Content-Length
+    counts UTF-8 BYTES; newline="" keeps the explicit CRLF framing.
+    ``compress=True`` writes actual gzip (the reference's WARCWriter
+    gzip=True); the default plain text under a .gz name reproduces the
+    reference corpus quirk, and ``warc.read_records`` sniffs magic bytes, so
+    both forms round-trip."""
+    tmp = path + ".tmp"
+    opener = gzip.open if compress else open
+    with opener(tmp, "wt", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
+def sidecar_file(src: str, out_path: str, operator: str | None = None,
+                 publisher: str | None = None, registry=None, *,
+                 compress: bool = False) -> dict:
+    """The sidecar step for one WARC/ARC file: its warcinfo, then one
+    ``metadata`` record per extracted row with a non-empty payload, in
+    source order (the reference's :270-271 skip rule).  A source with no
+    such row gets the S4 zero-record sidecar.  ``registry`` is the
+    detector registry snapshot the driver ships (None = this process's)."""
+    name = os.path.basename(src)
+    is_warc = not warc.is_arc_name(name)
+    records = warc.read_records(src, "bytes")
+    n_read, images = len(records), records_to_images(records)
+    del records  # its payloads are copied into ``images``
+    filename = os.path.basename(out_path)
+    texts = [warc.warcinfo_record_text(filename, operator, publisher,
+                                       source_name=name)]
+    for lo in range(0, images.num_rows, EXTRACT_ROWS):
+        extracted = pipeline.extract_sidecar_batch(
+            images.slice(lo, EXTRACT_ROWS), registry)
+        for row in extracted.to_pylist():
+            payload = pipeline.sidecar_row_to_payload(row)
+            if payload:
+                texts.append(warc.metadata_record_text(
+                    row, payload, source_is_warc=is_warc))
+    written = len(texts) - 1
+    if not written:
+        texts = [warc.warcinfo_record_text(filename, operator, publisher,
+                                           source_name=name, zero_records=True)]
+    _write_atomic(out_path, texts, compress=compress)
+    return {"records_read": n_read, "records_written": written}
+
+
+def cdxj_file(sidecar_path: str, out_path: str) -> dict:
+    """The CDXJ step for one sidecar: one SURT-keyed line per record, in
+    sidecar record order, warcinfo skipped (S5/S6, sidecar2cdxj.py:56-61).
+    A sidecar holding only its warcinfo gets an empty ``.cdxj``."""
+    lines = [cdxj_line(surt(r["url"]), r["ts"], payload_to_json(r["payload"]))
+             for r in warc.read_records(sidecar_path, "text")
+             if r["rec_type"] != "warcinfo"]
+    _write_atomic(out_path, lines)
+    return {"lines": len(lines)}
+
+
+def _cdxj_fields(path: str) -> list[list[str]]:
+    """(surt, ts, json) of each non-blank line of a CDXJ file, in file
+    order (F14)."""
+    with open(path, encoding="utf-8") as fh:
+        return [ln.rstrip("\n").split(" ", 2) for ln in fh if ln.strip()]
+
+
+def merge_file(meta_path: str, orig_path: str, out_path: str) -> dict:
+    """The merge step for one pair (merge_cdxj.py:59-93 semantics, quirks
+    intact via ``cdxj.enrich_json``): every line of the original index in
+    its own order, enriched from the metadata CDXJ.  The metadata lines
+    build a dict in file order, so a duplicated (surt, ts) key resolves
+    last-line-wins, like the reference's dict; one pair's index fits one
+    task, the same bound the reference's in-memory dict has."""
+    build = {cdxj_key(s, t): j for s, t, j in _cdxj_fields(meta_path)}
+    lines, edited = [], 0
+    for s, t, j in _cdxj_fields(orig_path):
+        j, matched = enrich_json(build, cdxj_key(s, t), j)
+        edited += matched
+        lines.append(cdxj_line(s, t, j))
+    _write_atomic(out_path, lines)
+    return {"edited": edited, "non_edited": len(lines) - edited}
+
+
+def _per_file(fn, calls: list[tuple]) -> list[dict]:
+    """``fn(*args)`` for each entry of ``calls``, one Ray task each; the
+    counters rows in ``calls`` order."""
+    task = ray.remote(fn)
+    return ray.get([task.remote(*args) for args in calls])
 
 
 def cmd_sidecar(archive_dir: str, warc_file: str, operator: str | None = None,
                 publisher: str | None = None) -> dict:
     os.makedirs(archive_dir, exist_ok=True)
-    import time as _time
-
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     # the reference opens warc_file AS GIVEN (warc_metadata_sidecar.py:192 —
     # CWD-relative); the archive_dir join is a fallback for the common
     # "file lives in the archive dir" call shape
     src = warc_file if os.path.isabs(warc_file) or os.path.exists(warc_file) \
         else os.path.join(archive_dir, warc_file)
     name = os.path.basename(warc_file)
-    is_warc = not warc.is_arc_name(name)
-    # materialize once: count() + the sidecar write would otherwise each
-    # execute the full read+gunzip+record-split lineage (datasets are lazy)
-    records = warc.read_warc_text(src, payload="bytes").materialize()
-    total_read = records.count()
-    sidecar_ds = pipeline.sidecar_dataset(records_to_images(records))
     out_path = os.path.join(archive_dir, warc.sidecar_name(name))
-    written = warc.write_sidecar_warc(
-        sidecar_ds, out_path, filename=warc.sidecar_name(name),
-        operator=operator, publisher=publisher, source_is_warc=is_warc,
-        source_name=name)
+    [row] = _per_file(sidecar_file, [(src, out_path, operator, publisher,
+                                      proto.snapshot())])
     # S9 log-sink parity (sidecar.log in the archive dir,
     # warc_metadata_sidecar.py:173-179,295-302): run header, per-run counts,
     # elapsed — appended like the reference's logging.basicConfig file
     with open(os.path.join(archive_dir, "sidecar.log"), "a", encoding="utf-8") as lg:
         lg.write(f"INFO Logging WARC metadata record information for {name}\n")
-        lg.write(f"INFO {total_read} records read\n")
-        lg.write(f"INFO Meta records written: {written}\n")
-        lg.write(f"INFO Elapsed: {_time.perf_counter() - t0:.3f}s\n")
-    return {"meta_file_path": out_path, "total_records_read": total_read,
-            "records_written": written}
+        lg.write(f"INFO {row['records_read']} records read\n")
+        lg.write(f"INFO Meta records written: {row['records_written']}\n")
+        lg.write(f"INFO Elapsed: {time.perf_counter() - t0:.3f}s\n")
+    return {"meta_file_path": out_path, "total_records_read": row["records_read"],
+            "records_written": row["records_written"]}
 
 
 def cmd_sidecar_all(archive_dir: str, operator: str | None = None,
                     publisher: str | None = None) -> dict:
-    """Batch mode — the 100 TB shape of the sidecar step: EVERY WARC/ARC in
-    the directory through ONE distributed pipeline, one sidecar file per
-    source (the reference's one-file-per-invocation CLI, parallelized as
-    the sharded-files pattern it implies, SURVEY.md §4.1).
-
-    Records keep their source ``path`` through extraction; a co-partition
-    on it routes each file's sidecar rows to one task, which serializes and
-    writes that file's sidecar WORKER-SIDE (no driver bottleneck).  Files
-    whose sidecar already exists are skipped before any read — the
-    resumability unit is the source file."""
+    """Batch mode: one sidecar per WARC/ARC in the directory, one Ray task
+    per file (the reference's one-file-per-invocation CLI, parallelized as
+    the sharded-files pattern it implies, SURVEY.md §4.1).  Files whose
+    sidecar already exists are skipped before any read — the resumability
+    unit is the source file."""
     import glob as _glob
 
     all_files = sorted(
@@ -207,244 +267,75 @@ def cmd_sidecar_all(archive_dir: str, operator: str | None = None,
     for f in todo:
         out = warc.sidecar_name(os.path.basename(f))
         if out in by_out:
-            import logging as _logging
-
-            _logging.getLogger("sidecar.cli").warning(
+            logging.getLogger("sidecar.cli").warning(
                 "sidecar-all: %s and %s map to the same sidecar %s; "
                 "skipping %s", by_out[out], f, out, f)
         else:
             by_out[out] = f
-    todo = list(by_out.values())
-    if not todo:
+    if not by_out:
         return {"files": len(all_files), "processed": 0, "skipped": len(all_files)}
-
-    records = warc.read_warc_text(todo, payload="bytes")
-
-    # the shared record filters (incl. HTTP body/status split), with the
-    # source path kept as the routing key
-    import functools
-
-    sidecar_ds = pipeline.sidecar_dataset(records.map_batches(
-        functools.partial(_records_to_images_batch, keep_path=True),
-        batch_format="pyarrow", zero_copy_batch=True))
-
-    # Arrow groups, not pandas: pandas converts nullable float/struct cells
-    # to NaN, which passes sidecar_row_to_payload's 'is not None' check and
-    # emitted literal 'Soft-404-Detected: nan' lines; Arrow to_pylist gives
-    # real None, matching the single-file path bit-for-bit.
-    def write_one(g: pa.Table) -> pa.Table:
-        src = g.column("part")[0].as_py()
-        name = os.path.basename(src)
-        out_path = os.path.join(archive_dir, warc.sidecar_name(name))
-        is_warc = not warc.is_arc_name(name)
-        n = 0
-        # atomic tmp+rename (same invariant as merge_one): resume treats an
-        # existing output as done, so a crash mid-write must not leave a
-        # truncated file behind
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(warc.warcinfo_record_text(warc.sidecar_name(name),
-                                               operator, publisher,
-                                               source_name=name))
-            for row in g.drop_columns(["part", "lineno"]).to_pylist():
-                if pipeline.sidecar_row_to_payload(row):
-                    fh.write(warc.metadata_record_text(
-                        row, source_is_warc=is_warc))
-                    n += 1
-        os.replace(tmp, out_path)
-        return pa.table({"path": pa.array([src], pa.string()),
-                         "records_written": pa.array([n], pa.int64())})
-
-    def write_files(t: pa.Table) -> pa.Table:
-        # one partition holds many files, in no row order: sort by (file,
-        # lineno) to restore each file's source record order, then write
-        # each file's run of rows
-        t = t.sort_by([("part", "ascending"), ("lineno", "ascending")])
-        src = t.column("part").to_numpy(zero_copy_only=False)
-        ends = np.append(np.flatnonzero(src[1:] != src[:-1]) + 1, len(src))
-        return pa.concat_tables([write_one(t.slice(a, b - a))
-                                 for a, b in zip(np.r_[0, ends[:-1]], ends)])
-
-    per_file = copartition(sidecar_ds, "part", write_files,
-                           batch_format="pyarrow").to_pandas()
-
-    # a source that yields ZERO sidecar rows (only warcinfo/dns/revisit
-    # records, or all-empty payloads) produces no group above — write its
-    # S4 zero-record warcinfo sidecar here so the output exists (and resume
-    # skipping doesn't re-read the file forever)
-    done_paths = set(per_file["path"]) if len(per_file) else set()
-    zero = 0
-    for src in todo:
-        if src in done_paths:
-            continue
-        name = os.path.basename(src)
-        out_path = os.path.join(archive_dir, warc.sidecar_name(name))
-        warc.write_zero_record_sidecar(out_path,
-                                       filename=warc.sidecar_name(name),
-                                       operator=operator, publisher=publisher,
-                                       source_name=name)
-        zero += 1
-    return {"files": len(all_files), "processed": len(per_file) + zero,
-            "skipped": len(all_files) - len(todo),
-            "records_written": int(per_file["records_written"].sum())
-            if len(per_file) else 0}
+    reg = proto.snapshot()  # ship the DRIVER's registry to the workers
+    rows = _per_file(sidecar_file, [
+        (f, os.path.join(archive_dir, out), operator, publisher, reg)
+        for out, f in by_out.items()])
+    return {"files": len(all_files), "processed": len(rows),
+            "skipped": len(all_files) - len(rows),
+            "records_written": sum(r["records_written"] for r in rows)}
 
 
 def cmd_cdxj(sidecar_file: str, archive_dir: str) -> dict:
     os.makedirs(archive_dir, exist_ok=True)
-    records = warc.read_warc_text(sidecar_file, payload="text")
-
-    def to_lines(batch: pa.Table) -> pa.Table:
-        lines = []
-        for row in batch.to_pylist():
-            if row["rec_type"] == "warcinfo":  # S5 skip (sidecar2cdxj.py:58-59)
-                continue
-            lines.append(cdxj_line(surt(row["url"]), row["ts"],
-                                   payload_to_json(row["payload"])))
-        return pa.table({"line": pa.array(lines, pa.string())})
-
     out_path = os.path.join(archive_dir,
                             warc.cdxj_name_from_sidecar(sidecar_file))
-    n = 0
-    # golden-file serialization: line order = sidecar record order, so pin
-    # preserve_order for exactly this iteration (S6, sidecar2cdxj.py:56-61)
-    with open(out_path, "w", encoding="utf-8", newline="") as f, warc.ordered_execution():
-        for b in records.map_batches(to_lines, batch_format="pyarrow",
-                                     zero_copy_batch=True).iter_batches(
-                                         batch_format="pyarrow", batch_size=None):
-            for line in b.column("line").to_pylist():
-                f.write(line)
-                n += 1
-    return {"cdxj_path": out_path, "lines": n}
+    [row] = _per_file(cdxj_file, [(sidecar_file, out_path)])
+    return {"cdxj_path": out_path, "lines": row["lines"]}
 
 
 def cmd_cdxj_all(archive_dir: str) -> dict:
-    """Batch CDXJ: every sidecar in the directory through one pipeline,
-    one ``.cdxj`` per sidecar (same sharded-files plan as sidecar-all;
-    finished outputs skipped before any read)."""
+    """Batch CDXJ: one ``.cdxj`` per sidecar in the directory, one Ray task
+    per sidecar; finished outputs are skipped before any read."""
     import glob as _glob
 
-    import pandas as pd
-
     all_files = sorted(_glob.glob(os.path.join(archive_dir, "*.warc.meta.gz")))
-    todo = [f for f in all_files
-            if not os.path.exists(os.path.join(
-                archive_dir, warc.cdxj_name_from_sidecar(f)))]
+    todo = [(f, os.path.join(archive_dir, warc.cdxj_name_from_sidecar(f)))
+            for f in all_files]
+    todo = [(f, out) for f, out in todo if not os.path.exists(out)]
     if not todo:
         return {"files": len(all_files), "processed": 0, "skipped": len(all_files)}
+    rows = _per_file(cdxj_file, todo)
+    return {"files": len(all_files), "processed": len(rows),
+            "skipped": len(all_files) - len(rows),
+            "lines": sum(r["lines"] for r in rows)}
 
-    records = warc.read_warc_text(todo, payload="text")
 
-    def to_lines(batch: pa.Table) -> pa.Table:
-        paths, linenos, lines = [], [], []
-        for row in batch.to_pylist():
-            if row["rec_type"] == "warcinfo":
-                continue
-            paths.append(row["path"])
-            linenos.append(row["lineno"])
-            lines.append(cdxj_line(surt(row["url"]), row["ts"],
-                                   payload_to_json(row["payload"])))
-        return pa.table({"part": pa.array(paths, pa.string()),
-                         "lineno": pa.array(linenos, pa.int64()),
-                         "line": pa.array(lines, pa.string())})
-
-    def write_one(g: pd.DataFrame) -> pd.DataFrame:
-        # the exchange does not preserve row order — restore sidecar record
-        # order so batch output matches cmd_cdxj byte-for-byte
-        g = g.sort_values("lineno")
-        src = g["part"].iloc[0]
-        out_path = os.path.join(archive_dir, warc.cdxj_name_from_sidecar(src))
-        # atomic tmp+rename (same invariant as merge_one): resume treats an
-        # existing output as done, so a crash mid-write must not leave a
-        # truncated file behind
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(g["line"])
-        os.replace(tmp, out_path)
-        return pd.DataFrame({"path": [src], "lines": [len(g)]})
-
-    def write_files(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat([write_one(g) for _, g in df.groupby("part", sort=False)],
-                         ignore_index=True)
-
-    per_file = copartition(
-        records.map_batches(to_lines, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        "part", write_files, batch_format="pandas").to_pandas()
-
-    # a sidecar holding only its warcinfo yields no lines, hence no group —
-    # write its (empty) cdxj here, matching cmd_cdxj's behavior on the same
-    # input, so resume skipping sees the file as done
-    done_paths = set(per_file["path"]) if len(per_file) else set()
-    zero = 0
-    for src in todo:
-        if src not in done_paths:
-            open(os.path.join(archive_dir,
-                              warc.cdxj_name_from_sidecar(src)), "w").close()
-            zero += 1
-    return {"files": len(all_files), "processed": len(per_file) + zero,
-            "skipped": len(all_files) - len(todo),
-            "lines": int(per_file["lines"].sum()) if len(per_file) else 0}
+def _log_merges(cdxj_dir: str, merges: list[tuple[str, str, dict]]) -> None:
+    """S9 log-sink parity (cdxj_merge.log, merge_cdxj.py:116-122,134-138):
+    one block per (metadata name, original name, counters row)."""
+    with open(os.path.join(cdxj_dir, "cdxj_merge.log"), "a", encoding="utf-8") as lg:
+        for meta, orig, row in merges:
+            lg.write(f"INFO Merging {meta} into {orig}\n")
+            lg.write(f"INFO Edited: {row['edited']} "
+                     f"Non-edited: {row['non_edited']}\n")
 
 
 def cmd_merge(metadata_cdxj: str, warc_cdxj: str, cdxj_dir: str) -> dict:
     os.makedirs(cdxj_dir, exist_ok=True)
-    meta = parse_cdxj_lines(rd.read_text(metadata_cdxj))
-
-    # the original index is read serially on the driver: line ORDER is part
-    # of the output contract (merged lines in original-file order), and a
-    # parallel read_text cannot assign global line numbers safely; the
-    # reference reads this file serially too (merge_cdxj.py:126-130)
-    with open(warc_cdxj, encoding="utf-8") as f:
-        orig_lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    surts, tss, js = [], [], []
-    for ln in orig_lines:
-        s, t, j = ln.split(" ", 2)
-        surts.append(s)
-        tss.append(t)
-        js.append(j)
-    original = rd.from_arrow(pa.table({
-        "surt": pa.array(surts, pa.string()),
-        "ts": pa.array(tss, pa.string()),
-        "json": pa.array(js, pa.string()),
-        "lineno": pa.array(range(len(surts)), pa.int64()),
-    }))
-    merged = merge_cdxj(meta, original)
-    rows = sorted(merged.take_all(), key=lambda r: r["lineno"])
     out_path = os.path.join(cdxj_dir, warc.merged_cdxj_name(warc_cdxj))
-    edited = 0
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        for r in rows:
-            f.write(cdxj_line(r["surt"], r["ts"], r["json"]))
-            edited += int(r["matched"])
-    # S9 log-sink parity (cdxj_merge.log, merge_cdxj.py:116-122,134-138)
-    with open(os.path.join(cdxj_dir, "cdxj_merge.log"), "a", encoding="utf-8") as lg:
-        lg.write(f"INFO Merging {os.path.basename(metadata_cdxj)} into "
-                 f"{os.path.basename(warc_cdxj)}\n")
-        lg.write(f"INFO Edited: {edited} Non-edited: {len(rows) - edited}\n")
-    return {"merged_path": out_path, "edited": edited,
-            "non_edited": len(rows) - edited}
+    [row] = _per_file(merge_file, [(metadata_cdxj, warc_cdxj, out_path)])
+    _log_merges(cdxj_dir, [(os.path.basename(metadata_cdxj),
+                            os.path.basename(warc_cdxj), row)])
+    return {"merged_path": out_path, **row}
 
 
 def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
-    """Batch merge — the third lifecycle step's batch twin (sidecar-all /
-    cdxj-all / merge-all): every ``<name>.cdxj`` original index in
+    """Batch merge: every ``<name>.cdxj`` original index in
     ``warc_cdxj_dir`` is enriched with the same-named metadata CDXJ from
-    ``meta_dir`` through ONE distributed pipeline, one ``<name>_merged.cdxj``
-    per pair (merge_cdxj.py:104-138 semantics per pair; parity-plus — the
-    reference is per-file-per-invocation, :141-165).
-
-    Plan: each file reads in its own task (per-file linenos assigned
-    serially inside the task — line order is part of the output contract);
-    a co-partition on the pair lands its meta+original rows in one task, which
-    merges (``cdxj.enrich_json``, quirks intact) and writes that pair's merged
-    file WORKER-SIDE, returning counters only.  Pairs whose output exists
-    are skipped before any read — the resumability unit is the file pair.
-    The per-pair group assumes one file's index fits one task, the same
-    bound the reference's in-memory dict has."""
+    ``meta_dir``, one ``<name>_merged.cdxj`` per pair, one Ray task per
+    pair (merge_cdxj.py:104-138 semantics per pair; parity-plus — the
+    reference is per-file-per-invocation, :141-165).  Pairs whose output
+    exists are skipped before any read — the resumability unit is the file
+    pair."""
     import glob as _glob
-
-    import pandas as pd
 
     os.makedirs(cdxj_dir, exist_ok=True)
     pairs: list[tuple[str, str, str]] = []
@@ -455,90 +346,17 @@ def cmd_merge_all(meta_dir: str, warc_cdxj_dir: str, cdxj_dir: str) -> dict:
         meta = os.path.join(meta_dir, name)
         if os.path.exists(meta) and os.path.abspath(meta) != os.path.abspath(f):
             pairs.append((name, meta, f))
-    todo = [p for p in pairs
-            if not os.path.exists(os.path.join(cdxj_dir,
-                                               warc.merged_cdxj_name(p[2])))]
+    todo = [(name, meta, orig, os.path.join(cdxj_dir, warc.merged_cdxj_name(orig)))
+            for name, meta, orig in pairs]
+    todo = [t for t in todo if not os.path.exists(t[3])]
     if not todo:
         return {"pairs": len(pairs), "processed": 0, "skipped": len(pairs)}
-
-    def read_file(row: dict) -> list[dict]:
-        out = []
-        with open(row["path"], encoding="utf-8") as fh:
-            i = 0
-            for ln in fh:
-                ln = ln.rstrip("\n")
-                if not ln.strip():
-                    continue
-                s, t, j = ln.split(" ", 2)
-                out.append({"pair": row["pair"], "surt": s, "ts": t, "json": j,
-                            "lineno": i})
-                i += 1
-        return out
-
-    def lines(side: int) -> "rd.Dataset":
-        """Every line of each todo pair's meta (1) or original (2) file."""
-        return rd.from_items([{"pair": p[0], "path": p[side]} for p in todo]) \
-            .flat_map(read_file)
-
-    def merge_one(name: str, metas: pd.DataFrame, origs: pd.DataFrame) -> tuple:
-        # metas in FILE ORDER so a duplicated (surt, ts) key resolves
-        # last-line-wins, matching cmd_merge's ordered dict build
-        metas = metas.sort_values("lineno")
-        origs = origs.sort_values("lineno")
-        build = {cdxj_key(s, t): j for s, t, j in
-                 zip(metas["surt"], metas["ts"], metas["json"])}
-        out_path = os.path.join(cdxj_dir, warc.merged_cdxj_name(name))
-        edited = 0
-        # atomic tmp+rename: resume treats an existing output as "pair
-        # done", so a crash mid-write must not leave a truncated file
-        tmp_path = out_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8", newline="") as fh:
-            for s, t, j in zip(origs["surt"], origs["ts"], origs["json"]):
-                j, matched = enrich_json(build, cdxj_key(s, t), j)
-                edited += matched
-                fh.write(cdxj_line(s, t, j))
-        os.replace(tmp_path, out_path)
-        return name, edited, len(origs) - edited
-
-    def merge_pairs(m: pd.DataFrame, o: pd.DataFrame) -> pd.DataFrame:
-        # a side with no lines in this partition may have no columns
-        none = pd.DataFrame(columns=["surt", "ts", "json", "lineno"])
-        metas = dict(tuple(m.groupby("pair", sort=False))) if len(m) else {}
-        origs = dict(tuple(o.groupby("pair", sort=False))) if len(o) else {}
-        return pd.DataFrame([merge_one(n, metas.get(n, none), origs.get(n, none))
-                             for n in {**metas, **origs}],
-                            columns=["pair", "edited", "non_edited"])
-
-    per_pair = copartition([lines(1), lines(2)], "pair", merge_pairs,
-                           batch_format="pandas").to_pandas()
-    if len(per_pair):  # all-blank inputs yield a column-less empty frame
-        per_pair = per_pair.sort_values("pair")
-
-    # a pair whose files are both empty yields no group — write the (empty)
-    # merged output so resume skipping sees the pair as done
-    done = set(per_pair["pair"]) if len(per_pair) else set()
-    import pandas as _pd
-
-    extra = []
-    for name, _, orig in todo:
-        if name not in done:
-            open(os.path.join(cdxj_dir, warc.merged_cdxj_name(orig)),
-                 "w").close()
-            extra.append({"pair": name, "edited": 0, "non_edited": 0})
-    if extra:
-        per_pair = _pd.concat([per_pair, _pd.DataFrame(extra)],
-                              ignore_index=True).sort_values("pair")
-
-    # S9 log-sink parity, one block per pair (merge_cdxj.py:116-122,134-138)
-    with open(os.path.join(cdxj_dir, "cdxj_merge.log"), "a", encoding="utf-8") as lg:
-        for row in per_pair.itertuples(index=False):
-            lg.write(f"INFO Merging {row.pair} into {row.pair}\n")
-            lg.write(f"INFO Edited: {row.edited} "
-                     f"Non-edited: {row.non_edited}\n")
-    return {"pairs": len(pairs), "processed": len(per_pair),
-            "skipped": len(pairs) - len(todo),
-            "edited": int(per_pair["edited"].sum()),
-            "non_edited": int(per_pair["non_edited"].sum())}
+    rows = _per_file(merge_file, [t[1:] for t in todo])
+    _log_merges(cdxj_dir, [(t[0], t[0], row) for t, row in zip(todo, rows)])
+    return {"pairs": len(pairs), "processed": len(rows),
+            "skipped": len(pairs) - len(rows),
+            "edited": sum(r["edited"] for r in rows),
+            "non_edited": sum(r["non_edited"] for r in rows)}
 
 
 def main(argv: list[str] | None = None) -> dict:

@@ -178,7 +178,7 @@ def extract_sidecar_batch(batch: pa.Table, registry=None) -> pa.Table:
     # pass-through columns: fetch-partition id, and the source record id
     # (WARC-Concurrent-ID parity — the reference copies the source record's
     # WARC-Record-ID, warc_metadata_sidecar.py:223)
-    for passthru in ("part", "lineno", "concurrent_id", "warcinfo_id"):
+    for passthru in ("part", "concurrent_id", "warcinfo_id"):
         if passthru in batch.column_names:
             out = out.append_column(passthru, batch.column(passthru))
     # F10/:270-271 — a record with no metadata at all is skipped entirely;
@@ -290,7 +290,7 @@ def _assemble_from_lookup(batch: pa.Table, digests, lk: dict) -> pa.Table:
         "is_text": pa.array(is_text),
         "caption": cap_kept,
     })
-    for passthru in ("part", "lineno", "concurrent_id", "warcinfo_id"):
+    for passthru in ("part", "concurrent_id", "warcinfo_id"):
         if passthru in batch.column_names:
             out = out.append_column(
                 passthru, batch.column(passthru).filter(pa.array(keep)))
@@ -393,7 +393,7 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int):
     remains step 2's keep-first (one representative per surviving
     candidate)."""
     keep = ("image_id", "url", "ts", "caption",
-            "part", "lineno", "concurrent_id", "warcinfo_id")
+            "part", "concurrent_id", "warcinfo_id")
 
     def row_rows(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))

@@ -58,17 +58,3 @@ class FrontierPolicy(Protocol):
         Returns int64 >= 0.
         """
         ...  # pragma: no cover
-
-
-class DefaultPolicy:
-    """The built-in behavior, stated explicitly: graph priorities pass
-    through, every host gets the configured budget."""
-
-    name = "default"
-
-    def link_priority(self, urls: list[str], priorities: np.ndarray,
-                      depths: np.ndarray) -> np.ndarray:
-        return np.asarray(priorities, dtype=np.float64)
-
-    def host_budget(self, hosts: np.ndarray, default: int) -> np.ndarray:
-        return np.full(len(hosts), default, dtype=np.int64)

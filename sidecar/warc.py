@@ -3,11 +3,10 @@
 The engine's data plane is Arrow tables; WARC text exists for conformance
 with the reference's file format (warc_metadata_sidecar.py:199-203,278-283:
 a warcinfo record followed by one ``metadata`` record per input record).
-This module serializes SIDECAR rows to that text form and reads it back —
-the parser splits on record boundaries inside a ``flat_map`` task, so a
-directory of WARC files reads as one Dataset (one file per task; WARC has
-no internal split points without an index, same constraint the reference's
-ArchiveIterator has).
+This module serializes SIDECAR rows to that text form and reads it back,
+one whole file at a time (``read_records``; WARC has no internal split
+points without an index, same constraint the reference's ArchiveIterator
+has).
 
 No code is shared with warcio; the format is implemented from the WARC/1.0
 structure the reference's goldens exhibit: header block of ``Name: value``
@@ -16,40 +15,16 @@ lines, blank line, payload of Content-Length bytes, two blank lines.
 
 from __future__ import annotations
 
+import gzip
 import os
 
 import numpy as np
-import pyarrow as pa
 
 import ray.data as rd
 
-from sidecar.pipeline import create_warcinfo_payload, sidecar_row_to_payload
+from sidecar.pipeline import create_warcinfo_payload
 
 _CRLF = "\r\n"
-
-
-import contextlib
-
-
-@contextlib.contextmanager
-def ordered_execution():
-    """Pin ``preserve_order`` for a golden-file serialization: the streaming
-    executor may otherwise yield completed blocks out of input order
-    (SURVEY.md §4.2 — order is a data property everywhere EXCEPT the byte-
-    exact file writers, which use this for exactly the write loop).
-
-    NOT thread-safe: this save/restores a field on the process-global
-    ``DataContext``, so it assumes the serial CLI shape (one golden-file
-    write executing at a time on the driver).  Two threads writing
-    concurrently could race the flag — a concurrent caller should pin
-    ``preserve_order`` on its own session-wide context instead."""
-    ctx = rd.DataContext.get_current()
-    prev = ctx.execution_options.preserve_order
-    ctx.execution_options.preserve_order = True
-    try:
-        yield
-    finally:
-        ctx.execution_options.preserve_order = prev
 
 
 def _record_text(headers: list[tuple[str, str]], payload: str) -> str:
@@ -62,12 +37,19 @@ def _record_text(headers: list[tuple[str, str]], payload: str) -> str:
 
 def warcinfo_record_text(filename: str, operator: str | None = None,
                          publisher: str | None = None,
-                         source_name: str | None = None) -> str:
+                         source_name: str | None = None, *,
+                         zero_records: bool = False) -> str:
     """The warcinfo record: the payload's description names the SOURCE
     archive (reference: create_warcinfo_payload(new_file=basename(warc_file)),
     warc_metadata_sidecar.py:182,200) while WARC-Filename carries the
-    sidecar's own name (:202 create_warcinfo_record(meta_file, ...))."""
+    sidecar's own name (:202 create_warcinfo_record(meta_file, ...)).
+
+    ``zero_records`` gives the S4 zero-record sidecar's warcinfo: the
+    '0 metadata sidecar records' marker appended to the description (the
+    reference rewrites the file this way when nothing was extracted)."""
     info = create_warcinfo_payload(source_name or filename, operator, publisher)
+    if zero_records:
+        info["description"] += "; 0 metadata sidecar records"
     payload = "".join(f"{k}: {v}\r\n" for k, v in info.items())
     headers = [("WARC-Type", "warcinfo"),
                ("WARC-Filename", filename),
@@ -75,9 +57,10 @@ def warcinfo_record_text(filename: str, operator: str | None = None,
     return _record_text(headers, payload)
 
 
-def metadata_record_text(row: dict, *, source_is_warc: bool = True,
-                         warcinfo_id: str | None = None) -> str:
-    """One sidecar WARC ``metadata`` record (reference :278-283 shape).
+def metadata_record_text(row: dict, payload: str, *,
+                         source_is_warc: bool = True) -> str:
+    """One sidecar WARC ``metadata`` record (reference :278-283 shape) with
+    ``payload``, the row's ``pipeline.sidecar_row_to_payload`` text.
 
     Header parity with the reference's F4 projection (:217-228): a
     WARC-sourced record carries ``WARC-Concurrent-ID`` (the source record's
@@ -100,107 +83,12 @@ def metadata_record_text(row: dict, *, source_is_warc: bool = True,
         concurrent = row.get("concurrent_id") or f"<urn:uuid:{rec_hash}>"
         headers.append(("WARC-Concurrent-ID", concurrent))
         # per-record id from the source (reference copies the source
-        # record's own WARC-Warcinfo-ID, :224-225), else the writer-level one
-        winfo = row.get("warcinfo_id") or warcinfo_id
+        # record's own WARC-Warcinfo-ID, :224-225)
+        winfo = row.get("warcinfo_id")
         if winfo:
             headers.append(("WARC-Warcinfo-ID", winfo))
     headers.append(("Content-Type", "application/warc-fields"))
-    return _record_text(headers, sidecar_row_to_payload(row))
-
-
-def sidecar_to_warc_text(sidecar_ds, *, source_is_warc: bool = True,
-                         warcinfo_id: str | None = None) -> "rd.Dataset":
-    """SIDECAR Dataset → one-column (``record``) Dataset of WARC record
-    texts, in a streaming map (rows with an empty payload are skipped, the
-    reference's :270-271 rule)."""
-
-    def f(batch: pa.Table) -> pa.Table:
-        recs = []
-        for row in batch.to_pylist():
-            if sidecar_row_to_payload(row):
-                recs.append(metadata_record_text(row, source_is_warc=source_is_warc,
-                                                 warcinfo_id=warcinfo_id))
-        return pa.table({"record": pa.array(recs, pa.string())})
-
-    return sidecar_ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def write_sidecar_warc(sidecar_ds, path: str, *, filename: str | None = None,
-                       operator: str | None = None,
-                       publisher: str | None = None,
-                       source_is_warc: bool = True,
-                       warcinfo_id: str | None = None,
-                       source_name: str | None = None,
-                       compress: bool = False) -> int:
-    """Write a sidecar WARC text file: warcinfo first, then the metadata
-    records (streamed).  Returns the number of metadata records written;
-    zero-record files still carry the warcinfo (S4 analog: the reference
-    rewrites with '0 metadata sidecar records' in the description).
-
-    ``compress=True`` writes actual gzip (the reference's WARCWriter
-    gzip=True); the default plain-text-with-.gz-name reproduces the
-    reference corpus quirk (its golden ``warc.warc.meta.gz`` is
-    uncompressed) — ``read_warc_text`` sniffs magic bytes, so both forms
-    round-trip."""
-    import gzip as _gzip
-
-    # encoding pinned: _record_text's Content-Length counts UTF-8 BYTES, so a
-    # locale-default text open (LANG=C → ascii) would either raise mid-write
-    # on a non-ASCII URI or desynchronize the declared lengths from the bytes
-    # on disk; newline="" protects the explicit CRLF framing from platform
-    # newline translation
-    def opener():
-        return _gzip.open(path, "wt", encoding="utf-8", newline="") if compress \
-            else open(path, "w", encoding="utf-8", newline="")
-
-    n = 0
-    with opener() as f:
-        f.write(warcinfo_record_text(filename or os.path.basename(path),
-                                     operator, publisher,
-                                     source_name=source_name))
-        # golden-file serialization: record order is part of the output
-        # contract, so pin preserve_order for exactly this iteration
-        with ordered_execution():
-            for batch in sidecar_to_warc_text(
-                    sidecar_ds, source_is_warc=source_is_warc,
-                    warcinfo_id=warcinfo_id).iter_batches(
-                    batch_format="pyarrow", batch_size=None):
-                col = batch.column("record") if hasattr(batch, "column") else batch["record"]
-                for rec in col.to_pylist():
-                    f.write(rec)
-                    n += 1
-    if n == 0:  # S4: rewrite holding only the zero-record-marker warcinfo
-        write_zero_record_sidecar(path, filename=filename, operator=operator,
-                                  publisher=publisher, compress=compress,
-                                  source_name=source_name)
-    return n
-
-
-def write_zero_record_sidecar(path: str, *, filename: str | None = None,
-                              operator: str | None = None,
-                              publisher: str | None = None,
-                              compress: bool = False,
-                              source_name: str | None = None) -> None:
-    """The S4 zero-record sidecar: only the warcinfo, with the
-    '0 metadata sidecar records' marker appended to the description
-    (the reference rewrites the file this way when nothing was extracted).
-    Used directly by batch mode for sources whose groupby produced no rows."""
-    import gzip as _gzip
-
-    info = create_warcinfo_payload(source_name or filename
-                                   or os.path.basename(path),
-                                   operator, publisher)
-    info["description"] = info.get("description", "") + \
-        "; 0 metadata sidecar records"
-    payload = "".join(f"{k}: {v}\r\n" for k, v in info.items())
-    # utf-8 + newline='' for the same byte-exactness reasons as
-    # write_sidecar_warc (Content-Length counts UTF-8 bytes; CRLF framing)
-    opener = (lambda: _gzip.open(path, "wt", encoding="utf-8", newline="")) \
-        if compress else (lambda: open(path, "w", encoding="utf-8", newline=""))
-    with opener() as f:
-        f.write(_record_text([("WARC-Type", "warcinfo"),
-                              ("WARC-Filename", filename or os.path.basename(path)),
-                              ("Content-Type", "application/warc-fields")], payload))
+    return _record_text(headers, payload)
 
 
 def _lf_payload_end(data: bytes, body_start: int, ln: int) -> int:
@@ -358,22 +246,42 @@ def parse_arc_text(text: str) -> list[dict]:
     return parse_arc_bytes(text.encode("utf-8"))
 
 
+def read_records(path: str, payload: str = "both") -> list[dict]:
+    """One WARC or ARC file → its records, in source order.
+
+    The bytes are read whole and compression comes from MAGIC BYTES, not
+    the filename: the reference corpus has a '.gz'-named sidecar that is
+    actually uncompressed (its own tests note this), our writer reproduces
+    that quirk, and extension-based inference fails on exactly those files.
+    ``payload`` reaches the parser, so the unwanted representation is never
+    BUILT (the replace-decode of a binary payload is pure wasted CPU plus a
+    transient ~3x str)."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:2] == b"\x1f\x8b":  # actual gzip content
+        raw = gzip.decompress(raw)
+    # ARC-vs-WARC by CONTENT (an ARC file opens with its filedesc://
+    # version block) — complements the filename sniff (is_arc_name);
+    # parsing stays at the BYTE level so Content-Length slices exactly
+    parse = parse_arc_bytes if raw.lstrip().startswith(b"filedesc://") \
+        else parse_warc_bytes
+    return parse(raw, payload=payload)
+
+
 def read_warc_text(paths: str | list[str], *,
                    payload: str = "both") -> "rd.Dataset":
-    """S1 analog: a directory/file(s) of WARC text → Dataset of records.
-    One file per read task (WARC is not splittable without an index);
-    record splitting happens inside the flat_map.
+    """S1 analog: a directory/file(s) of WARC text → Dataset of records,
+    each with its source ``path``.  One file per read task (WARC is not
+    splittable without an index): ``read_records`` inside a flat_map.
 
-    ``payload`` prunes at the read (the 100 TB shape — the payload column
-    dominates record size, and carrying both representations doubles every
-    downstream block): ``"bytes"`` keeps only the raw ``payload_bytes``
-    (sidecar extraction — detectors need original bytes), ``"text"`` keeps
-    only the utf-8/replace ``payload`` (CDXJ paths — warc-fields payloads
-    are text), ``"both"`` (default) keeps both for callers that need the
-    full record view."""
+    ``payload`` prunes at the read (the payload column dominates record
+    size, and carrying both representations doubles every downstream
+    block): ``"bytes"`` keeps only the raw ``payload_bytes`` (extraction —
+    detectors need original bytes), ``"text"`` keeps only the utf-8/replace
+    ``payload`` (warc-fields payloads are text), ``"both"`` (default) keeps
+    both for callers that need the full record view."""
     if payload not in ("both", "bytes", "text"):
         raise ValueError(f"payload must be 'both'|'bytes'|'text', got {payload!r}")
-    mode = payload
 
     import glob as _glob
 
@@ -388,31 +296,9 @@ def read_warc_text(paths: str | list[str], *,
         else:
             files.append(p)
 
-    # bytes are read INSIDE the task and compression comes from MAGIC BYTES,
-    # not the filename: the reference corpus has a '.gz'-named sidecar that
-    # is actually uncompressed (its own tests note this), our writer
-    # reproduces that quirk, and extension-based inference (what
-    # read_binary_files does for '.gz' paths) fails on exactly those files
     def split_file(row: dict) -> list[dict]:
-        with open(row["path"], "rb") as f:
-            raw = f.read()
-        if raw[:2] == b"\x1f\x8b":  # actual gzip content
-            import gzip as _gzip
-
-            raw = _gzip.decompress(raw)
-        # ARC-vs-WARC by CONTENT (an ARC file opens with its filedesc://
-        # version block) — complements the filename sniff (is_arc_name);
-        # parsing stays at the BYTE level so Content-Length slices exactly
-        parse = parse_arc_bytes if raw.lstrip().startswith(b"filedesc://") \
-            else parse_warc_bytes
-        # per-file record index: batch mode's groupby(path) shuffle does not
-        # preserve within-group order, so source order must be a DATA
-        # property the writer can sort on (SURVEY.md §4.2)
-        # the mode reaches the parser so the unwanted representation is
-        # never BUILT (not built-then-dropped — the replace-decode of a
-        # binary payload is pure wasted CPU plus a transient ~3x str)
-        return [{"path": row["path"], "lineno": j, **r}
-                for j, r in enumerate(parse(raw, payload=mode))]
+        return [{"path": row["path"], **r}
+                for r in read_records(row["path"], payload)]
 
     return rd.from_items([{"path": f} for f in files]).flat_map(split_file)
 

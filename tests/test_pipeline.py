@@ -201,29 +201,6 @@ def test_extract_tolerates_null_payload():
     assert out.column("image_id").to_pylist() == ["a"]
 
 
-def test_flagship_memo_parity():
-    """memoize_flagship serves the SAME rows as the uncached plan (bench-only
-    cache, VERDICT r4 #5); memo cleared afterwards so other tests see the
-    uncached plan."""
-    from sidecar import flagship as fsmod
-
-    sf = "/root/testdata/sf0.001"
-    try:
-        fresh = (pa.concat_tables(
-            fsmod.flagship(sf).iter_batches(batch_format="pyarrow",
-                                            batch_size=None))
-            .combine_chunks().sort_by("image_id"))
-        handle = fsmod.memoize_flagship(sf)
-        assert fsmod.flagship(sf) is handle          # served from the memo
-        memod = (pa.concat_tables(
-            fsmod.flagship(sf).iter_batches(batch_format="pyarrow",
-                                            batch_size=None))
-            .combine_chunks().sort_by("image_id"))
-        assert fresh.equals(memod)
-    finally:
-        fsmod.invalidate_flagship_memo()
-
-
 def test_frontier_sidecar_runs_as_one_task_per_block():
     """Read, fetch and extract fuse into one Ray Data operator with one task
     per input block: an integer map ``batch_size`` would keep the read a

@@ -130,6 +130,16 @@ def test_no_ray_data_groupby_in_the_engine():
     assert not hits, hits
 
 
+def test_cli_runs_no_exchange_and_no_driver_gather():
+    """The lifecycle CLI's unit of work is one Ray task per file: its rows
+    never leave the task, so ``sidecar/cli.py`` needs no exchange and
+    gathers no dataset on the driver."""
+    banned = re.compile(r"\bcopartition\b|\.(take_all|to_pandas|iter_batches)\(")
+    path = pathlib.Path(__file__).resolve().parent.parent / "sidecar" / "cli.py"
+    hits = [m.group(0) for m in banned.finditer(path.read_text(encoding="utf-8"))]
+    assert not hits, hits
+
+
 def test_reserved_column_name_is_rejected():
     t = _table().append_column(PART_COL, pa.array(np.zeros(N, np.int64)))
     with pytest.raises(Exception, match="reserved"):

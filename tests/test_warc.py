@@ -3,33 +3,67 @@
 
 from __future__ import annotations
 
-import ray.data as rd
-
-from sidecar import pipeline, synth, warc
+from sidecar import cli, pipeline, warc
 
 
-def _sidecar(images):
-    return pipeline.sidecar_dataset(rd.from_arrow(images))
+def _record_bytes(headers: list[tuple[str, str]], body: bytes) -> bytes:
+    head = "".join(f"{k}: {v}\r\n" for k, v in headers)
+    return (f"WARC/1.0\r\n{head}Content-Length: {len(body)}\r\n\r\n"
+            .encode() + body + b"\r\n\r\n")
+
+
+def _source_warc(path, images, *, warcinfo_id: str = "") -> str:
+    """A WARC file with one response record per IMAGES row, its payload the
+    row's bytes (html, text and binary images)."""
+    extra = [("WARC-Warcinfo-ID", warcinfo_id)] if warcinfo_id else []
+    with open(path, "wb") as f:
+        f.write(warc.warcinfo_record_text(path.name).encode())
+        for i, r in enumerate(images.to_pylist()):
+            f.write(_record_bytes(
+                [("WARC-Type", "response"),
+                 ("WARC-Target-URI", f"https://example.com/{r['image_id']}"),
+                 ("WARC-Date", f"2021-03-01T10:{i // 60:02d}:{i % 60:02d}Z"),
+                 *extra], r["bytes"]))
+    return str(path)
+
+
+def _source_arc(path, images) -> str:
+    """The ARC v1 twin of ``_source_warc``."""
+    with open(path, "wb") as f:
+        f.write(b"filedesc://src.arc 0.0.0.0 20210301000000 text/plain 10\n"
+                b"1 0 ARCv1\n\n")
+        for r in images.to_pylist():
+            f.write(f"https://example.com/{r['image_id']} 1.2.3.4 "
+                    f"20210301100000 application/octet-stream "
+                    f"{len(r['bytes'])}\n".encode() + r["bytes"] + b"\n\n")
+    return str(path)
 
 
 def test_warc_roundtrip(tmp_path, images_table):
+    """A sidecar written by ``cli.sidecar_file`` reads back as its warcinfo
+    and one metadata record per extracted row, each payload exactly the
+    serializer's, in source order."""
+    src = _source_warc(tmp_path / "src.warc", images_table.slice(0, 64))
     path = str(tmp_path / "out.warc")
-    ds = _sidecar(images_table.slice(0, 64))
-    n = warc.write_sidecar_warc(ds, path, operator="ops", publisher="pub")
+    row = cli.sidecar_file(src, path, operator="ops", publisher="pub")
+    assert row["records_read"] == 65
+    n = row["records_written"]
     assert n > 0
 
     records = warc.read_warc_text(path).take_all()
     assert records[0]["rec_type"] == "warcinfo"
+    assert "operator: ops" in records[0]["payload"]
+    assert "publisher: pub" in records[0]["payload"]
     metas = [r for r in records if r["rec_type"] == "metadata"]
     assert len(metas) == n
 
     # payload text round-trips exactly against the serializer
-    rows = {r["url"]: r for r in _sidecar(images_table.slice(0, 64)).take_all()}
-    for m in metas[:20]:
-        src = rows.get(m["url"])
-        if src is not None:
-            assert m["payload"] == pipeline.sidecar_row_to_payload(src)
-            assert m["ts"] == (src["ts"] or "20210101000000")
+    rows = pipeline.extract_sidecar_batch(
+        cli.records_to_images(warc.read_records(src, "bytes"))).to_pylist()
+    assert [m["url"] for m in metas] == [r["url"] for r in rows]
+    for m, r in zip(metas, rows):
+        assert m["payload"] == pipeline.sidecar_row_to_payload(r)
+        assert m["ts"] == r["ts"]
 
 
 def test_warc_warcinfo_fields():
@@ -41,20 +75,18 @@ def test_warc_warcinfo_fields():
 
 
 def test_warc_zero_record_rewrite(tmp_path):
-    """S4: a run that writes no metadata records leaves a warcinfo whose
-    description carries the zero-record marker."""
-    import pyarrow as pa
-
-    empty = pa.Table.from_pylist([
-        {"image_id": "e", "bytes": b"", "w": 0, "h": 0, "fmt": "",
-         "caption": "", "phash": 0},
-    ], schema=synth.IMAGES_SCHEMA)
-    path = str(tmp_path / "empty.warc")
-    n = warc.write_sidecar_warc(_sidecar(empty), path)
-    assert n == 0
+    """S4: a source that yields no metadata records gets a sidecar holding
+    only a warcinfo whose description carries the zero-record marker."""
+    src = tmp_path / "empty.warc"
+    src.write_bytes(_record_bytes(
+        [("WARC-Type", "response"), ("WARC-Target-URI", "https://e.com/x"),
+         ("WARC-Date", "2021-03-01T10:00:00Z")], b""))
+    path = str(tmp_path / "empty.warc.meta.gz")
+    assert cli.sidecar_file(str(src), path)["records_written"] == 0
     recs = warc.parse_warc_text(open(path, "rb").read().decode())
     assert len(recs) == 1
     assert "0 metadata sidecar records" in recs[0]["payload"]
+    assert recs[0]["headers"]["WARC-Filename"] == "empty.warc.meta.gz"
 
 
 def test_filename_derivation():
@@ -72,21 +104,24 @@ def test_filename_derivation():
     assert not is_arc_name("a.warc") and not is_arc_name("a.warc.gz")
 
 
-def test_arc_source_header_absence(images_table):
+def test_arc_source_header_absence(tmp_path, images_table):
     """F4 parity: ARC-sourced sidecar records carry no WARC-Concurrent-ID /
     WARC-Warcinfo-ID; WARC-sourced ones do (reference tests :188-197)."""
-    ds = _sidecar(images_table.slice(0, 4))
-    warc_recs = warc.parse_warc_text(
-        "".join(r["record"] for r in warc.sidecar_to_warc_text(
-            ds, source_is_warc=True, warcinfo_id="<urn:uuid:w1>").take_all()))
-    arc_recs = warc.parse_warc_text(
-        "".join(r["record"] for r in warc.sidecar_to_warc_text(
-            _sidecar(images_table.slice(0, 4)), source_is_warc=False).take_all()))
-    assert warc_recs and arc_recs
-    for r in warc_recs:
+    images = images_table.slice(0, 4)
+    out = {}
+    for name, src in (
+            ("warc", _source_warc(tmp_path / "src.warc", images,
+                                  warcinfo_id="<urn:uuid:w1>")),
+            ("arc", _source_arc(tmp_path / "src.arc", images))):
+        path = str(tmp_path / f"{name}.warc.meta.gz")
+        cli.sidecar_file(src, path)
+        out[name] = [r for r in warc.read_records(path)
+                     if r["rec_type"] == "metadata"]
+    assert out["warc"] and out["arc"]
+    for r in out["warc"]:
         assert "WARC-Concurrent-ID" in r["headers"]
         assert r["headers"]["WARC-Warcinfo-ID"] == "<urn:uuid:w1>"
-    for r in arc_recs:
+    for r in out["arc"]:
         assert "WARC-Concurrent-ID" not in r["headers"]
         assert "WARC-Warcinfo-ID" not in r["headers"]
 
@@ -185,17 +220,11 @@ class TestArcInput:
 def test_gzip_sidecar_roundtrip(tmp_path, images_table):
     """compress=True writes REAL gzip (reference WARCWriter gzip=True);
     the reader sniffs magic bytes so both forms round-trip identically."""
-    import gzip
-
-    import ray.data as rd
-
-    from sidecar import pipeline, warc
-
-    ds = pipeline.sidecar_dataset(rd.from_arrow(images_table.slice(0, 12)))
+    src = _source_warc(tmp_path / "src.warc", images_table.slice(0, 12))
     p_plain = str(tmp_path / "a.warc.meta.gz")
     p_gz = str(tmp_path / "b.warc.meta.gz")
-    n1 = warc.write_sidecar_warc(ds, p_plain)
-    n2 = warc.write_sidecar_warc(ds, p_gz, compress=True)
+    n1 = cli.sidecar_file(src, p_plain)["records_written"]
+    n2 = cli.sidecar_file(src, p_gz, compress=True)["records_written"]
     assert n1 == n2 > 0
     assert open(p_gz, "rb").read(2) == b"\x1f\x8b"       # actually gzip
     assert open(p_plain, "rb").read(2) != b"\x1f\x8b"    # quirk preserved
@@ -208,8 +237,8 @@ def test_gzip_sidecar_roundtrip(tmp_path, images_table):
 
 class TestSidecarAll:
     def test_batch_mode_one_sidecar_per_file_and_resume(self, tmp_path):
-        """sidecar-all: every WARC in the dir through one pipeline, one
-        sidecar per source file; a second run skips all finished files."""
+        """sidecar-all: one sidecar per source file in the dir; a second
+        run skips all finished files."""
         from sidecar import cli
         from sidecar.warc import _record_text, warcinfo_record_text
 
@@ -350,9 +379,9 @@ def test_arc_malformed_header_and_space_url():
 
 
 def test_merge_all_batch(tmp_path):
-    """merge-all: one merged cdxj per (meta, original) pair through one
-    pipeline; original line order preserved; quirks applied; log parity;
-    resumable; empty pairs still produce output."""
+    """merge-all: one merged cdxj per (meta, original) pair; original line
+    order preserved; quirks applied; log parity; resumable; empty pairs
+    still produce output."""
     import json
 
     from sidecar import cli
@@ -397,8 +426,7 @@ def test_merge_all_duplicate_key_last_wins_and_blank_pairs(tmp_path):
     """merge-all parity details: (a) a metadata CDXJ with two lines for the
     same (surt, ts) resolves last-line-wins, matching cmd_merge's ordered
     dict build; (b) pairs whose files hold only blank lines don't crash the
-    batch (the grouped frame is column-less empty) and still produce output
-    for resume skipping."""
+    batch and still produce output for resume skipping."""
     import json
 
     from sidecar import cli
@@ -409,7 +437,7 @@ def test_merge_all_duplicate_key_last_wins_and_blank_pairs(tmp_path):
     meta_dir.mkdir()
     warc_dir.mkdir()
 
-    # (b) first: ONLY blank-line pairs — exercises the zero-group frame
+    # (b) first: ONLY blank-line pairs
     with open(meta_dir / "blank.cdxj", "w") as f:
         f.write("\n\n")
     with open(warc_dir / "blank.cdxj", "w") as f:
@@ -518,3 +546,111 @@ def test_name_rules_match_reference_patterns():
     assert warc.cdxj_name_from_sidecar("x.warc.meta.gz") == "x.cdxj"
     # unanchored: a suffixed name still converts (never collides with input)
     assert warc.cdxj_name_from_sidecar("x.warc.meta.gz.open") == "x.cdxj.open"
+
+
+def _pin_corpus(archive, index):
+    """A small mixed corpus and its original CDXJ indexes: ``a.warc`` holds
+    an HTTP 200 html page, an HTTP 404, a plain-text resource, a binary PNG
+    and dns/revisit records; ``b.arc`` is ARC v1; ``c.warc`` has no
+    extractable record."""
+    import numpy as np
+
+    from sidecar import codecs
+    from sidecar.canon import surt
+    from sidecar.warc import _record_text, warcinfo_record_text
+
+    def http(url, date, rid, status, reason, body):
+        return _record_text(
+            [("WARC-Type", "response"), ("WARC-Target-URI", url),
+             ("WARC-Date", date), ("WARC-Record-ID", f"<urn:uuid:{rid}>"),
+             ("WARC-Warcinfo-ID", "<urn:uuid:winfo-a>"),
+             ("Content-Type", "application/http")],
+            f"HTTP/1.1 {status} {reason}\r\nContent-Type: text/html\r\n\r\n"
+            + body)
+
+    yy, xx = np.mgrid[0:24, 0:32]
+    png = codecs.encode_png(np.stack(
+        [xx * 8, yy * 10, (xx + yy) * 4], axis=-1).astype(np.uint8))
+    binary = (b"WARC/1.0\r\nWARC-Type: response\r\n"
+              b"WARC-Target-URI: https://example.com/img.png\r\n"
+              b"WARC-Date: 2021-03-01T10:03:00Z\r\n"
+              b"Content-Length: %d\r\n\r\n" % len(png)) + png + b"\r\n\r\n"
+    page = ("<!DOCTYPE html><html><head><title>cats</title></head><body>"
+            "the page about cats and dogs in the garden</body></html>")
+    with open(archive / "a.warc", "wb") as f:
+        f.write("".join([
+            warcinfo_record_text("a.warc"),
+            http("https://example.com/a", "2021-03-01T10:00:00Z", "a1", 200,
+                 "OK", page),
+            http("https://example.com/gone", "2021-03-01T10:01:00Z", "a2",
+                 404, "Not Found", "<html><body>not found</body></html>"),
+            _record_text([("WARC-Type", "resource"),
+                          ("WARC-Target-URI", "https://example.com/notes.txt"),
+                          ("WARC-Date", "2021-03-01T10:02:00Z")],
+                         "plain text notes with several simple words here"),
+        ]).encode() + binary + "".join([
+            _record_text([("WARC-Type", "response"),
+                          ("WARC-Target-URI", "dns:example.com"),
+                          ("WARC-Date", "2021-03-01T10:04:00Z")], "1.2.3.4"),
+            _record_text([("WARC-Type", "revisit"),
+                          ("WARC-Target-URI", "https://example.com/a"),
+                          ("WARC-Date", "2021-03-02T10:00:00Z")], "dup"),
+        ]).encode())
+    arc_body = "the quick brown fox jumps over the lazy dog again and again"
+    (archive / "b.arc").write_text(
+        "filedesc://b.arc 0.0.0.0 20210301000000 text/plain 10\n"
+        "1 0 ARCv1\n\n"
+        f"http://example.org/x 1.2.3.4 20210301100000 text/plain "
+        f"{len(arc_body)}\n{arc_body}\n\n")
+    with open(archive / "c.warc", "w") as f:
+        f.write(warcinfo_record_text("c.warc"))
+        f.write(_record_text([("WARC-Type", "revisit"),
+                              ("WARC-Target-URI", "https://example.net/x"),
+                              ("WARC-Date", "2021-03-01T10:00:00Z")], "dup"))
+    for name, keys in (
+            ("a", [("https://example.com/a", "20210301100000"),
+                   ("https://example.com/img.png", "20210301100300"),
+                   ("https://example.com/unseen", "20210301100500"),
+                   ("https://example.com/gone", "20210301100100")]),
+            ("b", [("http://example.org/x", "20210301100000")]),
+            ("c", [("https://example.net/x", "20210301100000")])):
+        with open(index / f"{name}.cdxj", "w") as f:
+            for url, ts in keys:
+                f.write(f'{surt(url)} {ts} {{"url": "{url}"}}\n')
+
+
+# sha256 of every output of the batch lifecycle on ``_pin_corpus``
+PINNED_SHA256 = {
+    "a.warc.meta.gz": "59cc420fa156bc0f8aebe1781217be039c3f3aa0becf56a44ad24f114096879d",
+    "b.warc.meta.gz": "5254b7ee196a023b285ec1bb6aef82d472ba813cb1374e90be2e2a5e1311fa4b",
+    "c.warc.meta.gz": "b33389af7c44f8c55e53dee88ecd4bd0b6d8a2ce8694b3778dd77fc3a3278a5f",
+    "a.cdxj": "3ae65af8ef231b48e9affebc2eaa4dcdf77623fe7ef90600d51fc61efc05aa8b",
+    "b.cdxj": "4b06d2150cbdb400eeb71fc5c8b08b05e23cd3bc12279d6e6917498abda527c6",
+    "c.cdxj": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "a_merged.cdxj": "605756354ac96447d599dd297f707ae52f627d5df32a612cb6da2099d59cb7ea",
+    "b_merged.cdxj": "fdd06223a12259ed4d84f8284fa9af5a91310193cb0213c598e05ac7cba0d7a7",
+    "c_merged.cdxj": "d183c817ea5ce13923e636400c0da3c6918a1b40cb52692c0b28048ff881eccd",
+    "cdxj_merge.log": "428c8860bae7c06695fc69d5319f28a54cae499391e54a478b6bba5b3f814490",
+}
+
+
+def test_batch_lifecycle_bytes_pinned(tmp_path):
+    """sidecar-all -> cdxj-all -> merge-all on ``_pin_corpus`` writes exactly
+    these bytes: every sidecar, CDXJ, merged index and the merge log."""
+    import hashlib
+
+    from sidecar import cli
+
+    archive, index, merged = (tmp_path / d for d in ("archive", "index", "m"))
+    archive.mkdir(), index.mkdir()
+    _pin_corpus(archive, index)
+    s = cli.cmd_sidecar_all(str(archive))
+    assert (s["processed"], s["records_written"]) == (3, 5)
+    c = cli.cmd_cdxj_all(str(archive))
+    assert (c["processed"], c["lines"]) == (3, 5)
+    m = cli.cmd_merge_all(str(archive), str(index), str(merged))
+    assert (m["processed"], m["edited"], m["non_edited"]) == (3, 4, 2)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for d in (archive, merged) for p in sorted(d.iterdir())
+           if not p.name.endswith((".warc", ".arc"))}
+    assert got == PINNED_SHA256
