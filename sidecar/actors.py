@@ -163,8 +163,8 @@ class HostPolicy:
         self._denied_keys: dict = {}  # epoch -> batch keys already folded
 
     def rules_snapshot(self) -> dict:
-        """The cached robots rules, for epoch-level replication: the driver
-        ``ray.put``s this once and workers evaluate locally — per-row
+        """The cached robots rules, for replication: the crawl hands this
+        call's ObjectRef to its tasks and workers evaluate locally — per-row
         evaluation inside the (fixed-count) policy actors was a crawl-loop
         serial fraction that didn't shrink with cluster size.  The actor
         stays the cache OWNER (it would fetch/refresh robots.txt in a live
@@ -252,6 +252,23 @@ def make_host_policies(num_actors: int, budget_per_epoch: int, n_hosts: int = 20
                           graph=graph)
         for i in range(num_actors)
     ]
+
+
+def call_seen_shards(shards: list, num_shards: int, method: str,
+                     hashes: np.ndarray) -> tuple[list, list[np.ndarray]]:
+    """Route ``hashes`` to their seen shards (``url_hash % num_shards``) and
+    call ``method`` once on each shard that owns any of them.  Returns the
+    calls' ObjectRefs and, aligned with them, the indexes into ``hashes`` of
+    the keys each call got."""
+    hashes = np.asarray(hashes, dtype=np.uint64)
+    shard_of = hashes % np.uint64(num_shards)
+    refs, rows = [], []
+    for s in range(num_shards):
+        idx = np.flatnonzero(shard_of == s)
+        if len(idx):
+            refs.append(getattr(shards[s], method).remote(hashes[idx]))
+            rows.append(idx)
+    return refs, rows
 
 
 def host_shard(host: str, num_actors: int) -> int:

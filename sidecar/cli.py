@@ -45,6 +45,11 @@ from sidecar.detect import protocol as proto
 # rows per extractor call inside a sidecar task: small, because rows carry
 # payloads (the memory bound ``pipeline.sidecar_dataset`` uses)
 EXTRACT_ROWS = 1024
+# the extracted columns a metadata record reads: its payload's
+# (``pipeline.sidecar_row_to_payload``) and its headers'
+# (``warc.metadata_record_text``); only these are converted to Python
+RECORD_COLS = ("mime_fido", "mime_magic", "puid", "charset", "languages",
+               "soft404", "url", "ts", "concurrent_id", "warcinfo_id")
 
 
 def payload_to_json(payload: str) -> str:
@@ -166,7 +171,8 @@ def sidecar_file(src: str, out_path: str, operator: str | None = None,
     for lo in range(0, images.num_rows, EXTRACT_ROWS):
         extracted = pipeline.extract_sidecar_batch(
             images.slice(lo, EXTRACT_ROWS), registry)
-        for row in extracted.to_pylist():
+        cols = [c for c in RECORD_COLS if c in extracted.column_names]
+        for row in extracted.select(cols).to_pylist():
             payload = pipeline.sidecar_row_to_payload(row)
             if payload:
                 texts.append(warc.metadata_record_text(

@@ -22,6 +22,7 @@ import ray
 import ray.data as rd
 
 from sidecar import synth
+from sidecar.actors import call_seen_shards, host_shard
 from sidecar.canon import canonical_url, host_of, url_hash
 from sidecar.shuffle import copartition
 
@@ -123,16 +124,10 @@ def filter_unseen(frontier: "rd.Dataset", seen_shards: list, bloom_blob: bytes |
             maybe_seen = bf.maybe_contains(hashes)
         seen = np.zeros(n, dtype=bool)
         idx = np.flatnonzero(maybe_seen)
-        if len(idx):
-            shard_of = (hashes[idx] % np.uint64(num_shards)).astype(np.int64)
-            futures, slots = [], []
-            for s in range(num_shards):
-                rows = idx[shard_of == s]
-                if len(rows):
-                    futures.append(shard_handles[s].contains_many.remote(hashes[rows]))
-                    slots.append(rows)
-            for rows, res in zip(slots, ray.get(futures)):
-                seen[rows] = res
+        refs, rows = call_seen_shards(shard_handles, num_shards,
+                                      "contains_many", hashes[idx])
+        for r, res in zip(rows, ray.get(refs)):
+            seen[idx[r]] = res
         return batch.filter(pa.array(~seen))
 
     return frontier.map_batches(f, batch_format="pyarrow", batch_size=8192,
@@ -144,12 +139,13 @@ def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
     """Drop rows disallowed by the robots rules.
 
     The HostPolicy actors OWN the robots cache (they'd fetch/refresh
-    robots.txt in a live crawl); each epoch the driver replicates a read-only
-    snapshot via ``ray.put`` (``rules_ref``) and workers evaluate locally —
-    per-row evaluation inside the fixed-count actor pool was a serial
-    fraction that capped crawl-loop scaling.  Denial COUNTS (not rows) are
-    folded back per batch with one O(1) ``note_denied`` RPC, so the actors'
-    metrics stay authoritative.
+    robots.txt in a live crawl); workers read a read-only snapshot through
+    the ObjectRef ``rules_ref`` (the crawl passes its ``rules_snapshot``
+    call's, so the rules never pass through the driver) and evaluate
+    locally — per-row evaluation inside the fixed-count actor pool was a
+    serial fraction that capped crawl-loop scaling.  Denial COUNTS (not
+    rows) are folded back per batch with one O(1) ``note_denied`` RPC, so
+    the actors' metrics stay authoritative.
     """
     handles = list(host_policies)
 
@@ -175,8 +171,6 @@ def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
         if n_denied:
             # attribute counts to the denied hosts' cache shards (O(1) actor work)
             import hashlib
-
-            from sidecar.actors import host_shard
 
             per_actor: dict[int, int] = {}
             for host in (hosts[i] for i in np.flatnonzero(denied)):

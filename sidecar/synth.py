@@ -176,26 +176,32 @@ def make_images_table(n: int, seed: int = 42, prefix: str = "img") -> pa.Table:
 HOT_HOST = "hot.example.com"
 
 
+def _host(k: int) -> str:
+    return HOT_HOST if k == 0 else f"host{k:02d}.example.com"
+
+
 def hosts(n_hosts: int = 20) -> list[str]:
-    return [HOT_HOST] + [f"host{i:02d}.example.com" for i in range(1, n_hosts)]
+    return [_host(k) for k in range(max(1, n_hosts))]
+
+
+def make_seed(i: int, n_hosts: int = 20, seed: int = 42,
+              graph: str = "b2") -> dict:
+    """Seed ``i`` of the seed list, a pure function of (seed, i): any range
+    of ids can be built anywhere (the crawl builds its seed frontier in
+    tasks, one block of ids each).  ``graph="md5"`` switches to the
+    SQL-reproducible hash family (see ``_h_md5``) with URL-determined
+    priorities."""
+    r = (_h_md5 if graph == "md5" else _h)(seed, "seed", i)
+    url = f"https://{_host(r % max(1, n_hosts))}/seed/{i}"
+    prio = (_priority_md5(url, seed) if graph == "md5"
+            else float((r >> 8) % 1000) / 1000.0)
+    return {"seed_id": i, "url": url, "priority": prio}
 
 
 def make_seeds(n_seeds: int = 100, n_hosts: int = 20, seed: int = 42,
                graph: str = "b2") -> list[dict]:
-    """Seed list: ~100 rows over ~n_hosts hosts with priorities.
-    ``graph="md5"`` switches to the SQL-reproducible hash family (see
-    ``_h_md5``) with URL-determined priorities."""
-    hs = hosts(n_hosts)
-    hf = _h_md5 if graph == "md5" else _h
-    out = []
-    for i in range(n_seeds):
-        r = hf(seed, "seed", i)
-        host = hs[r % len(hs)]
-        url = f"https://{host}/seed/{i}"
-        prio = (_priority_md5(url, seed) if graph == "md5"
-                else float((r >> 8) % 1000) / 1000.0)
-        out.append({"seed_id": i, "url": url, "priority": prio})
-    return out
+    """Seed list: ``make_seed`` for ids 0..n_seeds-1."""
+    return [make_seed(i, n_hosts, seed, graph) for i in range(n_seeds)]
 
 
 def out_links(url_canon: str, n_hosts: int = 20, seed: int = 42,

@@ -739,3 +739,37 @@ def test_fresh_run_clears_stale_checkpoints(small_oracle, tmp_path):
     r = run_crawl(_cfg(out), resume=True)      # run C: resume B to 3 epochs
     assert r["crawl_order"] == small_oracle["crawl_order"]
     assert r["seen"] == small_oracle["seen"]
+
+
+CRAWL_STEPS = ("budget", "split_selected", "politeness", "fetch_sidecar_write",
+               "order", "next_frontier", "checkpoint")
+
+
+def test_every_epoch_times_each_step_once(tmp_path):
+    """Each epoch's metrics carry exactly one non-negative ``t_<step>`` per
+    step of the epoch chain, among them every lap perfbench's crawl ledger
+    reads: a renamed lap would read there as 0.0, unnoticed."""
+    from perfbench.workloads import Crawl
+
+    assert set(Crawl.LAPS) <= set(CRAWL_STEPS)
+    r = run_crawl(_cfg(str(tmp_path / "laps"), max_epochs=2),
+                  collect_order=False, collect_seen=False)
+    assert r["epochs_run"] == 2
+    for m in r["metrics"]:
+        laps = {k: v for k, v in m.items() if k.startswith("t_")}
+        assert sorted(laps) == sorted(f"t_{s}" for s in CRAWL_STEPS)
+        assert all(v >= 0 for v in laps.values())
+
+
+def test_flagged_must_be_materialized():
+    """The robots filter's execute-once rule is a check: the steps that read
+    the budget step's output refuse a lazy dataset with a TypeError (a
+    raise, so it holds under python -O)."""
+    import ray.data as rd
+
+    from sidecar import crawl
+
+    with pytest.raises(TypeError, match="MaterializedDataset"):
+        crawl._materialized(rd.range(4))
+    done = rd.range(4).materialize()
+    assert crawl._materialized(done) is done

@@ -340,16 +340,20 @@ DRIVER_GATHERS = {
     ("ops/dedup.py", "ngram_jaccard_pairs"): _OPEN,
     ("ops/dedup.py", "minhash_jaccard_estimates"): _OPEN,
     ("ops/relational.py", "supplier_part_join"): _OPEN,
+    ("crawl.py", "_politeness"): _BOUNDED + ": one host-count row per host",
+    ("crawl.py", "_skip_done_parts"): _BOUNDED + ": one count row per block",
+    ("frontier.py", "filter_unseen"): _BOUNDED + ": the bloom summary, fixed bits",
 }
 
 
 def _driver_gathers(root: pathlib.Path) -> set[tuple[str, str]]:
     """(file, top-level function) of every function in ``sidecar/ops``,
-    ``pipeline.py`` and ``cdxj.py`` that calls ``ray.put`` or
-    ``.iter_batches(``, nested defs included."""
+    ``pipeline.py``, ``cdxj.py``, ``crawl.py`` and ``frontier.py`` that
+    calls ``ray.put`` or ``.iter_batches(``, nested defs included."""
     found = set()
-    for path in [*sorted(root.glob("ops/*.py")), root / "pipeline.py",
-                 root / "cdxj.py"]:
+    for path in [*sorted(root.glob("ops/*.py")),
+                 *(root / f for f in ("pipeline.py", "cdxj.py", "crawl.py",
+                                      "frontier.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
