@@ -28,7 +28,7 @@ import ray.data as rd
 
 from sidecar import shuffle
 from sidecar.canon import cdxj_key, surt
-from sidecar.pipeline import _lang_struct_to_ref
+from sidecar.pipeline import sidecar_row_to_payload
 from sidecar.shuffle import copartition
 
 # Full ISO-639-1 → ISO-639-2/T (alpha-3) table, statically embedded (the
@@ -88,29 +88,30 @@ def get_alpha3_language_codes(lang_list: list[dict]) -> str:
     return ",".join(codes)
 
 
-def sidecar_row_to_cdxj_json(row: dict) -> str:
-    """SIDECAR row → the CDXJ JSON payload (the columnar equivalent of
-    convert_payload_to_json over the serialized Title lines,
-    sidecar2cdxj.py:18-29 — keys present-if-found)."""
+def payload_to_json(payload: str) -> str:
+    """F12 conformance (convert_payload_to_json, sidecar2cdxj.py:18-29):
+    each 'Title: value' line parsed with a JSON fallback to the raw string;
+    the trailing ':' of the Title is stripped."""
     d: dict = {}
-    mime_dict = {}
-    if row.get("mime_fido"):
-        mime_dict["fido"] = row["mime_fido"]
-    if row.get("mime_magic"):
-        mime_dict["python-magic"] = row["mime_magic"]
-    if mime_dict:
-        d["Identified-Payload-Type"] = mime_dict
-    if row.get("puid"):
-        d["Preservation-Identifier"] = row["puid"]
-    cs = row.get("charset")
-    if cs and cs.get("encoding"):
-        d["Charset-Detected"] = {"encoding": cs["encoding"], "confidence": cs["confidence"]}
-    lang = _lang_struct_to_ref(row.get("languages"))
-    if lang:
-        d["Languages-cld2"] = lang
-    if row.get("soft404") is not None:
-        d["Soft-404-Detected"] = row["soft404"]
+    # splitlines, not split('\n'): a spec-conformant (warcio-written) sidecar
+    # joins warc-fields lines with CRLF — split('\n') would leave a trailing
+    # '\r' on every value, breaking the JSON fallback parse
+    for line in payload.splitlines():
+        if not line.strip():
+            continue
+        key, _, value = line.partition(": ")
+        try:
+            d[key.rstrip(":")] = json.loads(value)
+        except (json.JSONDecodeError, ValueError):
+            d[key.rstrip(":")] = value
     return json.dumps(d)
+
+
+def sidecar_row_to_cdxj_json(row: dict) -> str:
+    """SIDECAR row → the CDXJ JSON payload: its sidecar payload
+    (``pipeline.sidecar_row_to_payload``, which owns the field skip rules)
+    through :func:`payload_to_json`, as sidecar2cdxj.py reads it back."""
+    return payload_to_json(sidecar_row_to_payload(row))
 
 
 def _sidecar_batch_to_cdxj(batch: pa.Table) -> pa.Table:

@@ -39,7 +39,7 @@ import ray
 
 from sidecar import pipeline, warc
 from sidecar.canon import cdxj_key, surt
-from sidecar.cdxj import cdxj_line, enrich_json
+from sidecar.cdxj import cdxj_line, enrich_json, payload_to_json
 from sidecar.detect import protocol as proto
 
 # rows per extractor call inside a sidecar task: small, because rows carry
@@ -50,25 +50,6 @@ EXTRACT_ROWS = 1024
 # (``warc.metadata_record_text``); only these are converted to Python
 RECORD_COLS = ("mime_fido", "mime_magic", "puid", "charset", "languages",
                "soft404", "url", "ts", "concurrent_id", "warcinfo_id")
-
-
-def payload_to_json(payload: str) -> str:
-    """F12 conformance (convert_payload_to_json, sidecar2cdxj.py:18-29):
-    each 'Title: value' line parsed with a JSON fallback to the raw string;
-    the trailing ':' of the Title is stripped."""
-    d: dict = {}
-    # splitlines, not split('\n'): a spec-conformant (warcio-written) sidecar
-    # joins warc-fields lines with CRLF — split('\n') would leave a trailing
-    # '\r' on every value, breaking the JSON fallback parse
-    for line in payload.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition(": ")
-        try:
-            d[key.rstrip(":")] = json.loads(value)
-        except (json.JSONDecodeError, ValueError):
-            d[key.rstrip(":")] = value
-    return json.dumps(d)
 
 
 def _split_http_payload_bytes(payload: bytes) -> tuple[bytes, int]:

@@ -29,6 +29,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
@@ -932,15 +933,11 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
 def union_find_components(pairs_iter, a_col: str, b_col: str,
                           id_col: str, comp_col: str,
                           dtype: "pa.DataType") -> "pa.Table":
-    """Driver-side union-find (path compression + union-by-min) over a
-    streamed edge list: component_id = min id reachable.  Shared cluster
-    assembly for ``lsh_components`` (int doc ids) and
-    ``multimodal.phash_components`` (string image ids).  The edge list is
-    orders of magnitude smaller than the corpus (only colliding items
-    appear); both callers take this path while the materialized edge list
-    is within ``shuffle.BROADCAST_MAX_BYTES`` and
-    :func:`label_propagation_components` above it — per-pair semantics
-    identical."""
+    """Union-find (path compression + union-by-min) over a streamed edge
+    list: component_id = min id reachable, both columns typed ``dtype``, so
+    an empty edge list gives a typed empty table.  It runs twice in
+    :func:`connected_components`: on each partition of the contraction
+    round, then on the driver over the star rows that round leaves."""
     parent: dict = {}
 
     def find(x):
@@ -970,126 +967,47 @@ def union_find_components(pairs_iter, a_col: str, b_col: str,
     })
 
 
-def label_propagation_components(pairs_ds: "rd.Dataset", a_col: str,
-                                 b_col: str, id_col: str, comp_col: str,
-                                 max_rounds: int = 64) -> "pa.Table":
-    """DISTRIBUTED connected components: iterative min-label propagation —
-    the at-scale twin of :func:`union_find_components` (which streams the
-    edge list to one driver).  Repeats "every node takes the min label of
-    itself and its neighbors" until fixpoint: O(diameter) rounds (near-dup
-    graphs are shallow — dup clusters are cliques-ish), each round two
-    coarse hash-partitioned shuffles: the (node, label) rows joined with
-    the (node, nbr) edge rows on node, then a min per receiving node.
-    The edge list and the per-round labels stay Datasets (the convergence
-    test is a distributed ``sum("changed")``); only the final node →
-    component table is collected, as the returned ``pa.Table``.  A graph
-    still changing after ``max_rounds`` rounds is finished by
-    :func:`union_find_components` over the edge list, so the result never
-    depends on the round budget.  Works for int64 and string ids (min =
-    lexicographic).
-    """
-    import pandas as pd
+def star_edges(pairs: "rd.Dataset", a_col: str, b_col: str,
+               dtype: "pa.DataType") -> "rd.Dataset":
+    """The contraction round of :func:`connected_components` (local
+    contraction, Łącki et al., *Connected Components at Scale via Local
+    Contractions*, 2018).  Every edge lives in exactly one hash partition
+    on ``a_col``, so union-find on each partition turns its edges into star
+    edges (node, partition-local root) with the same components.  A
+    partition's stars are a spanning forest of its edges: at most its edge
+    count, and at most one per node."""
 
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        a, b = batch.column(a_col).combine_chunks(), batch.column(b_col).combine_chunks()
-        node = pa.concat_arrays([a.cast(a.type), b.cast(b.type)])
-        nbr = pa.concat_arrays([b.cast(b.type), a.cast(a.type)])
-        return pa.table({"node": node, "nbr": nbr})
+    def stars(part: pa.Table) -> pa.Table:
+        t = union_find_components([part], a_col, b_col, a_col, b_col, dtype)
+        return t.filter(pc.not_equal(t[a_col], t[b_col]))  # drop the roots
 
-    edges = pairs_ds.map_batches(edge_rows, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
+    return copartition(pairs, a_col, stars, batch_format="pyarrow")
 
-    def init_labels(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.drop_duplicates("node")
-        return pd.DataFrame({"node": u["node"], "label": u["node"]})
 
-    labels = copartition(edges, "node", init_labels,
-                         batch_format="pandas").materialize()
-
-    # node type from the materialized edges' schema (no batch probing — the
-    # first batch may be an empty block); for an all-empty graph fall back
-    # to the input's already-known schema (fetch_if_missing=False never
-    # re-executes the pairs pipeline) so the empty result keeps the id
-    # dtype, matching union_find_components' typed empty output
-    def _field_type(sch, name):
-        base = getattr(sch, "base_schema", sch) if sch is not None else None
-        return (base.field(name).type
-                if base is not None and name in base.names else None)
-
-    node_t = _field_type(edges.schema(), "node")
-    if node_t is None or edges.count() == 0:  # empty graph
-        t = (node_t
-             or _field_type(pairs_ds.schema(fetch_if_missing=False), a_col)
-             or pa.int64())
-        return pa.table({id_col: pa.array([], t),
-                         comp_col: pa.array([], t)})
-
-    for _ in range(max_rounds):
-        # stage 1 (co-partitioned on node): label flows across each edge
-        def scatter(lt: pa.Table, et: pa.Table) -> pa.Table:
-            lp, ep = lt.to_pandas(), et.to_pandas()
-            cand = ep.merge(lp, on="node")[["nbr", "label"]] \
-                .rename(columns={"nbr": "node"})
-            return pa.table({
-                "node": pa.array(
-                    pd.concat([lp["node"], cand["node"]], ignore_index=True),
-                    node_t),
-                "label": pa.array(
-                    pd.concat([lp["label"], cand["label"]], ignore_index=True),
-                    node_t),
-                "is_old": pa.array([True] * len(lp) + [False] * len(cand)),
-            })
-
-        flowed = copartition([labels, edges], "node", scatter,
-                             batch_format="pyarrow")
-
-        # stage 2 (re-partition on the RECEIVING node): min label per node,
-        # changed flag vs the node's old label
-        def reduce_min(g: pd.DataFrame) -> pd.DataFrame:
-            new = g.groupby("node", sort=False)["label"].min()
-            old = g[g["is_old"]].set_index("node")["label"]
-            out = new.reset_index()
-            out["changed"] = (new != old.reindex(new.index)).to_numpy() \
-                .astype("int64")
-            return out
-
-        labels2 = copartition(flowed, "node", reduce_min,
-                              batch_format="pandas").materialize()
-        n_changed = labels2.sum("changed")
-        labels = labels2.drop_columns(["changed"]).materialize()
-        if not n_changed:
-            break
-    else:
-        # labels mid-propagation would quietly split components.  Min-label
-        # needs O(diameter) rounds, so only a deep graph (a long near-dup
-        # chain) gets here: finish it with the streamed union-find
-        return union_find_components(
-            pairs_ds.iter_batches(batch_format="pyarrow", batch_size=None),
-            a_col, b_col, id_col, comp_col, node_t)
-
-    out = labels.rename_columns([id_col, comp_col])
-    return pa.concat_tables(
-        out.iter_batches(batch_format="pyarrow", batch_size=None)).sort_by(id_col)
+def connected_components(pairs: "rd.Dataset", a_col: str, b_col: str,
+                         id_col: str, comp_col: str,
+                         dtype: "pa.DataType") -> "pa.Table":
+    """id_col, comp_col — connected components of the edge list ``pairs``
+    (component = min id reachable, min = lexicographic for strings): the
+    one cluster-assembly path, shared by ``lsh_components`` (int64 doc ids)
+    and ``multimodal.phash_components`` (string image ids).  One
+    :func:`star_edges` round in parallel, then union-find over its star
+    rows on the driver: at most min(edges, partitions × nodes) rows, which
+    feed the node-sized table returned there."""
+    stars = star_edges(pairs, a_col, b_col, dtype)
+    return union_find_components(
+        stars.iter_batches(batch_format="pyarrow", batch_size=None),
+        a_col, b_col, id_col, comp_col, dtype)
 
 
 def lsh_components(sf_dir: str) -> "pa.Table":
     """doc_id, component_id — connected components over the MinHash-LSH
     candidate-pair graph: the cluster-assembly step that turns pairwise
     near-dup hits into dedup groups (component_id = min doc_id reachable).
-    Pairs are computed distributed (``minhash_lsh_pairs``) and materialized;
-    while their measured Arrow size is within ``shuffle.BROADCAST_MAX_BYTES``
-    the driver streams them through union-find, and above it iterative
-    min-label propagation assembles the clusters without the edge list on
-    the driver (asserted equal in tests).  Either way the node-sized result
-    table is returned on the driver.  The recursive-CTE oracle checks
-    either."""
-    pairs = minhash_lsh_pairs(sf_dir).materialize()
-    if pairs.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
-        return label_propagation_components(
-            pairs, "doc_a", "doc_b", "doc_id", "component_id")
-    return union_find_components(
-        pairs.iter_batches(batch_format="pyarrow", batch_size=None),
-        "doc_a", "doc_b", "doc_id", "component_id", pa.int64())
+    The pairs come from ``minhash_lsh_pairs`` and the clusters from
+    :func:`connected_components`.  The recursive-CTE oracle checks it."""
+    return connected_components(minhash_lsh_pairs(sf_dir), "doc_a", "doc_b",
+                                "doc_id", "component_id", pa.int64())
 
 
 def minhash_jaccard_estimates(sf_dir: str) -> "rd.Dataset":

@@ -20,7 +20,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from sidecar import codecs, shuffle
+from sidecar import codecs
 from sidecar.detect.phash import phash64_batch
 from sidecar.shuffle import copartition
 
@@ -601,21 +601,12 @@ def phash_components(images_ds: "rd.Dataset | None", max_dist: int = 7,
     ``dedup.lsh_components``.  ``component_id`` = lexicographic min image_id
     reachable.
 
-    The edge list is tiny relative to the corpus (only images with a banded
-    phash collision appear).  It is materialized, and while its measured
-    Arrow size is within ``shuffle.BROADCAST_MAX_BYTES`` union-find streams
-    it on the driver; above it the clusters come from iterative min-label
-    propagation (``dedup.label_propagation_components``).
+    The clusters come from ``dedup.connected_components``.
     """
-    from sidecar.ops.dedup import (label_propagation_components,
-                                   union_find_components)
+    from sidecar.ops.dedup import connected_components
 
     pairs = phash_neardup(images_ds, max_dist,
                           batch_size=batch_size, concurrency=concurrency,
-                          stats_ds=stats_ds, band_mode=band_mode).materialize()
-    if pairs.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
-        return label_propagation_components(
-            pairs, "id_a", "id_b", "image_id", "component_id")
-    return union_find_components(
-        pairs.iter_batches(batch_format="pyarrow", batch_size=4096),
-        "id_a", "id_b", "image_id", "component_id", pa.string())
+                          stats_ds=stats_ds, band_mode=band_mode)
+    return connected_components(pairs, "id_a", "id_b",
+                                "image_id", "component_id", pa.string())

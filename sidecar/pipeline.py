@@ -214,13 +214,12 @@ def sliced(fn, batch_size: int):
     return per_slice
 
 
-def sidecar_dataset(images_ds, *, batch_size: int = 1024, concurrency=None):
+def sidecar_dataset(images_ds, *, batch_size: int = 1024):
     """IMAGES Dataset → SIDECAR Dataset (lazy; the caller consumes/streams).
 
-    Stateless tasks by default; pass ``concurrency`` to pin an actor pool.
-    One task per input block; ``batch_size`` bounds the rows per extractor
-    call inside it, small because rows carry image payloads (memory-aware,
-    SURVEY.md §4.2).
+    Stateless tasks, one per input block; ``batch_size`` bounds the rows per
+    extractor call inside it, small because rows carry image payloads
+    (memory-aware, SURVEY.md §4.2).
     """
     from sidecar.detect import protocol as proto
 
@@ -229,15 +228,11 @@ def sidecar_dataset(images_ds, *, batch_size: int = 1024, concurrency=None):
     def extract_with_registry(batch: pa.Table) -> pa.Table:
         return extract_sidecar_batch(batch, registry=reg)
 
-    kwargs = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
     return images_ds.map_batches(
         sliced(extract_with_registry, batch_size),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
-        **kwargs,
     )
 
 

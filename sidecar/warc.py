@@ -20,8 +20,6 @@ import os
 
 import numpy as np
 
-import ray.data as rd
-
 from sidecar.pipeline import create_warcinfo_payload
 
 _CRLF = "\r\n"
@@ -266,41 +264,6 @@ def read_records(path: str, payload: str = "both") -> list[dict]:
     parse = parse_arc_bytes if raw.lstrip().startswith(b"filedesc://") \
         else parse_warc_bytes
     return parse(raw, payload=payload)
-
-
-def read_warc_text(paths: str | list[str], *,
-                   payload: str = "both") -> "rd.Dataset":
-    """S1 analog: a directory/file(s) of WARC text → Dataset of records,
-    each with its source ``path``.  One file per read task (WARC is not
-    splittable without an index): ``read_records`` inside a flat_map.
-
-    ``payload`` prunes at the read (the payload column dominates record
-    size, and carrying both representations doubles every downstream
-    block): ``"bytes"`` keeps only the raw ``payload_bytes`` (extraction —
-    detectors need original bytes), ``"text"`` keeps only the utf-8/replace
-    ``payload`` (warc-fields payloads are text), ``"both"`` (default) keeps
-    both for callers that need the full record view."""
-    if payload not in ("both", "bytes", "text"):
-        raise ValueError(f"payload must be 'both'|'bytes'|'text', got {payload!r}")
-
-    import glob as _glob
-
-    if isinstance(paths, str):
-        paths = [paths]
-    files: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            files.extend(sorted(
-                f for f in _glob.glob(os.path.join(p, "**", "*"), recursive=True)
-                if os.path.isfile(f)))
-        else:
-            files.append(p)
-
-    def split_file(row: dict) -> list[dict]:
-        return [{"path": row["path"], **r}
-                for r in read_records(row["path"], payload)]
-
-    return rd.from_items([{"path": f} for f in files]).flat_map(split_file)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,8 @@ def test_language_mask_prefilter_equivalence():
             assert masked[i] is None
 
 
-def test_read_warc_text_payload_pruning(tmp_path):
-    """The payload= knob prunes at the read: each mode's schema carries
+def test_read_records_payload_pruning(tmp_path):
+    """The payload= knob prunes at the read: each mode's records carry
     exactly the requested payload representation (the payload column
     dominates record size at scale, so both-by-default in the hot CLI
     paths would double every downstream block)."""
@@ -154,15 +154,12 @@ def test_read_warc_text_payload_pruning(tmp_path):
             + _resp_bytes("http://x/a", b"hello payload"))
     p = tmp_path / "src.warc"
     p.write_bytes(data)
-    both = warc.read_warc_text(str(p)).take_all()
+    both = warc.read_records(str(p))
     assert {"payload", "payload_bytes"} <= set(both[0])
-    only_b = warc.read_warc_text(str(p), payload="bytes").take_all()
+    only_b = warc.read_records(str(p), payload="bytes")
     assert "payload" not in only_b[0] and only_b[1]["payload_bytes"] == b"hello payload"
-    only_t = warc.read_warc_text(str(p), payload="text").take_all()
+    only_t = warc.read_records(str(p), payload="text")
     assert "payload_bytes" not in only_t[0] and only_t[1]["payload"] == "hello payload"
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        warc.read_warc_text(str(p), payload="raw")
 
 
 def test_mixed_framing_warc_file():

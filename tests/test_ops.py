@@ -577,51 +577,66 @@ class TestDedupComponents:
         got = lsh_components(SF).to_pandas()
         assert dict(zip(got["doc_id"], got["component_id"])) == want
 
-    def test_lsh_components_distributed_equals_driver(self, monkeypatch,
-                                                      spy):
-        """The iterative min-label-propagation path (no edge list on the
-        driver) produces the identical component map as the streamed
-        union-find — on the real LSH pair graph and on a constructed long
-        chain (propagation needs multiple rounds there, and a round budget
-        below its diameter finishes with union-find)."""
+    def test_lsh_components_distributed_equals_driver(self, monkeypatch):
+        """One contraction round (``star_edges``) plus union-find over its
+        star rows gives the same table as union-find over the whole edge
+        list: on the real LSH pair graph (no more star rows than edges), a
+        12-node chain, a 4,096-node path cut into 16 blocks, string ids
+        (the phash_components shape) and empty edge lists of both id
+        types."""
         import pyarrow as pa
 
         import ray.data as rd
 
-        from sidecar import shuffle
         from sidecar.ops import dedup
-        from sidecar.ops.dedup import (label_propagation_components,
-                                       lsh_components)
 
-        calls = spy(dedup, "label_propagation_components")
-        base = lsh_components(SF).to_pandas()
-        assert not calls
-        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
-        dist = lsh_components(SF).to_pandas()
-        assert len(calls) == 1
-        assert dict(zip(dist["doc_id"], dist["component_id"])) == \
-            dict(zip(base["doc_id"], base["component_id"]))
+        real, stars = dedup.star_edges, []
 
-        # 12-node path graph: diameter 11 forces many propagation rounds
-        chain = pa.table({"doc_a": pa.array(list(range(11)), pa.int64()),
-                          "doc_b": pa.array(list(range(1, 12)), pa.int64())})
-        got = label_propagation_components(
-            rd.from_arrow(chain), "doc_a", "doc_b",
-            "doc_id", "component_id").to_pandas()
-        assert (got["component_id"] == 0).all() and len(got) == 12
-        got = label_propagation_components(
-            rd.from_arrow(chain), "doc_a", "doc_b",
-            "doc_id", "component_id", max_rounds=2).to_pandas()
-        assert (got["component_id"] == 0).all() and len(got) == 12
+        def spy_stars(*args):
+            stars.append(real(*args))
+            return stars[-1]
 
-        # string ids (the phash_components shape)
-        s = pa.table({"id_a": pa.array(["a", "b", "x"], pa.string()),
-                      "id_b": pa.array(["b", "c", "y"], pa.string())})
-        got = label_propagation_components(
-            rd.from_arrow(s), "id_a", "id_b",
-            "image_id", "component_id").to_pandas()
-        assert dict(zip(got["image_id"], got["component_id"])) == {
+        monkeypatch.setattr(dedup, "star_edges", spy_stars)
+
+        pairs = dedup.minhash_lsh_pairs(SF).materialize()
+        want = dedup.union_find_components(
+            pairs.iter_batches(batch_format="pyarrow", batch_size=None),
+            "doc_a", "doc_b", "doc_id", "component_id", pa.int64())
+        got = dedup.lsh_components(SF)
+        assert len(stars) == 1
+        assert got.equals(want) and got.num_rows > 0
+        assert 0 < stars[0].count() <= pairs.count()
+
+        def check(edges: pa.Table, dtype, block_rows: int = 0) -> pa.Table:
+            ds = rd.from_arrow([edges.slice(i, block_rows) for i in range(
+                0, edges.num_rows, block_rows)] if block_rows else edges)
+            got = dedup.connected_components(ds, "a", "b", "id", "comp", dtype)
+            assert got.equals(dedup.union_find_components(
+                [edges], "a", "b", "id", "comp", dtype))
+            return got
+
+        def path(n: int) -> pa.Table:
+            return pa.table({"a": pa.array(range(n - 1), pa.int64()),
+                             "b": pa.array(range(1, n), pa.int64())})
+
+        got = check(path(12), pa.int64())
+        assert got["comp"].to_pylist() == [0] * 12
+
+        stars.clear()
+        got = check(path(4096), pa.int64(), block_rows=256)  # 16 blocks
+        assert got["comp"].to_pylist() == [0] * 4096
+        assert stars[0].count() <= 4095
+
+        got = check(pa.table({"a": pa.array(["a", "b", "x"], pa.string()),
+                              "b": pa.array(["b", "c", "y"], pa.string())}),
+                    pa.string())
+        assert dict(zip(got["id"].to_pylist(), got["comp"].to_pylist())) == {
             "a": "a", "b": "a", "c": "a", "x": "x", "y": "x"}
+
+        for dtype in (pa.int64(), pa.string()):
+            got = check(pa.table({"a": pa.array([], dtype),
+                                  "b": pa.array([], dtype)}), dtype)
+            assert got.num_rows == 0 and got.schema.field("id").type == dtype
 
 
 class TestPhashNearDup:
@@ -1345,14 +1360,12 @@ class TestSourceBalance:
 
 
 class TestPhashComponents:
-    def test_components_match_bruteforce_union_find(self, images_table,
-                                                    monkeypatch, spy):
+    def test_components_match_bruteforce_union_find(self, images_table, spy):
         import pyarrow as pa
         import pyarrow.compute as pc
 
         import ray.data as rd
 
-        from sidecar import shuffle
         from sidecar.ops import dedup
         from sidecar.ops.multimodal import lossy_reencode, phash_components, phash_neardup
 
@@ -1361,6 +1374,7 @@ class TestPhashComponents:
                      value_set=pa.array(["png", "ppm", "b16"]))).slice(0, 80)
         base = rd.from_arrow(img_only)
         both = base.union(lossy_reencode(base, concurrency=2))
+        calls = spy(dedup, "star_edges")
         got = phash_components(both, concurrency=2).to_pandas()
         comp = dict(zip(got["image_id"], got["component_id"]))
 
@@ -1389,12 +1403,7 @@ class TestPhashComponents:
             if i.endswith("~b16"):
                 assert comp.get(i[:-4], c) == c
         assert len(comp) > 0
-        # a 0-byte limit takes min-label propagation: the same components
-        calls = spy(dedup, "label_propagation_components")
-        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
-        dist = phash_components(both, concurrency=2).to_pandas()
-        assert len(calls) == 1
-        assert dict(zip(dist["image_id"], dist["component_id"])) == want
+        assert len(calls) == 1  # the components came from one contraction
 
 
 class TestRound2Additions:

@@ -103,32 +103,65 @@ def test_minhash_order_invariant(texts):
     assert _minhash_sig(sh) == _minhash_sig(shuffled)  # set semantics
 
 
-@settings(**_SETTINGS)
-@given(st.text(alphabet="abcdefgh xyz.,!", max_size=200))
-def test_sidecar_payload_roundtrip(caption):
-    """WARC payload text → parse → identical field dict (F10/F12 law)."""
+def _cdxj_json_reference(row: dict) -> str:
+    """The CDXJ JSON payload as ``cdxj.sidecar_row_to_cdxj_json`` built it
+    field by field before it went through the sidecar payload: the bytes
+    the current function must keep."""
     import json
 
-    from sidecar.cdxj import sidecar_row_to_cdxj_json
-    from sidecar.pipeline import sidecar_row_to_payload
+    from sidecar.pipeline import _lang_struct_to_ref
 
-    row = {"mime_fido": "text/html", "mime_magic": "text/html",
-           "puid": "fmt/96", "charset": {"encoding": "ascii", "confidence": 1.0},
-           "languages": None, "soft404": 0.25, "url": "https://x.example.com/",
-           "ts": "20210101000000"}
-    payload = sidecar_row_to_payload(row)
-    parsed = {}
-    for line in payload.split("\n"):
-        k, v = line.split(": ", 1)
-        try:
-            parsed[k] = json.loads(v)
-        except json.JSONDecodeError:
-            parsed[k] = v
-    obj = json.loads(sidecar_row_to_cdxj_json(row))
-    assert obj["Identified-Payload-Type"] == parsed["Identified-Payload-Type"]
-    assert obj["Soft-404-Detected"] == float(parsed["Soft-404-Detected"])
-    assert obj["Charset-Detected"]["encoding"] == \
-        parsed["Charset-Detected"]["encoding"]
+    d: dict = {}
+    mime_dict = {}
+    if row.get("mime_fido"):
+        mime_dict["fido"] = row["mime_fido"]
+    if row.get("mime_magic"):
+        mime_dict["python-magic"] = row["mime_magic"]
+    if mime_dict:
+        d["Identified-Payload-Type"] = mime_dict
+    if row.get("puid"):
+        d["Preservation-Identifier"] = row["puid"]
+    cs = row.get("charset")
+    if cs and cs.get("encoding"):
+        d["Charset-Detected"] = {"encoding": cs["encoding"],
+                                 "confidence": cs["confidence"]}
+    lang = _lang_struct_to_ref(row.get("languages"))
+    if lang:
+        d["Languages-cld2"] = lang
+    if row.get("soft404") is not None:
+        d["Soft-404-Detected"] = row["soft404"]
+    return json.dumps(d)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# SIDECAR rows with each field null, empty or set; puids are PRONOM ids
+sidecar_rows = st.fixed_dictionaries({
+    "mime_fido": st.none() | st.text(max_size=12),
+    "mime_magic": st.none() | st.text(max_size=12),
+    "puid": st.sampled_from([None, "", "fmt/96", "x-fmt/111"]),
+    "charset": st.none() | st.fixed_dictionaries({
+        "encoding": st.sampled_from([None, "", "ascii", "ISO-8859-1"]),
+        "confidence": st.none() | _finite}),
+    "languages": st.none() | st.fixed_dictionaries({
+        "reliable": st.booleans(), "text_bytes": st.integers(0, 1 << 20),
+        "languages": st.lists(st.fixed_dictionaries({
+            "name": st.text(max_size=8), "code": st.text(max_size=3),
+            "text_covered": st.integers(0, 100), "score": _finite}),
+            max_size=3)}),
+    "soft404": st.none() | _finite,
+    "url": st.just("https://x.example.com/"),
+    "ts": st.just("20210101000000"),
+})
+
+
+@settings(**_SETTINGS)
+@given(sidecar_rows)
+def test_sidecar_payload_roundtrip(row):
+    """SIDECAR row → sidecar payload → CDXJ JSON (F10/F12 law): the same
+    string as building the JSON from the row's fields directly."""
+    from sidecar.cdxj import sidecar_row_to_cdxj_json
+
+    assert sidecar_row_to_cdxj_json(row) == _cdxj_json_reference(row)
 
 
 @given(st.lists(st.text(alphabet=st.characters(codec="utf-8",

@@ -327,9 +327,6 @@ DRIVER_GATHERS = {
     ("cdxj.py", "merge_cdxj"): _GATED,
     ("ops/dedup.py", "embedding_near_dup"): _GATED,
     ("ops/dedup.py", "embedding_near_dup_lsh"): _GATED,
-    ("ops/dedup.py", "lsh_components"): _GATED,
-    ("ops/multimodal.py", "phash_components"): _GATED,
-    ("ops/dedup.py", "label_propagation_components"): _GATED,
     ("ops/similarity.py", "ann_topk"): _BOUNDED,
     ("ops/similarity.py", "ann_topk_ivf"): _BOUNDED,
     ("ops/similarity.py", "ann_topk_int8"): _BOUNDED,
@@ -337,6 +334,9 @@ DRIVER_GATHERS = {
     ("ops/relational.py", "global_rank_sample"): _BOUNDED,
     ("ops/relational.py", "approx_distinct_custkey"): _BOUNDED,
     ("ops/dedup.py", "decontaminate"): _BOUNDED,
+    ("ops/dedup.py", "connected_components"): _BOUNDED + (
+        ": at most min(edges, partitions x nodes) star rows, feeding the"
+        " node-sized table it returns"),
     ("ops/dedup.py", "ngram_jaccard_pairs"): _OPEN,
     ("ops/dedup.py", "minhash_jaccard_estimates"): _OPEN,
     ("ops/relational.py", "supplier_part_join"): _OPEN,

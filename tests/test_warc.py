@@ -50,7 +50,7 @@ def test_warc_roundtrip(tmp_path, images_table):
     n = row["records_written"]
     assert n > 0
 
-    records = warc.read_warc_text(path).take_all()
+    records = warc.read_records(path)
     assert records[0]["rec_type"] == "warcinfo"
     assert "operator: ops" in records[0]["payload"]
     assert "publisher: pub" in records[0]["payload"]
@@ -228,10 +228,8 @@ def test_gzip_sidecar_roundtrip(tmp_path, images_table):
     assert n1 == n2 > 0
     assert open(p_gz, "rb").read(2) == b"\x1f\x8b"       # actually gzip
     assert open(p_plain, "rb").read(2) != b"\x1f\x8b"    # quirk preserved
-    r1 = [r for r in warc.read_warc_text(p_plain).take_all()
-          if r["rec_type"] == "metadata"]
-    r2 = [r for r in warc.read_warc_text(p_gz).take_all()
-          if r["rec_type"] == "metadata"]
+    r1 = [r for r in warc.read_records(p_plain) if r["rec_type"] == "metadata"]
+    r2 = [r for r in warc.read_records(p_gz) if r["rec_type"] == "metadata"]
     assert [r["payload"] for r in r1] == [r["payload"] for r in r2]
 
 
