@@ -11,9 +11,15 @@ ST5-ST7) — the only pieces the Dataset API genuinely can't express.
   (crawl-order determinism, SURVEY.md §4.3).
 
 Batched APIs throughout: one RPC per (batch × shard), never per URL.
+
+A crawl takes its actors from :func:`crawl_actors`, which keeps them for the
+Ray session and resets them between crawls.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +53,24 @@ class SeenShard:
     def __init__(self, shard_id: int, n_buckets: int = 1 << 16, bloom_bits: int = 1 << 20,
                  merge_threshold: int = 1 << 16):
         self.shard_id = shard_id
-        self.cuckoo = CuckooFilter(n_buckets=n_buckets)
+        self.n_buckets = n_buckets
+        self._merge_threshold = merge_threshold
+        self.bloom_bits = bloom_bits
+        self.reset()
+
+    def reset(self) -> None:
+        """The empty shard ``__init__`` builds: a pooled shard starts each
+        crawl from it (:func:`crawl_actors`)."""
+        self.cuckoo = CuckooFilter(n_buckets=self.n_buckets)
         self._merged = np.empty(0, dtype=np.uint64)   # sorted, bulk of keys
         self._pending = np.empty(0, dtype=np.uint64)  # sorted, recent adds
-        self._merge_threshold = merge_threshold
         self.delta: list[np.ndarray] = []  # arrays appended since last checkpoint
-        self.bloom_bits = bloom_bits
         # maintained INCREMENTALLY in add_many (blooms are add-only and
         # order-independent): bloom_summary is O(serialize), not an
         # every-epoch rebuild over ALL accumulated keys — at crawl scale the
         # rebuild grows linearly with crawl age and becomes the shard-side
         # serial fraction
-        self._bloom = BloomFilter(n_bits=bloom_bits)
+        self._bloom = BloomFilter(n_bits=self.bloom_bits)
 
     def _known(self, h: np.ndarray) -> np.ndarray:
         """Vectorized exact membership against merged + pending."""
@@ -155,9 +167,15 @@ class HostPolicy:
                  seed: int = 42, graph: str = "b2"):
         self.actor_id = actor_id
         self.budget = budget_per_epoch
-        self.tokens: dict[tuple[str, int], int] = {}  # (host, epoch) -> remaining
         self._robots = synth.robots_rules(n_hosts=n_hosts, seed=seed,
                                           graph=graph)  # cache built once
+        self.reset()
+
+    def reset(self) -> None:
+        """Full token buckets and zeroed metrics, as ``__init__`` leaves
+        them: a pooled actor starts each crawl from here and keeps only its
+        robots cache (:func:`crawl_actors`)."""
+        self.tokens: dict[tuple[str, int], int] = {}  # (host, epoch) -> remaining
         self.granted: int = 0
         self.denied_robots: int = 0
         self._denied_keys: dict = {}  # epoch -> batch keys already folded
@@ -252,6 +270,94 @@ def make_host_policies(num_actors: int, budget_per_epoch: int, n_hosts: int = 20
                           graph=graph)
         for i in range(num_actors)
     ]
+
+
+@dataclass
+class _Pool:
+    """The crawl's state actors of one Ray session: the seen shards, then
+    the policy actors, for one ``shape``."""
+    session: tuple[str, str]
+    shape: tuple
+    actors: list
+    held: bool = False
+
+
+_pool: "_Pool | None" = None
+
+
+def session() -> tuple[str, str]:
+    """The Ray session this process is connected to, as (job id, node id):
+    a new local cluster has a new node id, a new connection to a running
+    cluster a new job id."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_job_id(), ctx.get_node_id()
+
+
+def _spawn(shape: tuple, k: int):
+    """A fresh k-th actor of a pool of ``shape``."""
+    num_shards, _, budget, n_hosts, seed, graph = shape
+    if k < num_shards:
+        return SeenShard.remote(k)
+    return HostPolicy.remote(k - num_shards, budget, n_hosts=n_hosts,
+                             seed=seed, graph=graph)
+
+
+def _reset(pool: _Pool) -> None:
+    """One ``reset`` RPC per actor; an actor that died since the last crawl
+    is replaced by a fresh one."""
+    refs = [a.reset.remote() for a in pool.actors]
+    for k, ref in enumerate(refs):
+        try:
+            ray.get(ref)
+        except ray.exceptions.RayActorError:
+            pool.actors[k] = _spawn(pool.shape, k)
+
+
+def _kill(pool: _Pool) -> None:
+    for a in pool.actors:
+        ray.kill(a)
+
+
+@contextmanager
+def crawl_actors(num_shards: int, num_policies: int, budget_per_epoch: int,
+                 n_hosts: int = 20, seed: int = 42, graph: str = "b2"):
+    """Yield ``(seen_shards, host_policies)`` for one crawl, in the state
+    their ``__init__`` builds.
+
+    The actors are pooled per Ray session: a crawl of the shape the last
+    one had resets them with one RPC each instead of starting processes
+    (start-up was ~1.4 s of a ~5 s crawl), and a change of shape replaces
+    them.  A crawl that ends also resets them, unawaited, so an idle pool
+    holds no crawl's seen set.  The pool is keyed by job and node id, so a handle from a session
+    that has shut down is never reused.  One crawl holds the pool at a time:
+    a second one started while it does raises.  A crawl that raises may
+    leave tasks still calling its actors, so they are killed rather than
+    pooled."""
+    global _pool
+    shape = (num_shards, num_policies, budget_per_epoch, n_hosts, seed, graph)
+    pool = _pool if _pool is not None and _pool.session == session() else None
+    if pool is not None and pool.held:
+        raise RuntimeError("another crawl holds the state actors: run one "
+                           "crawl at a time per Ray session")
+    if pool is not None and pool.shape == shape:
+        _reset(pool)
+    else:
+        if pool is not None:
+            _kill(pool)
+        pool = _pool = _Pool(session(), shape, [
+            _spawn(shape, k) for k in range(num_shards + num_policies)])
+    pool.held = True
+    try:
+        yield pool.actors[:num_shards], pool.actors[num_shards:]
+    except BaseException:
+        _kill(pool)
+        _pool = None
+        raise
+    else:
+        for a in pool.actors:  # an idle pool holds no crawl's seen set
+            a.reset.remote()
+    finally:
+        pool.held = False
 
 
 def call_seen_shards(shards: list, num_shards: int, method: str,

@@ -1,10 +1,13 @@
 """The Ray-Data-native crawl driver: the epoch loop, its checkpoints and its
 metrics (SURVEY.md §3.4 lifecycle; BASELINE.json:north_rule).
 
-``run_crawl`` creates the state actors (seen-set shards, HostPolicy
-politeness actors), restores from the checkpoints, runs ``_run_epoch`` per
-epoch and reports.  An epoch is a fixed chain of steps, each timed into the
-epoch's metrics as ``t_<step>``:
+``run_crawl`` takes the state actors (seen-set shards, HostPolicy
+politeness actors) from the Ray session's pool, reset to their ``__init__``
+state (``actors.crawl_actors``), restores from the checkpoints, runs
+``_run_epoch`` per epoch and reports.  The session's first crawl also
+starts one import task per CPU slot, so the workers load Ray Data, pandas
+and this module side by side rather than stage after stage.  An epoch is a
+fixed chain of steps, each timed into the epoch's metrics as ``t_<step>``:
 
   budget               frontier (epoch 0: seed rows built in tasks from
                        their ids; later: the previous next-frontier parquet)
@@ -57,10 +60,10 @@ import ray
 import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
+from sidecar import actors
 from sidecar import frontier as fr
 from sidecar import pipeline, storage, synth
-from sidecar.actors import (call_seen_shards, host_shard, make_host_policies,
-                            make_seen_shards)
+from sidecar.actors import call_seen_shards, host_shard
 from sidecar.detect import protocol as proto
 from sidecar.state import BloomFilter
 
@@ -221,6 +224,27 @@ class _Run:
     denied: int = 0
 
 
+# the Ray session whose workers the crawl has warmed
+_warm_session: "tuple[str, str] | None" = None
+
+
+@ray.remote(num_cpus=1)
+def _warm_worker() -> None:
+    """Import what the crawl's tasks run: this module brings in ray.data
+    and pandas."""
+    import pyarrow.dataset  # noqa: F401
+
+    import sidecar.crawl  # noqa: F401
+
+
+def _warm_workers() -> None:
+    """Start one fire-and-forget import task per CPU slot, so a new
+    session's workers import in parallel (while Ray Data starts its stats
+    actor) instead of one pipeline stage after another."""
+    for _ in range(int(ray.cluster_resources().get("CPU", 0))):
+        _warm_worker.remote()
+
+
 def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
               collect_order: bool = True, collect_seen: bool = True) -> dict:
     """Run the crawl; returns {crawl_order, seen, seen_count, metrics,
@@ -230,16 +254,22 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
     materialize the global crawl order / final seen-set on the driver for
     bit-for-bit oracle comparison; production runs (``main``, bench) pass
     False — the seen set lives in the shards and on disk as per-shard
-    epoch-delta files, and the driver reports only ``seen_count``."""
+    epoch-delta files, and the driver reports only ``seen_count``.
+
+    The state actors outlive the call: they stay in the session's pool for
+    the next crawl of the same shape, and are killed only when this crawl
+    raises."""
+    global _warm_session
     os.makedirs(cfg.out_dir, exist_ok=True)
-    shards = make_seen_shards(cfg.num_seen_shards)
-    policies = make_host_policies(
-        cfg.num_policy_actors, cfg.budget_per_host, n_hosts=cfg.n_hosts,
-        seed=cfg.seed, graph=cfg.graph,
-    )
-    try:
+    session = actors.session()
+    if _warm_session != session:
+        _warm_session = session
+        _warm_workers()
+    with actors.crawl_actors(cfg.num_seen_shards, cfg.num_policy_actors,
+                             cfg.budget_per_host, n_hosts=cfg.n_hosts,
+                             seed=cfg.seed, graph=cfg.graph) as (shards, policies):
         # leaving the `with` joins the writer thread, also on an error, so no
-        # write outlives the run (or its actors)
+        # write outlives the run's hold on the actors
         with ThreadPoolExecutor(max_workers=1) as writer:
             # robots rules are static here: one snapshot serves every epoch
             run = _Run(cfg, shards, policies, policies[0].rules_snapshot.remote(),
@@ -254,12 +284,6 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
                 ray.get([s.snapshot.remote() for s in shards])))
         else:
             seen = np.array([], dtype=np.uint64)
-    finally:
-        # release the state actors' CPU reservations — leaked actors
-        # accumulate across runs in one session and starve later
-        # pipelines; an exception mid-epoch must not leak them either
-        for a in shards + policies:
-            ray.kill(a)
     return {
         "crawl_order": run.crawl_order,
         "seen": [int(x) for x in seen],
@@ -663,7 +687,7 @@ def _checkpoint(run: _Run, m: dict, epoch: int, order: list[str]) -> None:
     denied = sum(p["denied_robots"]
                  for p in ray.get([p.metrics.remote() for p in run.policies]))
     # per-EPOCH delta: cumulative actor-lifetime totals would differ between
-    # an uninterrupted run and a resumed one (fresh actors restart at 0)
+    # an uninterrupted run and a resumed one (reset actors restart at 0)
     m["robots_denied"], m["robots_denied_total"] = denied - run.denied, denied
     run.denied = denied
     path = _sidecar_dir(cfg, epoch)

@@ -15,6 +15,8 @@ scalar columns only.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -309,6 +311,38 @@ def _bucket_pairs(ph: np.ndarray, band: int, max_dist: int, band_mode: str):
             np.concatenate(out_d))
 
 
+# the candidate pairs' schema, also when a partition has none: an empty
+# object-dtype pandas column has no size Ray can compute
+_PAIRS_SCHEMA = pa.schema([("id_a", pa.string()), ("id_b", pa.string()),
+                           ("dist", pa.int64())])
+
+
+def _phash_pairs(g: "pd.DataFrame", max_dist: int,
+                 band_mode: str) -> "pd.DataFrame | pa.Table":
+    """The pairs within ``max_dist`` bits inside each (band, chunk) bucket of
+    one ``phash_neardup`` partition."""
+    import pandas as pd
+
+    out_a, out_b, out_d = [], [], []
+    for (band, _chunk), sub in g.groupby(["band", "chunk"], sort=False):
+        if len(sub) < 2:
+            continue
+        order = np.argsort(sub["image_id"].to_numpy())
+        ids = sub["image_id"].to_numpy()[order]
+        ph = sub["phash"].to_numpy()[order].astype(np.int64).view(np.uint64)
+        # i < j on the id-sorted arrays keeps id_a < id_b; hot buckets
+        # take the exact sub-chunk split instead of O(n^2) triu
+        r, c, dist = _bucket_pairs(ph, int(band), max_dist, band_mode)
+        out_a.append(ids[r])
+        out_b.append(ids[c])
+        out_d.append(dist)
+    if not any(len(a) for a in out_a):  # no bucket, or none with a close pair
+        return _PAIRS_SCHEMA.empty_table()
+    return pd.DataFrame({"id_a": np.concatenate(out_a),
+                         "id_b": np.concatenate(out_b),
+                         "dist": np.concatenate(out_d)})
+
+
 def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
                   *, batch_size: int = 64,
                   concurrency: "int | tuple | str | None" = None,
@@ -334,8 +368,6 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
     pigeonhole it is exact for ``max_dist`` ≤ 6 (≤ 6 flipped bits dirty at
     most 6 of the 8 chunks, so some PAIR of chunks is clean).  Same shuffle
     shape; 28 key rows per image instead of 8."""
-    import pandas as pd
-
     from sidecar.ops.dedup import _dedup_pairs
 
     if band_mode not in ("chunk", "chunk_pair"):
@@ -382,31 +414,11 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
             "phash": pa.array(np.tile(ph, n_bands), pa.int64()),
         })
 
-    def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b, out_d = [], [], []
-        for (band, _chunk), sub in g.groupby(["band", "chunk"], sort=False):
-            if len(sub) < 2:
-                continue
-            order = np.argsort(sub["image_id"].to_numpy())
-            ids = sub["image_id"].to_numpy()[order]
-            ph = sub["phash"].to_numpy()[order].astype(np.int64).view(np.uint64)
-            # i < j on the id-sorted arrays keeps id_a < id_b; hot buckets
-            # take the exact sub-chunk split instead of O(n^2) triu
-            r, c, dist = _bucket_pairs(ph, int(band), max_dist, band_mode)
-            out_a.append(ids[r])
-            out_b.append(ids[c])
-            out_d.append(dist)
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="object"),
-                                 "id_b": pd.Series([], dtype="object"),
-                                 "dist": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "dist": np.concatenate(out_d)})
-
     candidates = copartition(
         stats.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True),
-        ["band", "chunk"], pairs_in_partition, batch_format="pandas")
+        ["band", "chunk"],
+        functools.partial(_phash_pairs, max_dist=max_dist, band_mode=band_mode),
+        batch_format="pandas")
     return _dedup_pairs(candidates, a="id_a", b="id_b", extra_cols=("dist",))
 
 

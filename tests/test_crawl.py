@@ -773,3 +773,115 @@ def test_flagged_must_be_materialized():
         crawl._materialized(rd.range(4))
     done = rd.range(4).materialize()
     assert crawl._materialized(done) is done
+
+
+def _pool_ids() -> list[str]:
+    from sidecar import actors
+
+    return [a._actor_id.hex() for a in actors._pool.actors]
+
+
+def _wait_dead(actor) -> None:
+    """Wait until calls to ``actor`` fail: ``ray.kill`` lands asynchronously,
+    so a call made right after it may still be served."""
+    import time
+
+    for _ in range(100):
+        try:
+            ray.get(actor.reset.remote())
+        except ray.exceptions.RayActorError:
+            return
+        time.sleep(0.1)
+    raise AssertionError("the actor still answers after 10 s")
+
+
+def test_same_shape_crawls_reuse_the_pool(small_oracle, tmp_path):
+    """A second crawl of the same shape resets the pooled actors instead of
+    starting new ones, and both crawls match the oracle bit for bit.  An
+    idle pool holds no crawl's seen set."""
+    from sidecar import actors
+
+    r1 = run_crawl(_cfg(str(tmp_path / "p1")))
+    ids = _pool_ids()
+    r2 = run_crawl(_cfg(str(tmp_path / "p2")))
+    assert _pool_ids() == ids
+    shards = actors._pool.actors[:CrawlConfig.num_seen_shards]
+    assert ray.get([s.size.remote() for s in shards]) == [0] * len(shards)
+    for r in (r1, r2):
+        assert r["crawl_order"] == small_oracle["crawl_order"]
+        assert r["seen"] == small_oracle["seen"]
+
+
+def test_killed_pool_actor_is_replaced(small_oracle, tmp_path):
+    """An actor that died between crawls is replaced when the next crawl
+    takes the pool; the others are kept."""
+    from sidecar import actors
+
+    run_crawl(_cfg(str(tmp_path / "k1")))
+    ids = _pool_ids()
+    shard, policy = 0, CrawlConfig.num_seen_shards  # first shard, first policy
+    for k in (shard, policy):
+        ray.kill(actors._pool.actors[k])
+        _wait_dead(actors._pool.actors[k])
+    r = run_crawl(_cfg(str(tmp_path / "k2")))
+    now = _pool_ids()
+    assert [k for k in range(len(ids)) if now[k] != ids[k]] == [shard, policy]
+    assert r["crawl_order"] == small_oracle["crawl_order"]
+    assert r["seen"] == small_oracle["seen"]
+
+
+def test_crawl_that_raises_releases_the_pool(small_oracle, tmp_path, monkeypatch):
+    """A crawl that fails mid-epoch releases the pool and kills its actors
+    (its tasks may still be calling them); the next crawl is exact."""
+    from sidecar import actors, crawl
+
+    run_crawl(_cfg(str(tmp_path / "e0")))
+    old = actors._pool.actors[0]
+
+    def fail(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(crawl, "_politeness", fail)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_crawl(_cfg(str(tmp_path / "e1")))
+    assert actors._pool is None
+    _wait_dead(old)
+    monkeypatch.undo()
+    r = run_crawl(_cfg(str(tmp_path / "e2")))
+    assert r["crawl_order"] == small_oracle["crawl_order"]
+    assert r["seen"] == small_oracle["seen"]
+
+
+def test_resume_after_other_crawl_restores_only_its_own(small_oracle, tmp_path):
+    """A resume that follows another crawl of the same actor shape in the
+    session sees only the seen set its own checkpoints restore."""
+    out = str(tmp_path / "own")
+    run_crawl(_cfg(out, max_epochs=1))
+    ids = _pool_ids()
+    other = run_crawl(_cfg(str(tmp_path / "other"), n_seeds=50, max_depth=3))
+    assert _pool_ids() == ids  # same shape: the pool was reset, not replaced
+    assert set(other["seen"]) - set(small_oracle["seen"])
+    r = run_crawl(_cfg(out), resume=True)
+    assert r["crawl_order"] == small_oracle["crawl_order"]
+    assert r["seen"] == small_oracle["seen"]
+
+
+def test_only_the_first_crawl_of_a_session_warms_workers(spy, monkeypatch, tmp_path):
+    from sidecar import crawl
+
+    monkeypatch.setattr(crawl, "_warm_session", None)  # as in a new session
+    calls = spy(crawl, "_warm_workers")
+    run_crawl(_cfg(str(tmp_path / "w1"), max_epochs=1))
+    run_crawl(_cfg(str(tmp_path / "w2"), max_epochs=1))
+    assert len(calls) == 1
+
+
+def test_one_crawl_holds_the_pool_at_a_time():
+    from sidecar import actors
+
+    with actors.crawl_actors(2, 1, 3, n_hosts=5):
+        with pytest.raises(RuntimeError, match="one crawl at a time"):
+            with actors.crawl_actors(2, 1, 3, n_hosts=5):
+                pass
+    with actors.crawl_actors(2, 1, 3, n_hosts=5) as (shards, policies):
+        assert len(shards) == 2 and len(policies) == 1

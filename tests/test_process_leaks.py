@@ -89,7 +89,11 @@ def test_sidecar_all_leaves_no_process(tmp_path):
 
 
 def test_crawl_leaves_no_process(tmp_path):
+    """The crawl's pooled state actors and its worker warm-up tasks end with
+    the command's Ray session."""
     _run_leaving_nothing(["sidecar.crawl", "--n-seeds", "20",
-                          "--max-epochs", "1", "--out-dir",
+                          "--max-epochs", "2", "--num-seen-shards", "2",
+                          "--num-policy-actors", "2", "--out-dir",
                           str(tmp_path / "crawl")],
                          tmp_path / "crawl.log")
+    assert (tmp_path / "crawl" / "_ckpt" / "epoch=1" / "manifest.json").exists()

@@ -315,8 +315,9 @@ def test_no_copartition_input_is_a_union():
     assert not hits, hits
 
 
-# The functions that may gather rows on the driver (``ray.put`` or a
-# driver-side ``.iter_batches(``), each with the reason it may.  Any other
+# The functions that may gather rows on the driver (``ray.put``, or a
+# driver-side ``.iter_batches(``, ``.to_pandas(`` or ``.take_all(``), each
+# with the reason it may.  Any other
 # corpus-sized build side meets its probe side through ``copartition``.
 _GATED = "gated by BROADCAST_MAX_BYTES, with a partitioned twin"
 _BOUNDED = "bounded by construction"
@@ -343,13 +344,51 @@ DRIVER_GATHERS = {
     ("crawl.py", "_politeness"): _BOUNDED + ": one host-count row per host",
     ("crawl.py", "_skip_done_parts"): _BOUNDED + ": one count row per block",
     ("frontier.py", "filter_unseen"): _BOUNDED + ": the bloom summary, fixed bits",
+    ("frontier.py", "select_budget"): _BOUNDED + (
+        ": the size_hint plan gathers at most SMALL_FRONTIER_ROWS rows"),
+    ("crawl.py", "_order"): _BOUNDED + (
+        ": one epoch's selected URLs, gathered only when a test passes"
+        " collect_order"),
+    ("ops/relational.py", "top_revenue_orders"): _BOUNDED + (
+        ": at most k rows per partition"),
+    ("ops/relational.py", "distinct_count_custkey"): _BOUNDED + (
+        ": one count row per partition"),
+    ("ops/relational.py", "pricing_rollup"): _BOUNDED + (
+        ": one row per (returnflag, linestatus)"),
+    ("ops/text.py", "bigram_topk"): _BOUNDED + ": at most k rows per partition",
+    ("ops/text.py", "_doc_term_tf"): (
+        "not a gather: a batch helper run in tasks, whose .to_pandas() converts"
+        " an Arrow array"),
 }
+
+
+def _own_body(fn: ast.FunctionDef):
+    """The nodes of ``fn`` outside the defs and lambdas nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _calls(nodes) -> set[str]:
+    """The method names called among ``nodes`` (``ray.put`` as itself)."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            f = node.func
+            out.add("ray.put" if f.attr == "put" and isinstance(f.value, ast.Name)
+                    and f.value.id == "ray" else f.attr)
+    return out
 
 
 def _driver_gathers(root: pathlib.Path) -> set[tuple[str, str]]:
     """(file, top-level function) of every function in ``sidecar/ops``,
     ``pipeline.py``, ``cdxj.py``, ``crawl.py`` and ``frontier.py`` that
-    calls ``ray.put`` or ``.iter_batches(``, nested defs included."""
+    calls ``ray.put`` or ``.iter_batches(``, nested defs included, or
+    ``.to_pandas(`` or ``.take_all(`` in its own body (in a nested def, a
+    batch UDF, those convert the batch's pyarrow table)."""
     found = set()
     for path in [*sorted(root.glob("ops/*.py")),
                  *(root / f for f in ("pipeline.py", "cdxj.py", "crawl.py",
@@ -358,14 +397,9 @@ def _driver_gathers(root: pathlib.Path) -> set[tuple[str, str]]:
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
                 continue
-            for node in ast.walk(fn):
-                f = getattr(node, "func", None)
-                if isinstance(node, ast.Call) and isinstance(f, ast.Attribute) and (
-                        f.attr == "iter_batches"
-                        or (f.attr == "put" and isinstance(f.value, ast.Name)
-                            and f.value.id == "ray")):
-                    found.add((path.relative_to(root).as_posix(), fn.name))
-                    break
+            if (_calls(ast.walk(fn)) & {"ray.put", "iter_batches"}
+                    or _calls(_own_body(fn)) & {"to_pandas", "take_all"}):
+                found.add((path.relative_to(root).as_posix(), fn.name))
     return found
 
 
