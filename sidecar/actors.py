@@ -13,7 +13,8 @@ ST5-ST7) — the only pieces the Dataset API genuinely can't express.
 Batched APIs throughout: one RPC per (batch × shard), never per URL.
 
 A crawl takes its actors from :func:`crawl_actors`, which keeps them for the
-Ray session and resets them between crawls.
+Ray session and resets them between crawls.  :func:`warm_session` is the
+engine's once-per-session start-up, keyed by the same :func:`session`.
 """
 
 from __future__ import annotations
@@ -291,6 +292,46 @@ def session() -> tuple[str, str]:
     cluster a new job id."""
     ctx = ray.get_runtime_context()
     return ctx.get_job_id(), ctx.get_node_id()
+
+
+# the Ray session warm_session has started up
+_warm: "tuple[str, str] | None" = None
+
+
+@ray.remote(num_cpus=1)
+def _import_engine() -> None:
+    """Import what the engine's tasks run: the crawl module brings in
+    ray.data, pandas and the package."""
+    import pyarrow.dataset  # noqa: F401
+
+    import sidecar.crawl  # noqa: F401
+
+
+def _start_up() -> None:
+    """Start Ray Data's stats actor, which every ``Dataset.__init__`` looks
+    up (its process start held a session's first read ~0.9 s on a 4-CPU
+    VM), and one import task per CPU slot, so the workers import side by
+    side instead of one stage after another.  Waits for neither."""
+    from ray.data._internal.stats import StatsManager
+
+    StatsManager._get_or_create_stats_actor()
+    for _ in range(int(ray.cluster_resources().get("CPU", 0))):
+        _import_engine.remote()
+
+
+def warm_session() -> None:
+    """The engine's start-up, once per Ray session: every Dataset source
+    (``storage`` readers, the flagship frontier, ``crawl.run_crawl``) calls
+    it first.  It does nothing before ``ray.init`` (it never starts Ray)
+    and nothing inside a Ray worker."""
+    global _warm
+    if (not ray.is_initialized()
+            or ray.get_runtime_context().worker.mode != ray.SCRIPT_MODE):
+        return
+    key = session()
+    if _warm != key:
+        _warm = key
+        _start_up()
 
 
 def _spawn(shape: tuple, k: int):

@@ -4,9 +4,11 @@ metrics (SURVEY.md §3.4 lifecycle; BASELINE.json:north_rule).
 ``run_crawl`` takes the state actors (seen-set shards, HostPolicy
 politeness actors) from the Ray session's pool, reset to their ``__init__``
 state (``actors.crawl_actors``), restores from the checkpoints, runs
-``_run_epoch`` per epoch and reports.  The session's first crawl also
-starts one import task per CPU slot, so the workers load Ray Data, pandas
-and this module side by side rather than stage after stage.  An epoch is a
+``_run_epoch`` per epoch and reports.  Like every Dataset source of the
+engine it first calls ``actors.warm_session``: the session's first one
+starts Ray Data's stats actor and one import task per CPU slot, so the
+workers load Ray Data, pandas and this package side by side rather than
+stage after stage.  An epoch is a
 fixed chain of steps, each timed into the epoch's metrics as ``t_<step>``:
 
   budget               frontier (epoch 0: seed rows built in tasks from
@@ -224,27 +226,6 @@ class _Run:
     denied: int = 0
 
 
-# the Ray session whose workers the crawl has warmed
-_warm_session: "tuple[str, str] | None" = None
-
-
-@ray.remote(num_cpus=1)
-def _warm_worker() -> None:
-    """Import what the crawl's tasks run: this module brings in ray.data
-    and pandas."""
-    import pyarrow.dataset  # noqa: F401
-
-    import sidecar.crawl  # noqa: F401
-
-
-def _warm_workers() -> None:
-    """Start one fire-and-forget import task per CPU slot, so a new
-    session's workers import in parallel (while Ray Data starts its stats
-    actor) instead of one pipeline stage after another."""
-    for _ in range(int(ray.cluster_resources().get("CPU", 0))):
-        _warm_worker.remote()
-
-
 def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
               collect_order: bool = True, collect_seen: bool = True) -> dict:
     """Run the crawl; returns {crawl_order, seen, seen_count, metrics,
@@ -258,13 +239,11 @@ def run_crawl(cfg: CrawlConfig, *, resume: bool = False,
 
     The state actors outlive the call: they stay in the session's pool for
     the next crawl of the same shape, and are killed only when this crawl
-    raises."""
-    global _warm_session
+    raises.  The session's first call into the engine, a crawl or a read,
+    also starts Ray Data's stats actor and one import task per CPU slot
+    (``actors.warm_session``)."""
+    actors.warm_session()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    session = actors.session()
-    if _warm_session != session:
-        _warm_session = session
-        _warm_workers()
     with actors.crawl_actors(cfg.num_seen_shards, cfg.num_policy_actors,
                              cfg.budget_per_host, n_hosts=cfg.n_hosts,
                              seed=cfg.seed, graph=cfg.graph) as (shards, policies):

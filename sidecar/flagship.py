@@ -15,7 +15,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from sidecar import pipeline, synth
+from sidecar import actors, pipeline, synth
 
 
 def _docs_to_images(batch: pa.Table) -> pa.Table:
@@ -56,8 +56,10 @@ def synthetic_frontier_sidecar(n_urls: int, *, seed: int = 42,
 
     Read, fetch and extract run as one fused operator with one task per
     input block (``num_blocks`` tasks); ``batch_size`` bounds the rows per
-    fetch and extractor call inside a task, not the task size.
+    fetch and extractor call inside a task, not the task size.  The
+    session's first call starts the engine up (``actors.warm_session``).
     """
+    actors.warm_session()
 
     def fetch(batch: pa.Table) -> pa.Table:
         return synth.fetch_batch(

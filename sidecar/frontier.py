@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from sidecar import synth
+from sidecar import schemas, synth
 from sidecar.actors import call_seen_shards, host_shard
 from sidecar.canon import canonical_url, host_of, url_hash
 from sidecar.shuffle import copartition
@@ -55,18 +55,7 @@ def candidates_from_urls(rows: list[dict], epoch: int) -> pa.Table:
         out["depth"].append(int(r.get("depth", 0)))
         out["seed_id"].append(int(r.get("seed_id", -1)))
         out["epoch"].append(epoch)
-    return pa.table(
-        {
-            "url": pa.array(out["url"], pa.string()),
-            "url_canon": pa.array(out["url_canon"], pa.string()),
-            "url_hash": pa.array(out["url_hash"], pa.uint64()),
-            "host": pa.array(out["host"], pa.string()),
-            "priority": pa.array(out["priority"], pa.float64()),
-            "depth": pa.array(out["depth"], pa.int32()),
-            "seed_id": pa.array(out["seed_id"], pa.int64()),
-            "epoch": pa.array(out["epoch"], pa.int32()),
-        }
-    )
+    return pa.table(out, schema=schemas.FRONTIER)
 
 
 def dedup_by_url_hash(frontier: "rd.Dataset") -> "rd.Dataset":
@@ -280,9 +269,11 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         df = frontier.to_pandas()  # executes the (narrow) upstream filters once
         if len(df) == 0:
             # shape parity with the selected path: downstream splitters read
-            # t['selected'] even on an all-filtered tail epoch
-            df = df.assign(selected=pd.Series([], dtype=bool))
-            return rd.from_pandas(df.reset_index(drop=True))
+            # t['selected'] even on an all-filtered tail epoch.  Typed empty
+            # columns, as to_pandas keeps none of an all-empty frontier's,
+            # and Ray cannot size an empty object-dtype one
+            return rd.from_arrow(schemas.FRONTIER.append(
+                pa.field("selected", pa.bool_())).empty_table())
         h = df["url_hash"].to_numpy().astype(np.uint64)
         df = df.assign(salt=(h % np.uint64(n_salts)).astype(np.int32))
         # the whole frame is one partition of both stages

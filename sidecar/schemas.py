@@ -68,7 +68,8 @@ SIDECAR = pa.schema(
     ]
 )
 
-# crawl frontier epochs (new, mandated by north_rule)
+# crawl frontier epochs (new, mandated by north_rule): what
+# frontier.candidates_from_urls builds and select_budget ranks
 FRONTIER = pa.schema(
     [
         ("url", pa.string()),
@@ -79,7 +80,6 @@ FRONTIER = pa.schema(
         ("depth", pa.int32()),
         ("seed_id", pa.int64()),
         ("epoch", pa.int32()),
-        ("discovered_ts", pa.int64()),  # deterministic discovery index, not wall clock
     ]
 )
 

@@ -16,6 +16,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from sidecar import actors
+
 try:  # pragma: no cover - not installable in this sandbox
     import lance  # noqa: F401
 
@@ -45,7 +47,12 @@ def read_parquet_clean(path: str, columns: list[str] | None = None,
     read op then emits hashable schemas from the start, so Ray's early-exit
     schema dedup works inside ``ReadParquet->SplitBlocks`` itself (a
     downstream strip stage can't reach that point) and no extra operator is
-    added.  Directory / multi-file inputs fall back to a fused strip stage."""
+    added.  Directory / multi-file inputs fall back to a fused strip stage.
+
+    A session's first read starts the engine up (``actors.warm_session``):
+    Ray Data's stats actor, which the new Dataset looks up, and one import
+    task per CPU slot, so the plan's first tasks find warm workers."""
+    actors.warm_session()
     if "schema" not in kwargs and isinstance(path, str) and os.path.isfile(path):
         import pyarrow.parquet as pq
 
@@ -60,7 +67,9 @@ def read_parquet_clean(path: str, columns: list[str] | None = None,
 def read_images(path: str, columns: list[str] | None = None,
                 override_num_blocks: int | None = None) -> "rd.Dataset":
     """Read an IMAGES-shaped table (input_hint schema) as a Dataset with
-    column pruning pushed into the scan."""
+    column pruning pushed into the scan.  Like :func:`read_parquet_clean`,
+    it starts the engine up on the session's first read."""
+    actors.warm_session()
     kwargs = {}
     if override_num_blocks is not None:
         kwargs["override_num_blocks"] = override_num_blocks

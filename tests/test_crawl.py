@@ -419,25 +419,33 @@ def test_budget_raising_policy_bit_for_bit(tmp_path):
     assert got["seen"] == want["seen"]
 
 
-def test_select_budget_all_filtered_keeps_selected_column():
+def test_select_budget_all_filtered_keeps_selected_column(caplog):
     """Tail-epoch shape parity: the small-frontier fast path must return a
-    'selected' column even when every candidate was filtered upstream."""
-    import pandas as pd
+    'selected' column even when every candidate was filtered upstream, and
+    typed columns: Ray cannot size an empty object-dtype column and logs
+    "Error calculating size" when it tries."""
+    import pyarrow as pa
 
     import ray.data as rd
+    from ray.data._internal import pandas_block
+    from ray.data.block import BlockAccessor
 
     from sidecar import frontier as fr
 
-    df = pd.DataFrame({
-        "url": pd.Series([], dtype="object"),
-        "url_hash": pd.Series([], dtype="uint64"),
-        "host": pd.Series([], dtype="object"),
-        "priority": pd.Series([], dtype="float64"),
-        "depth": pd.Series([], dtype="int64"),
-        "seed_id": pd.Series([], dtype="int64"),
-    })
-    out = fr.select_budget(rd.from_pandas(df), 3, size_hint=0)
-    assert "selected" in out.schema().names
+    empty = fr.candidates_from_urls([], epoch=0)  # the FRONTIER schema
+    out = fr.select_budget(rd.from_arrow(empty), 3, size_hint=0)
+    # Ray's loggers do not propagate to the root logger caplog listens on
+    pandas_block.logger.addHandler(caplog.handler)
+    try:
+        for bundle in out.iter_internal_ref_bundles():  # size every block here
+            for ref in bundle.block_refs:
+                BlockAccessor.for_block(ray.get(ref)).size_bytes()
+    finally:
+        pandas_block.logger.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records
+                if "Error calculating size" in r.getMessage()]
+    assert out.schema().base_schema.equals(
+        empty.schema.append(pa.field("selected", pa.bool_())))
     assert out.count() == 0
 
 
@@ -866,14 +874,65 @@ def test_resume_after_other_crawl_restores_only_its_own(small_oracle, tmp_path):
     assert r["seen"] == small_oracle["seen"]
 
 
-def test_only_the_first_crawl_of_a_session_warms_workers(spy, monkeypatch, tmp_path):
-    from sidecar import crawl
+def test_the_engine_starts_up_once_per_session(spy, monkeypatch, tmp_path):
+    """A read, the flagship frontier and a crawl share one start-up per Ray
+    session; a call inside a Ray task starts nothing."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    monkeypatch.setattr(crawl, "_warm_session", None)  # as in a new session
-    calls = spy(crawl, "_warm_workers")
-    run_crawl(_cfg(str(tmp_path / "w1"), max_epochs=1))
-    run_crawl(_cfg(str(tmp_path / "w2"), max_epochs=1))
+    from sidecar import actors, storage
+    from sidecar.flagship import synthetic_frontier_sidecar
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": [1, 2, 3]}), path)
+    monkeypatch.setattr(actors, "_warm", None)  # as in a new session
+    calls = spy(actors, "_start_up")
+    assert storage.read_parquet_clean(path).count() == 3
+    synthetic_frontier_sidecar(8, num_blocks=2)
+    run_crawl(_cfg(str(tmp_path / "w"), max_epochs=1))
     assert len(calls) == 1
+    monkeypatch.setattr(actors, "_warm", None)
+    storage.read_parquet_clean(path)
+    assert len(calls) == 2
+
+    @ray.remote
+    def warm_in_a_task() -> int:
+        from sidecar import actors
+
+        real, started = actors._start_up, []
+        actors._start_up = lambda: started.append(1)
+        try:
+            actors.warm_session()
+        finally:
+            actors._start_up = real
+        return len(started)
+
+    assert ray.get(warm_in_a_task.remote()) == 0
+
+
+def test_warm_session_starts_ray_datas_stats_actor():
+    """Pins the private Ray API the start-up uses: in a new session with no
+    Dataset yet, ``warm_session`` alone creates the stats actor that
+    ``Dataset.__init__`` looks up.  A rename of
+    ``StatsManager._get_or_create_stats_actor`` or of the actor fails here."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    script = (
+        "import ray\n"
+        "from ray.data._internal.stats import STATS_ACTOR_NAME, STATS_ACTOR_NAMESPACE\n"
+        "from sidecar import actors\n"
+        "ray.init(num_cpus=1, include_dashboard=False, logging_level='ERROR')\n"
+        "actors.warm_session()\n"
+        "ray.get_actor(STATS_ACTOR_NAME, namespace=STATS_ACTOR_NAMESPACE)\n"
+        "ray.shutdown()\n")
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    r = subprocess.run([sys.executable, "-c", script], env=env, timeout=300,
+                       cwd=pathlib.Path(__file__).resolve().parent.parent,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout[-2000:] + r.stderr[-4000:]
 
 
 def test_one_crawl_holds_the_pool_at_a_time():

@@ -1,4 +1,5 @@
-"""The command-line entry points leave no process running after they exit.
+"""The command-line entry points, and a script whose session starts with a
+read, leave no process running after they exit.
 
 Each command runs in a new session with no ``RAY_ADDRESS``, so it starts
 and stops its own local Ray.  Once it has exited, every process still in
@@ -44,11 +45,11 @@ def _session_procs(sid: int) -> list[tuple[int, str]]:
 
 def _run_leaving_nothing(args: list[str], log: pathlib.Path,
                          timeout: float = 600) -> None:
-    """Run ``python -m <args>`` to completion, then assert that nothing of
-    its session outlives it."""
+    """Run ``python <args>`` to completion, then assert that nothing of its
+    session outlives it."""
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     with open(log, "wb") as out:  # a file, not a pipe a leak could hold open
-        proc = subprocess.Popen([sys.executable, "-m", *args], cwd=REPO,
+        proc = subprocess.Popen([sys.executable, *args], cwd=REPO,
                                 env=env, stdout=out, stderr=subprocess.STDOUT,
                                 start_new_session=True)
         try:
@@ -83,17 +84,35 @@ def test_sidecar_all_leaves_no_process(tmp_path):
            b"WARC-Target-URI: https://example.com/a\r\n"
            b"WARC-Date: 2021-03-01T10:00:00Z\r\n"
            b"Content-Length: %d\r\n\r\n" % len(body)) + body + b"\r\n\r\n")
-    _run_leaving_nothing(["sidecar.cli", "sidecar-all", str(corpus)],
+    _run_leaving_nothing(["-m", "sidecar.cli", "sidecar-all", str(corpus)],
                          tmp_path / "sidecar_all.log")
     assert (corpus / "one.warc.meta.gz").exists()
 
 
 def test_crawl_leaves_no_process(tmp_path):
-    """The crawl's pooled state actors and its worker warm-up tasks end with
-    the command's Ray session."""
-    _run_leaving_nothing(["sidecar.crawl", "--n-seeds", "20",
+    """The crawl's pooled state actors and the engine's start-up (Ray
+    Data's stats actor, the import tasks) end with the command's Ray
+    session."""
+    _run_leaving_nothing(["-m", "sidecar.crawl", "--n-seeds", "20",
                           "--max-epochs", "2", "--num-seen-shards", "2",
                           "--num-policy-actors", "2", "--out-dir",
                           str(tmp_path / "crawl")],
                          tmp_path / "crawl.log")
     assert (tmp_path / "crawl" / "_ckpt" / "epoch=1" / "manifest.json").exists()
+
+
+def test_session_that_starts_with_a_read_leaves_no_process(tmp_path):
+    """The first read of a session starts Ray Data's stats actor (a
+    detached actor) and one import task per CPU slot; both end with the
+    session."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    path = tmp_path / "t.parquet"
+    pq.write_table(pa.table({"x": list(range(10))}), path)
+    script = ("import sys, ray\n"
+              "from sidecar import storage\n"
+              "ray.init(num_cpus=2, include_dashboard=False)\n"
+              "assert storage.read_parquet_clean(sys.argv[1]).count() == 10\n"
+              "ray.shutdown()\n")
+    _run_leaving_nothing(["-c", script, str(path)], tmp_path / "read.log")
