@@ -29,16 +29,6 @@ import ray
 from sidecar import synth
 from sidecar.state import BloomFilter, CuckooFilter
 
-# Epoch-less note_denied idempotency keys are FIFO-capped: once the window
-# holds DENIED_KEYS_CAP keys, the oldest DENIED_KEYS_EVICT are dropped in
-# one batch (amortized O(1) per insert).  The 2× ratio is a deliberate,
-# metrics-only tradeoff: retries arrive close in time, so a retry would
-# have to land after ~DENIED_KEYS_EVICT newer DISTINCT batches to re-count
-# its denials — far beyond any plausible Ray retry window — while the cap
-# bounds actor memory for callers that never report an epoch.
-DENIED_KEYS_CAP = 65536
-DENIED_KEYS_EVICT = DENIED_KEYS_CAP // 2
-
 
 @ray.remote(num_cpus=0)  # pure state actor: zero CPU reservation so pools
 # of state shards always schedule even on tiny clusters (a 0.25 reservation
@@ -190,8 +180,7 @@ class HostPolicy:
         crawl); workers hold a read-only epoch snapshot."""
         return self._robots
 
-    def note_denied(self, n: int, key: "str | None" = None,
-                    epoch: "int | None" = None) -> None:
+    def note_denied(self, n: int, key: str, epoch: int) -> None:
         """Fold worker-side robots denials back into this cache's metrics.
 
         ``key`` ("<task id>:<batch content hash>") makes the fold IDEMPOTENT
@@ -200,23 +189,13 @@ class HostPolicy:
         (``add_many`` got the same treatment; metrics reproducibility is a
         north_rule contract).  Keys are kept per epoch and pruned once the
         epoch advances past them, so memory stays bounded by two epochs'
-        batch counts; callers that report WITHOUT an epoch column accumulate
-        under epoch=None, which is FIFO-capped instead (retries arrive close
-        in time, so evicting the oldest keys keeps idempotency for any
-        plausible retry window)."""
-        if key is not None:
-            # dict-as-ordered-set: insertion order drives the None-epoch cap
-            seen = self._denied_keys.setdefault(epoch, {})
-            if key in seen:
-                return
-            seen[key] = None
-            if epoch is not None:
-                for e in [e for e in self._denied_keys
-                          if e is not None and e < epoch - 1]:
-                    del self._denied_keys[e]
-            elif len(seen) > DENIED_KEYS_CAP:
-                for k in list(seen)[:DENIED_KEYS_EVICT]:
-                    del seen[k]
+        batch counts."""
+        seen = self._denied_keys.setdefault(epoch, set())
+        if key in seen:
+            return
+        seen.add(key)
+        for e in [e for e in self._denied_keys if e < epoch - 1]:
+            del self._denied_keys[e]
         self.denied_robots += int(n)
 
     def grant(self, host: str, epoch: int, n: int,

@@ -6,10 +6,10 @@ Ray-Data-native restatement of sidecar2cdxj.py and merge_cdxj.py:
   (sidecar2cdxj.py:32-61: SURT url + 14-digit timestamp + JSON payload).
 - :func:`merge_cdxj` — left-outer hash join, probe = original CDXJ
   (order-preserving via a line-number sort key), build = meta CDXJ
-  (merge_cdxj.py:59-93).  The build side is broadcast once via ``ray.put``
-  and probed inside ``map_batches`` — no shuffle (SURVEY.md §2.4 J1).
-  A build side over ``shuffle.BROADCAST_MAX_BYTES`` takes the
-  hash-partitioned join on the key instead.
+  (merge_cdxj.py:59-93), as one ``shuffle.lookup_join`` on (surt, ts): a
+  small meta side is broadcast and probed inside ``map_batches`` with no
+  shuffle (SURVEY.md §2.4 J1), a large one meets the probe in a hash
+  exchange.
 
 Reference quirks reproduced exactly (SURVEY.md §7 watch-list #5):
 - python-magic mime preferred over fido (merge_cdxj.py:36-40)
@@ -23,13 +23,11 @@ import json
 
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 from sidecar import shuffle
 from sidecar.canon import cdxj_key, surt
 from sidecar.pipeline import sidecar_row_to_payload
-from sidecar.shuffle import copartition
 
 # Full ISO-639-1 → ISO-639-2/T (alpha-3) table, statically embedded (the
 # reference uses langcodes.Language.get(code).to_alpha3(), merge_cdxj.py:18,
@@ -175,35 +173,29 @@ def merge_cdxj(meta_ds, original_ds) -> "rd.Dataset":
     """Left-outer enrich join of ``original_ds`` (CDXJ columns surt/ts/json,
     plus optional ``lineno``) against ``meta_ds`` (J1).
 
-    Broadcast plan: the meta side — one sidecar's index, small relative to
-    the probe — is collected once to a dict, put in the object store once,
-    and read by every map task (not re-shipped per batch).  Output adds a
-    ``matched`` flag (edited/non-edited counters = a Sum over it,
-    merge_cdxj.py:61-62).
-
-    The build adds up the Arrow bytes of the meta batches it consumes and
-    falls back to the hash-partitioned plan (``_merge_cdxj_partitioned``)
-    the moment they pass ``shuffle.BROADCAST_MAX_BYTES`` — one pass over
-    ``meta_ds`` when it fits; only the over-limit case re-executes it.
+    One ``shuffle.lookup_join`` on ``(surt, ts)``: the meta side becomes a
+    ``cdxj_key`` → meta JSON dict, which every original batch probes.  A
+    meta side within the broadcast limit (one sidecar's index, small
+    relative to the probe) is put in the object store once; a larger one is
+    hash-partitioned with the originals.  Output adds a ``matched`` flag
+    (edited/non-edited counters = a Sum over it, merge_cdxj.py:61-62).
     """
-    build: dict[str, str] = {}
-    nbytes = 0
-    for b in meta_ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        nbytes += b.nbytes
-        if nbytes > shuffle.BROADCAST_MAX_BYTES:
-            return _merge_cdxj_partitioned(meta_ds, original_ds)
-        build.update(zip(map(cdxj_key, b.column("surt").to_pylist(),
-                             b.column("ts").to_pylist()),
-                         b.column("json").to_pylist()))
-    build_ref = ray.put(build)
-    return original_ds.map_batches(
-        lambda batch: _enrich_batch(batch, ray.get(build_ref)),
-        batch_format="pyarrow", zero_copy_batch=True)
+    return shuffle.lookup_join(original_ds, meta_ds, ["surt", "ts"],
+                               _meta_index, _enrich_batch)
+
+
+def _meta_index(meta: pa.Table) -> dict[str, str]:
+    """``cdxj_key`` → json of the meta lines (a later duplicate wins)."""
+    if not meta.num_rows:  # an empty meta side may have no columns
+        return {}
+    return dict(zip(map(cdxj_key, meta.column("surt").to_pylist(),
+                        meta.column("ts").to_pylist()),
+                    meta.column("json").to_pylist()))
 
 
 def _enrich_batch(batch: pa.Table, build: dict[str, str]) -> pa.Table:
     """surt, ts, json, matched[, lineno] for a batch of original lines
-    probed against a build dict of meta line JSON — both plans' output."""
+    probed against a build dict of meta line JSON."""
     out = [enrich_json(build, cdxj_key(s, t), j) for s, t, j in zip(
         batch.column("surt").to_pylist(), batch.column("ts").to_pylist(),
         batch.column("json").to_pylist())]
@@ -216,28 +208,3 @@ def _enrich_batch(batch: pa.Table, build: dict[str, str]) -> pa.Table:
     if "lineno" in batch.column_names:
         cols["lineno"] = batch.column("lineno")
     return pa.table(cols)
-
-
-def _merge_cdxj_partitioned(meta_ds, original_ds) -> "rd.Dataset":
-    """Large-build-side plan: hash-partition both sides on the join key and
-    merge per partition (SURVEY.md §2.4 J1 'large build side')."""
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        key = [cdxj_key(s, t) for s, t in zip(batch.column("surt").to_pylist(),
-                                              batch.column("ts").to_pylist())]
-        return batch.append_column("key", pa.array(key, pa.string()))
-
-    def merge_partition(meta: pa.Table, orig: pa.Table) -> pa.Table:
-        """Within one coarse hash partition: build a dict of the meta side,
-        probe the orig side — the exchange key is the 64-way partition
-        (per-join-key dispatch doesn't scale; SURVEY.md J1).  A meta-only
-        partition returns the same columns with no rows.  A meta side with
-        no rows at all may lack ``key``: Ray skips ``add_key`` on empty
-        blocks."""
-        build = dict(zip(meta.column("key").to_pylist(),
-                         meta.column("json").to_pylist())) if meta.num_rows else {}
-        return _enrich_batch(orig, build)
-
-    return copartition([d.map_batches(add_key, batch_format="pyarrow")
-                        for d in (meta_ds, original_ds)],
-                       "key", merge_partition, batch_format="pyarrow")

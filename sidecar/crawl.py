@@ -408,7 +408,7 @@ def _budget(run: _Run, m: dict, epoch: int, rows: int) -> MaterializedDataset:
     ds = fr.filter_robots(ds, run.policies, cfg.num_policy_actors,
                           rules_ref=run.rules_ref)
     flagged = fr.select_budget(ds, cfg.budget_per_host, dedup=True,
-                               size_hint=rows, policy=cfg.policy).materialize()
+                               policy=cfg.policy).materialize()
     m["after_budget_pool"] = flagged.count()
     return flagged
 
@@ -609,11 +609,11 @@ def _fetch_sidecar_write(run: _Run, m: dict, epoch: int,
     # DATA (rows / per-task quantum), NOT by cluster size — a
     # cpus-proportional plan produces different task shapes (and output-file
     # counts) at different cluster sizes, which skews scaling and makes runs
-    # non-comparable.  Only the small-frontier driver plan (1 block) needs
-    # the re-split: the Ray budget path emits one block per block of its
-    # filtered input (at most shuffle.NUM_PARTS), and repartition is an
-    # all-to-all BARRIER that delays the first fetch task by the whole
-    # shuffle.
+    # non-comparable.  The budget exchange emits one block per block of its
+    # filtered input (at most shuffle.NUM_PARTS), and the filters cut blocks
+    # of up to 8192 rows, so only a small frontier (one block in, one block
+    # out) needs the re-split: repartition is an all-to-all BARRIER that
+    # delays the first fetch task by the whole shuffle.
     n_remaining = m["selected"] - m.get("resumed_rows", 0)
     n_blocks = max(1, min(128, n_remaining // 256 + 1))
     if selected.num_blocks() < min(32, n_blocks):

@@ -186,8 +186,7 @@ def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
                               .to_numpy(zero_copy_only=False)
                               .astype(np.int64).tobytes())
             bkey = f"{tid}:{hh.hexdigest()}"
-            ep = (int(batch.column("epoch")[0].as_py())
-                  if "epoch" in batch.column_names and batch.num_rows else None)
+            ep = int(batch.column("epoch")[0].as_py())
             # awaited so the counts land before the epoch-end metrics read
             ray.get([handles[a].note_denied.remote(c, bkey, ep)
                      for a, c in per_actor.items()])
@@ -195,9 +194,6 @@ def filter_robots(frontier: "rd.Dataset", host_policies: list, num_actors: int,
 
     return frontier.map_batches(f, batch_format="pyarrow", batch_size=8192,
                                 zero_copy_batch=True)
-
-
-SMALL_FRONTIER_ROWS = 20_000  # below this, driver-side ranking beats 2 shuffles
 
 
 def select_budget(frontier: "rd.Dataset", budget: int,
@@ -219,12 +215,9 @@ def select_budget(frontier: "rd.Dataset", budget: int,
     share (host, salt), so this is exactly equivalent to a separate
     groupby(url_hash) pass but saves one all-to-all per epoch.
 
-    ``size_hint`` (an upper bound on input rows, known by the caller from
-    checkpoint metadata) enables the adaptive small-input plan: below
-    SMALL_FRONTIER_ROWS the whole ranking runs driver-side in one vectorized
-    pandas pass (the same two stage functions over the whole frame; proven
-    equal by the bit-for-bit tests) instead of paying two all-to-all
-    barrier constants on a few thousand metadata rows.
+    Both stages are ``copartition`` exchanges at every frontier size, so a
+    frontier with no rows at all comes back with no blocks.  ``size_hint``
+    is accepted and ignored, for callers that still pass it.
 
     ``policy`` (a ``sidecar.policy.FrontierPolicy``) overrides the constant
     per-host budget via its vectorized ``host_budget`` hook; ``None`` keeps
@@ -264,20 +257,6 @@ def select_budget(frontier: "rd.Dataset", budget: int,
         bud = _budgets(g["host"].to_numpy())
         g["selected"] = g["finalist"].to_numpy() & (fin_rank.to_numpy() < bud)
         return g.drop(columns=["salt", "finalist"])
-
-    if size_hint is not None and size_hint <= SMALL_FRONTIER_ROWS:
-        df = frontier.to_pandas()  # executes the (narrow) upstream filters once
-        if len(df) == 0:
-            # shape parity with the selected path: downstream splitters read
-            # t['selected'] even on an all-filtered tail epoch.  Typed empty
-            # columns, as to_pandas keeps none of an all-empty frontier's,
-            # and Ray cannot size an empty object-dtype one
-            return rd.from_arrow(schemas.FRONTIER.append(
-                pa.field("selected", pa.bool_())).empty_table())
-        h = df["url_hash"].to_numpy().astype(np.uint64)
-        df = df.assign(salt=(h % np.uint64(n_salts)).astype(np.int32))
-        # the whole frame is one partition of both stages
-        return rd.from_pandas(stage2(stage1(df)).reset_index(drop=True))
 
     salted = frontier.map_batches(with_salt, batch_format="pyarrow", zero_copy_batch=True)
     ranked = copartition(salted, ["host", "salt"], stage1, batch_format="pandas")

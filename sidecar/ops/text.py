@@ -65,8 +65,6 @@ def token_counts_combo(sf_dir: str) -> "rd.Dataset":
                                               zero_copy_batch=True)
 
 
-_BROADCAST_CACHE: dict = {}  # per-worker deserialized broadcast memo
-
 # single definition of the BPE-ish token rule — shared by token_count_regex,
 # token_counts_combo, and (textually) the DuckDB oracles in __ray_entry__
 TOKEN_RE = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
@@ -274,15 +272,7 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     df_ref = ray.put(df_map)
 
     def score_topk(batch: pa.Table) -> pa.Table:
-        # per-worker memo: ray.get of a pickled dict deserializes on every
-        # call — once per BATCH would cost O(batches x vocab); the module
-        # cache amortizes it to once per worker process
-        key = df_ref.hex()
-        dfm = _BROADCAST_CACHE.get(key)
-        if dfm is None:
-            dfm = ray.get(df_ref)
-            _BROADCAST_CACHE.clear()  # one live vocab per worker
-            _BROADCAST_CACHE[key] = dfm
+        dfm = shuffle.broadcast_value(df_ref)  # deserialized once per worker
         f = _doc_term_tf(batch)
         dfv = f["term"].map(dfm).to_numpy(dtype=np.int64)
         return _rank_topk(f.assign(df=dfv), k)

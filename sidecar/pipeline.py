@@ -20,7 +20,8 @@ seen in another batch yields byte-identical metadata, so output equals the
 reference's cache semantics without shuffling image bytes across the cluster
 (A3 discussion in SURVEY.md §2.5).  ``sidecar_dataset_dedup_digest`` is the
 explicit groupby(payload_digest) compute-once plan (extract once per distinct
-payload, broadcast the metadata back) for when extraction dwarfs hashing.
+payload, join the metadata back to every row) for when extraction dwarfs
+hashing.
 """
 
 from __future__ import annotations
@@ -242,12 +243,13 @@ PAYLOAD_DERIVED_COLS = (
 )  # columns that depend only on the payload bytes — the cacheable part
 
 
-def _assemble_from_lookup(batch: pa.Table, digests, lk: dict) -> pa.Table:
-    """Shared step-4 row assembly: original-row columns + the payload-derived
-    metadata for each row's digest from ``lk`` (a digest → metadata-row
-    dict — the ray.put broadcast in the default plan, a per-partition local
-    dict in the join fallback).  Rows whose digest has no metadata are
-    dropped (≡ extract's empty-payload filter)."""
+def _assemble_from_lookup(batch: pa.Table, lk: dict) -> pa.Table:
+    """Step-4 row assembly: a batch of original-row columns plus
+    ``payload_digest`` → those columns and the payload-derived metadata for
+    each row's digest from ``lk`` (a digest → metadata-row dict).  Rows
+    whose digest has no metadata are dropped (≡ extract's empty-payload
+    filter)."""
+    digests = batch.column("payload_digest").to_pylist()
     n = batch.num_rows
     caption = batch.column("caption").combine_chunks()
     url = batch.column("url") if "url" in batch.column_names else pa.nulls(n, pa.string())
@@ -310,26 +312,19 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
          stage where payload bytes cross the wire, one per surviving
          candidate);
       3. ``extract_sidecar_batch`` over the distinct representatives only;
-      4. the payload-derived metadata (small, no bytes) is collected and
-         broadcast once via ``ray.put``; a final shuffle-free pass over the
-         ORIGINAL rows re-hashes (cheap) and assembles each row from the
-         lookup, computing only the row-specific fields (caption language)
-         in place.  The metadata dataset is materialized and broadcast only
-         while its measured Arrow size is within
-         ``shuffle.BROADCAST_MAX_BYTES``; over it (billions of distinct
-         payloads), step 4 becomes ``_dedup_digest_join`` — a
-         hash-partitioned join on payload_digest where the original rows
-         ship WITHOUT their bytes (digest + row-specific columns only) — the
-         upstream stages are unchanged and outputs are identical (asserted
-         in tests).
+      4. one ``shuffle.lookup_join`` on payload_digest of the original rows,
+         re-hashed (cheap) and shipped WITHOUT their bytes (digest +
+         row-specific columns only), with the payload-derived metadata: each
+         row is assembled from a digest → metadata dict, computing only the
+         row-specific fields (caption language) in place.  Small metadata
+         is broadcast; metadata past the broadcast limit (billions of
+         distinct payloads) meets the rows in a hash exchange, with
+         identical output (asserted in tests).
 
     Output rows equal ``sidecar_dataset``'s (order aside) — asserted in
     tests on corpora with duplicate payloads and distinct captions.
     """
     import pandas as pd
-
-    import ray
-    import ray.data as rd  # noqa: F401  (type context)
 
     def reps(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))
@@ -353,40 +348,7 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
     meta = (uniq.map_batches(sliced(extract_with_registry, batch_size),
                              batch_format="pyarrow", batch_size=None,
                              zero_copy_batch=True)
-            .select_columns(list(PAYLOAD_DERIVED_COLS))
-            .materialize())
-    if meta.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
-        return _dedup_digest_join(images_ds, meta, batch_size=batch_size)
-
-    lookup: dict[str, dict] = {}
-    for b in meta.iter_batches(batch_format="pyarrow", batch_size=None):
-        tbl = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        for row in tbl.to_pylist():
-            lookup[row["payload_digest"]] = row
-    lookup_ref = ray.put(lookup)
-
-    def assemble(batch: pa.Table) -> pa.Table:
-        lk = ray.get(lookup_ref)
-        digests = _digest_batch(batch.column("bytes"))
-        return _assemble_from_lookup(batch, digests, lk)
-
-    return images_ds.map_batches(sliced(assemble, batch_size),
-                                 batch_format="pyarrow", batch_size=None,
-                                 zero_copy_batch=True)
-
-
-def _dedup_digest_join(images_ds, meta, *, batch_size: int):
-    """``sidecar_dataset_dedup_digest`` step 4 at metadata-outgrows-broadcast
-    scale: a co-partition join of the metadata rows with the original rows
-    on payload_digest (the same shape as ``_tfidf_topk_partitioned`` and
-    the relational large×large join).
-
-    The original rows ship WITHOUT their payload bytes: the row side is
-    (digest, image_id, url, ts, caption, passthrough) only.  Each partition
-    assembles its rows from a partition-local digest dict.  Nothing
-    corpus-sized is ever on the driver, and the only payload-byte shuffle
-    remains step 2's keep-first (one representative per surviving
-    candidate)."""
+            .select_columns(list(PAYLOAD_DERIVED_COLS)))
     keep = ("image_id", "url", "ts", "caption",
             "part", "concurrent_id", "warcinfo_id")
 
@@ -395,16 +357,13 @@ def _dedup_digest_join(images_ds, meta, *, batch_size: int):
         return batch.select([c for c in keep if c in batch.column_names]) \
             .append_column("payload_digest", pa.array(digests, pa.string()))
 
-    def join_group(meta_t: pa.Table, rows_t: pa.Table) -> pa.Table:
-        lk = {r["payload_digest"]: r for r in meta_t.to_pylist()}
-        return _assemble_from_lookup(
-            rows_t, rows_t.column("payload_digest").to_pylist(), lk)
-
     rows = images_ds.map_batches(sliced(row_rows, batch_size),
                                  batch_format="pyarrow", batch_size=None,
                                  zero_copy_batch=True)
-    return copartition([meta, rows], "payload_digest", join_group,
-                       batch_format="pyarrow")
+    return shuffle.lookup_join(
+        rows, meta, "payload_digest",
+        lambda t: {r["payload_digest"]: r for r in t.to_pylist()},
+        _assemble_from_lookup)
 
 
 # ---------------------------------------------------------------------------

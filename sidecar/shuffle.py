@@ -28,12 +28,18 @@ The other way rows meet is a broadcast: a small build side is gathered on the
 driver once and ``ray.put``.  The functions that may do so are the
 ``DRIVER_GATHERS`` allowlist in ``tests/test_shuffle.py``, each with its
 reason; any other build side that grows with the corpus is a ``copartition``
-join.  Every operator with both plans picks by one rule, its measured
-build-side bytes against ``BROADCAST_MAX_BYTES``: at or under, broadcast;
-over, its co-partitioned plan (the embedding-LSH candidate matrix alone
-allows 4x, until its crossover is measured).  Sites read it as
-``shuffle.BROADCAST_MAX_BYTES`` at call time, so setting it to 0 forces every
-partitioned plan.
+join.  ``lookup_join`` is where a join decides between the two: it measures
+its build side's Arrow bytes against ``BROADCAST_MAX_BYTES`` and broadcasts
+at or under it, exchanges over it.  The CDXJ merge and the digest dedup
+join through it.  Three sites still gate themselves by the same rule,
+because their two plans differ in shape, not only in where the lookup table
+lives: ``text.tfidf_topk`` (its exchange plan is int-keyed and re-tokenizes
+each document) and the two embedding near-dup operators (their build side
+is a vector matrix sized before it is read, and their exchange plans move
+vectors, not a lookup; the LSH candidate matrix allows 4x, until its
+crossover is measured).  Every site reads ``shuffle.BROADCAST_MAX_BYTES`` at
+call time, so setting it to -1 forces every exchange plan, an empty build
+side included.
 
 ``_split`` and ``_reduce`` are pure functions of their input blocks, so
 Ray's default task retries cover a worker lost mid-exchange.
@@ -205,3 +211,50 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
                                  LogicalPlan(InputData(bundles), context))
     result._plan.execute()  # no-op: marks the plan executed, like materialize()
     return result
+
+
+_BROADCAST: tuple = (None, None)  # this process's last broadcast: (id, value)
+
+
+def broadcast_value(ref):
+    """``ray.get(ref)``, memoized in one slot per worker process.  A pickled
+    lookup table deserializes on every ``ray.get``, so a map reading it per
+    batch would pay once per batch; the memo pays once per worker, and holds
+    only the newest table."""
+    global _BROADCAST
+    if _BROADCAST[0] != ref.binary():
+        _BROADCAST = (None, None)  # drop the old table before loading this one
+        _BROADCAST = (ref.binary(), ray.get(ref))
+    return _BROADCAST[1]
+
+
+def lookup_join(probe, build, key: "str | list[str]", index, probe_fn):
+    """``probe_fn(batch, index(rows))`` over ``probe``, where ``rows`` holds
+    every ``build`` row that shares a ``key`` value with a row of ``batch``:
+    the one place a join picks between broadcast and exchange.
+
+    ``build`` is materialized once and its Arrow bytes measured.  At or
+    under ``BROADCAST_MAX_BYTES`` its rows are gathered on the driver,
+    ``index`` runs once over all of them, and the result is ``ray.put``;
+    each probe block reads it through :func:`broadcast_value`.  Over the
+    limit, ``copartition([probe, build], key, ...)`` calls ``index`` on each
+    partition's build rows, so the driver never holds the table.  Both plans
+    emit the same rows, in no particular order.
+
+    ``index`` gets a pyarrow Table and must accept one with no rows, which
+    may have no columns (an empty build side).  ``probe_fn`` gets a pyarrow
+    Table (with no rows in a partition that holds only build rows) and
+    returns one."""
+    build = build.materialize()
+    if build.size_bytes() > BROADCAST_MAX_BYTES:
+        return copartition([probe, build], key,
+                           lambda p, b: probe_fn(p, index(b)),
+                           batch_format="pyarrow")
+    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
+              for b in build.iter_batches(batch_format="pyarrow", batch_size=None)
+              if b.num_rows]
+    ref = ray.put(index(pa.concat_tables(tables, promote_options="default")
+                        if tables else pa.table({})))
+    return probe.map_batches(lambda b: probe_fn(b, broadcast_value(ref)),
+                             batch_format="pyarrow", batch_size=None,
+                             zero_copy_batch=True)

@@ -147,8 +147,7 @@ def test_merge_partitioned_lineno_stays_int64(monkeypatch):
 def test_merge_auto_small_and_overflow(monkeypatch, spy):
     """A small build side takes the broadcast plan; with the limit forced to
     0 it must fall back to the partitioned plan and still produce identical
-    output — also when the limit is passed mid-build, after earlier meta
-    batches already went into the dict."""
+    output."""
     _merge_case()
     monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
     _merge_case()
@@ -168,20 +167,19 @@ def test_merge_auto_small_and_overflow(monkeypatch, spy):
         return sorted(out, key=lambda r: r["lineno"])
 
     monkeypatch.undo()
+    calls = spy(shuffle, "copartition")
     want = merged()  # broadcast plan
-    assert sum(r["matched"] for r in want) == 100
+    assert sum(r["matched"] for r in want) == 100 and not calls
 
-    # the limit admits the first block, not all four: the fallback runs
-    # mid-build
-    calls = spy(cdxj, "_merge_cdxj_partitioned")
+    # a limit one byte under the meta side: the join exchanges
     monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES",
                         sum(b.nbytes for b in blocks) - 1)
     assert merged() == want
-    assert len(calls) == 1
+    assert len([c for c in calls if isinstance(c[0], list)]) == 1
 
 
 @pytest.mark.parametrize("empty", ["zero_row", "all_filtered"])
-def test_partitioned_merge_with_empty_meta_side(monkeypatch, empty):
+def test_partitioned_merge_with_empty_meta_side(monkeypatch, spy, empty):
     """No meta lines: every original line passes through unmatched, on the
     partitioned plan as on the broadcast one — also when the meta side's
     empty blocks have no columns (a filter that drops every row)."""
@@ -192,15 +190,17 @@ def test_partitioned_merge_with_empty_meta_side(monkeypatch, empty):
     orig = _mk_cdxj_ds([(f"com,ex{i})/", "20210101000000",
                          json.dumps({"url": str(i)})) for i in range(50)])
 
-    def merged(plan):
-        return sorted(plan(meta, orig).take_all(), key=lambda r: r["lineno"])
+    def merged():
+        return sorted(cdxj.merge_cdxj(meta, orig).take_all(),
+                      key=lambda r: r["lineno"])
 
-    want = merged(cdxj.merge_cdxj)
+    want = merged()
     assert len(want) == 50 and not any(r["matched"] for r in want)
-    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
-    assert merged(cdxj.merge_cdxj) == want
-    # an empty build side measures 0 bytes, so call the partitioned plan
-    assert merged(cdxj._merge_cdxj_partitioned) == want
+    # an empty build side measures 0 bytes: only -1 forces the exchange
+    calls = spy(shuffle, "copartition")
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", -1)
+    assert merged() == want
+    assert len([c for c in calls if isinstance(c[0], list)]) == 1
 
 
 def test_canonicalization_port_and_path_rules():

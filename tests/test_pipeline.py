@@ -148,10 +148,14 @@ def test_dedup_digest_plan_equals_plain_extract(monkeypatch, spy):
             df[c] = df[c].map(lambda v: str(v))
         return df
 
-    calls = spy(pipeline, "_dedup_digest_join")
+    calls = spy(shuffle, "copartition")
+
+    def joins():  # the step-4 join: a copartition of a list of inputs
+        return [c for c in calls if isinstance(c[0], list)]
+
     a = norm(sidecar_dataset(rd.from_arrow(tbl)))
     b = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl)))
-    assert not calls  # small metadata → broadcast plan
+    assert not joins()  # small metadata → broadcast plan
     pd.testing.assert_frame_equal(a, b)
     assert a["payload_digest"].nunique() < len(a)  # duplication actually present
 
@@ -160,24 +164,25 @@ def test_dedup_digest_plan_equals_plain_extract(monkeypatch, spy):
     # identical rows with the broadcast limit forced to 0 bytes
     monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
     c = norm(sidecar_dataset_dedup_digest(rd.from_arrow(tbl)))
-    assert len(calls) == 1
+    assert len(joins()) == 1
     pd.testing.assert_frame_equal(a, c[a.columns.tolist()] if
                                   list(c.columns) != list(a.columns) else c)
 
 
-def test_dedup_digest_join_with_empty_metadata(monkeypatch):
+def test_dedup_digest_join_with_empty_metadata(monkeypatch, spy):
     """Every payload empty: no metadata rows, so both plans drop every row,
     as plain extraction does."""
     rows = [{"image_id": f"e{i}", "bytes": b"", "w": 0, "h": 0, "fmt": "text",
              "caption": f"caption {i}", "phash": 0} for i in range(20)]
     images = rd.from_arrow(pa.Table.from_pylist(rows, schema=synth.IMAGES_SCHEMA))
     assert pipeline.sidecar_dataset(images).count() == 0
-    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
     assert pipeline.sidecar_dataset_dedup_digest(images).count() == 0
-    # an empty build side measures 0 bytes, so call the partitioned plan
-    meta = pipeline.sidecar_dataset(images).select_columns(
-        list(pipeline.PAYLOAD_DERIVED_COLS))
-    assert pipeline._dedup_digest_join(images, meta, batch_size=8).count() == 0
+    # an empty build side measures 0 bytes: only -1 forces the exchange
+    calls = spy(shuffle, "copartition")
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", -1)
+    assert pipeline.sidecar_dataset_dedup_digest(images,
+                                                 batch_size=8).count() == 0
+    assert len([c for c in calls if isinstance(c[0], list)]) == 1
 
 
 def test_extract_tolerates_null_payload():

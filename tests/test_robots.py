@@ -69,10 +69,10 @@ def test_synth_robots_variety():
     assert any(t == "User-agent: *\nDisallow:\n" for t in txts)
 
 
-def test_note_denied_idempotency_and_none_epoch_cap():
+def test_note_denied_idempotency_and_epoch_pruning():
     """The metrics fold drops a re-reported (task, content) key, counts
-    distinct tasks with identical content separately, prunes per-epoch key
-    sets as the epoch advances, and FIFO-caps the epoch=None set."""
+    distinct tasks with identical content separately, and prunes per-epoch
+    key sets as the epoch advances."""
     from sidecar.actors import HostPolicy
 
     # HostPolicy is @ray.remote-decorated; unit-test the plain class
@@ -85,12 +85,3 @@ def test_note_denied_idempotency_and_none_epoch_cap():
     assert hp.denied_robots == 6
     hp.note_denied(1, "t3:bbbb", 2)          # epoch advance prunes epoch 0
     assert 0 not in hp._denied_keys and 2 in hp._denied_keys
-
-    # epoch=None accumulates under a FIFO cap instead of epoch pruning
-    for i in range(65536 + 10):
-        hp.note_denied(0, f"t{i}:none", None)
-    assert len(hp._denied_keys[None]) <= 65536
-    # recent keys survive the eviction (retries arrive close in time)
-    hp.denied_robots = 0
-    hp.note_denied(5, f"t{65536 + 9}:none", None)
-    assert hp.denied_robots == 0

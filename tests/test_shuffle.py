@@ -271,6 +271,48 @@ def test_all_empty_inputs_never_call_body():
     assert "Copartition[s] 0 partitions" in got.stats()
 
 
+@pytest.mark.parametrize("build_rows", ["some", "zero_row", "all_filtered"])
+def test_lookup_join_broadcast_equals_exchange(build_rows, monkeypatch, spy):
+    """Both plans of ``lookup_join`` give the same rows, also for an empty
+    build side whose blocks have no columns; only the exchange plan runs a
+    ``copartition`` join, exactly once."""
+    from sidecar import shuffle
+
+    keys = np.arange(0, 60, 3)
+    build_t = pa.table({"k": pa.array(keys, pa.int64()),
+                        "v": [f"v{k}" for k in keys]})
+    build = {"some": lambda: rd.from_arrow(build_t).repartition(3),
+             "zero_row": lambda: rd.from_arrow(build_t.slice(0, 0)),
+             "all_filtered": lambda: rd.from_arrow(build_t).filter(
+                 lambda r: False)}[build_rows]()
+    probe_k = [int(x) for x in np.arange(80) % 25]
+    probe = rd.from_arrow(pa.table({"k": pa.array(probe_k, pa.int64()),
+                                    "row": np.arange(80)})).repartition(4)
+
+    def index(t: pa.Table) -> dict:
+        return (dict(zip(t["k"].to_pylist(), t["v"].to_pylist()))
+                if t.num_rows else {})
+
+    def probe_fn(batch: pa.Table, lookup: dict) -> pa.Table:
+        return batch.append_column("v", pa.array(
+            [lookup.get(k) for k in batch["k"].to_pylist()], pa.string()))
+
+    def joined() -> pa.Table:
+        return _collect(shuffle.lookup_join(probe, build, "k", index,
+                                            probe_fn)).sort_by("row")
+
+    calls = spy(shuffle, "copartition")
+    broadcast = joined()
+    assert not calls
+    monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", -1)
+    exchange = joined()
+    assert len([c for c in calls if isinstance(c[0], list)]) == len(calls) == 1
+    assert exchange.equals(broadcast)
+    assert broadcast["v"].to_pylist() == [
+        f"v{k}" if build_rows == "some" and k % 3 == 0 else None
+        for k in probe_k]
+
+
 def _union_fed_copartitions(path: pathlib.Path) -> list[int]:
     """Lines of the ``.union(`` calls a ``copartition`` input is built
     from in ``path``, following the names each function assigns."""
@@ -324,8 +366,8 @@ _BOUNDED = "bounded by construction"
 _OPEN = "ungated, still open"
 DRIVER_GATHERS = {
     ("ops/text.py", "tfidf_topk"): _GATED,
-    ("pipeline.py", "sidecar_dataset_dedup_digest"): _GATED,
-    ("cdxj.py", "merge_cdxj"): _GATED,
+    ("shuffle.py", "lookup_join"): _GATED,
+    ("shuffle.py", "copartition"): "not a gather: it puts the body function",
     ("ops/dedup.py", "embedding_near_dup"): _GATED,
     ("ops/dedup.py", "embedding_near_dup_lsh"): _GATED,
     ("ops/similarity.py", "ann_topk"): _BOUNDED,
@@ -344,8 +386,6 @@ DRIVER_GATHERS = {
     ("crawl.py", "_politeness"): _BOUNDED + ": one host-count row per host",
     ("crawl.py", "_skip_done_parts"): _BOUNDED + ": one count row per block",
     ("frontier.py", "filter_unseen"): _BOUNDED + ": the bloom summary, fixed bits",
-    ("frontier.py", "select_budget"): _BOUNDED + (
-        ": the size_hint plan gathers at most SMALL_FRONTIER_ROWS rows"),
     ("crawl.py", "_order"): _BOUNDED + (
         ": one epoch's selected URLs, gathered only when a test passes"
         " collect_order"),
@@ -385,14 +425,15 @@ def _calls(nodes) -> set[str]:
 
 def _driver_gathers(root: pathlib.Path) -> set[tuple[str, str]]:
     """(file, top-level function) of every function in ``sidecar/ops``,
-    ``pipeline.py``, ``cdxj.py``, ``crawl.py`` and ``frontier.py`` that
+    ``pipeline.py``, ``cdxj.py``, ``crawl.py``, ``frontier.py`` and
+    ``shuffle.py`` that
     calls ``ray.put`` or ``.iter_batches(``, nested defs included, or
     ``.to_pandas(`` or ``.take_all(`` in its own body (in a nested def, a
     batch UDF, those convert the batch's pyarrow table)."""
     found = set()
     for path in [*sorted(root.glob("ops/*.py")),
                  *(root / f for f in ("pipeline.py", "cdxj.py", "crawl.py",
-                                      "frontier.py"))]:
+                                      "frontier.py", "shuffle.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
