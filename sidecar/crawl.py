@@ -422,8 +422,11 @@ def _selected_with_part(t: pa.Table, num_parts: int) -> pa.Table:
 
 
 def _leftover(t: pa.Table, next_epoch: int) -> pa.Table:
-    """The rows not selected, carried into the next epoch's frontier."""
-    t = t.filter(pc.equal(t["selected"], False)).drop_columns(["selected"])
+    """The rows not selected, carried into the next epoch's frontier.  The
+    schema metadata goes: a pandas-made block's ``b'pandas'`` blob would
+    make the next frontier's files disagree on their schema."""
+    t = t.filter(pc.equal(t["selected"], False)).drop_columns(["selected"]) \
+        .replace_schema_metadata(None)
     return t.set_column(t.column_names.index("epoch"), "epoch",
                         pa.array(np.full(t.num_rows, next_epoch, np.int32)))
 
@@ -605,15 +608,17 @@ def _fetch_sidecar_write(run: _Run, m: dict, epoch: int,
     path = _sidecar_dir(cfg, epoch)
     done = _clear_unfinished_parts(path, _done_parts(cfg, epoch))
     to_fetch = _skip_done_parts(run, m, selected, done) if done else selected
-    # The unit of map parallelism is the BLOCK.  The block count is sized by
-    # DATA (rows / per-task quantum), NOT by cluster size — a
+    # The unit of map parallelism is the BLOCK.  The fetch's block count is
+    # sized by DATA (rows / per-task quantum), NOT by cluster size — a
     # cpus-proportional plan produces different task shapes (and output-file
     # counts) at different cluster sizes, which skews scaling and makes runs
-    # non-comparable.  The budget exchange emits one block per block of its
-    # filtered input (at most shuffle.NUM_PARTS), and the filters cut blocks
-    # of up to 8192 rows, so only a small frontier (one block in, one block
-    # out) needs the re-split: repartition is an all-to-all BARRIER that
-    # delays the first fetch task by the whole shuffle.
+    # non-comparable.  The budget exchange is sized to the cluster: it emits
+    # about one block per CPU, never more than its filtered input's blocks
+    # of up to 8192 rows (``shuffle.copartition``).  So the selected rows
+    # are re-split to the data-sized count whenever the exchange emits
+    # fewer than min(32, n_blocks); at 32 blocks or more they are not, as
+    # repartition is an all-to-all BARRIER that delays the first fetch task
+    # by the whole shuffle.
     n_remaining = m["selected"] - m.get("resumed_rows", 0)
     n_blocks = max(1, min(128, n_remaining // 256 + 1))
     if selected.num_blocks() < min(32, n_blocks):

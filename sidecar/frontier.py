@@ -229,12 +229,12 @@ def select_budget(frontier: "rd.Dataset", budget: int,
             return budget
         return policy.host_budget(np.asarray(hosts), budget)
 
-    # Ray-level grouping co-partitions on (host, salt), then on host (one
-    # group per input block per stage, at most shuffle.NUM_PARTS); the exact
-    # (host, salt) / host grouping happens vectorized INSIDE each task via
-    # sort + groupby().cumcount() — per-group Python dispatch over (hosts ×
-    # salts) tiny groups dominated wall time otherwise (measured 13-17s →
-    # ~4s for a 400k-row frontier at 32 CPUs).
+    # Ray-level grouping co-partitions on (host, salt), then on host (about
+    # one group per CPU per stage, never more than its input blocks); the
+    # exact (host, salt) / host grouping happens vectorized INSIDE each task
+    # via sort + groupby().cumcount() — per-group Python dispatch over
+    # (hosts × salts) tiny groups dominated wall time otherwise (measured
+    # 13-17s → ~4s for a 400k-row frontier at 32 CPUs).
     def with_salt(batch: pa.Table) -> pa.Table:
         h = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         return batch.append_column(

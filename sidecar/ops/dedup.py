@@ -194,7 +194,7 @@ def _pairs_within(g: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
     groups dominates wall time otherwise (measured 21s → ~3s at sf0.1).
 
     The in-task fine grouping is itself vectorized (factorize → sort →
-    run boundaries): at soak scale one 64th-partition holds ~10^5 mostly-
+    run boundaries): at soak scale one partition holds ~10^5 mostly-
     singleton (band, bucket) groups, and iterating ``g.groupby`` costs
     ~50 µs of pandas dispatch per group — only the rare ≥2-member runs
     reach Python."""
@@ -225,9 +225,9 @@ def _pairs_within(g: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
 def _dedup_pairs(pairs_ds: "rd.Dataset", a: str = "doc_a", b: str = "doc_b",
                  extra_cols: tuple[str, ...] = ()) -> "rd.Dataset":
     """Distinct (a,b) pairs via drop_duplicates inside each (a, b)
-    co-partition: the shuffle has 64 groups regardless of pair count and
-    dedup runs vectorized per partition.  ``extra_cols`` ride along (first
-    value per pair wins — identical across dups here)."""
+    co-partition: the shuffle has about one group per CPU regardless of
+    pair count and dedup runs vectorized per partition.  ``extra_cols`` ride
+    along (first value per pair wins — identical across dups here)."""
     keep_cols = [a, b, *extra_cols]
 
     def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
@@ -267,9 +267,9 @@ def minhash_lsh_pairs(sf_dir: str, family: str = "md5") -> "rd.Dataset":
     shingle → minhash → band-bucket → coarse-partition groupby → pairs.
 
     The banding shuffle carries only (band, bucket, doc_id); the Ray
-    groupby key is a coarse bucket-hash partition (64 groups) and the exact
-    (band, bucket) grouping happens vectorized inside each task.  Pair
-    explosion inside one bucket is the skew to watch — buckets are
+    groupby key is a coarse bucket-hash partition (about one per CPU) and
+    the exact (band, bucket) grouping happens vectorized inside each task.
+    Pair explosion inside one bucket is the skew to watch — buckets are
     md5-uniform unless the corpus has true duplicate clusters, which are
     exactly the rows we want co-located.  ``family`` swaps the signature
     hash (MINHASH_FAMILIES); "md5" is the oracle default, "splitmix64" the
@@ -715,10 +715,10 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
 
     def _emit_bands(ids: np.ndarray, E: np.ndarray, emb) -> pa.Table:
         """(table, bucket, vec_id[, embedding]) rows for every table.  The
-        (table, bucket) co-partition spans 64 groups regardless of the
-        n_tables × 2^k_planes fine-bucket count — per-group dispatch over
-        10^5+ tiny groups dominates wall time otherwise (same pattern as
-        _pairs_within / frontier.select_budget)."""
+        (table, bucket) co-partition spans about one group per CPU
+        regardless of the n_tables × 2^k_planes fine-bucket count —
+        per-group dispatch over 10^5+ tiny groups dominates wall time
+        otherwise (same pattern as _pairs_within / frontier.select_budget)."""
         P = ray.get(planes_ref)
         n = len(ids)
         tbl = np.repeat(np.arange(n_tables, dtype=np.int64), n)

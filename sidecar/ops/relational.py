@@ -90,13 +90,13 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
 
     Coarse-partition aggregate + post-top-k enrichment: per-order sums need a
     shuffle, but a key-cardinality groupby (~1.5M keys at sf=1) pays per-key
-    dispatch — instead the shuffle co-partitions on ``l_orderkey`` (64
-    groups at ANY scale; each order lives wholly in one partition so
-    per-partition sums are complete), the per-order sum + partial top-k run
-    vectorized inside each group task, and the driver merges 64×k candidate
-    rows.  The orders→customer enrichment runs AFTER top-k on exactly k rows
-    (predicate-pushdown point reads) — no broadcast of the full orders table,
-    unlike a join-then-rank plan.
+    dispatch — instead the shuffle co-partitions on ``l_orderkey`` (about
+    one group per CPU at ANY scale; each order lives wholly in one partition
+    so per-partition sums are complete), the per-order sum + partial top-k
+    run vectorized inside each group task, and the driver merges k candidate
+    rows per group.  The orders→customer enrichment runs AFTER top-k on
+    exactly k rows (predicate-pushdown point reads) — no broadcast of the
+    full orders table, unlike a join-then-rank plan.
     """
     import pyarrow.parquet as pq
 
@@ -123,7 +123,7 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
                                         "l_discount"])
             .map_batches(revenue, batch_format="pyarrow", zero_copy_batch=True),
             "l_orderkey", sum_topk, batch_format="pandas")
-        .to_pandas()  # ≤ 64 × k rows by construction
+        .to_pandas()  # ≤ k rows per partition by construction
         .sort_values(["revenue_cents", "o_orderkey"], ascending=[False, True])
         .head(k).reset_index(drop=True)
     )
@@ -736,8 +736,9 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
 def distinct_count_custkey(sf_dir: str) -> "pa.Table":
     """n_distinct — exact COUNT(DISTINCT o_custkey), the two-level distinct
     plan: per-block partial ``np.unique`` (each block forwards at most its
-    distinct keys), co-partitioned global dedup (64 groups at any
-    cardinality), per-partition counts summed on the driver (64 ints)."""
+    distinct keys), co-partitioned global dedup (about one group per CPU at
+    any cardinality), per-partition counts summed on the driver (one int
+    per group)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         u = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False))
@@ -854,9 +855,10 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
                        ("l_quantity_cents", pa.int64()),
                        ("o_orderpriority", pa.string())]).empty_table()
 
-    def join_partition(orders: pd.DataFrame, items: pd.DataFrame) -> pd.DataFrame:
+    def join_partition(orders: pd.DataFrame,
+                       items: pd.DataFrame) -> "pd.DataFrame | pa.Table":
         if orders.empty or items.empty:  # a side with no rows may lack columns
-            return empty.to_pandas()
+            return empty  # Arrow: a zero-row pandas frame has untyped columns
         out = items.merge(orders, on="key", how="inner")
         return pd.DataFrame({
             "l_orderkey": out["key"].to_numpy(),
@@ -988,12 +990,13 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
     each customer's consecutive orders (microseconds, so the compare is
     integer-exact).  First order per customer is dropped (its lag is NULL).
 
-    Plan: one shuffle co-partitioned on custkey (64 groups), then a
-    vectorized in-task pass — sort by (custkey, ts, orderkey), np.diff, mask
-    customer boundaries — instead of per-customer group dispatch
-    (64 tasks regardless of customer count; the per-key-dispatch version is
-    ~50× slower on high-cardinality keys).  Order dependence is explicit:
-    ties on (ts) break by orderkey, matching the SQL window's ORDER BY."""
+    Plan: one shuffle co-partitioned on custkey (about one group per CPU),
+    then a vectorized in-task pass — sort by (custkey, ts, orderkey),
+    np.diff, mask customer boundaries — instead of per-customer group
+    dispatch (one task per group regardless of customer count; the
+    per-key-dispatch version is ~50× slower on high-cardinality keys).
+    Order dependence is explicit: ties on (ts) break by orderkey, matching
+    the SQL window's ORDER BY."""
 
     def proj(batch: pa.Table) -> pa.Table:
         return pa.table({

@@ -3,19 +3,20 @@
 Every grouping in the engine (frontier budget selection, the dedup, prep,
 relational, similarity and text operators, the CDXJ merge, the digest join
 and the batch CLI writers) has the same shape: hash the key column(s) to one
-of at most ``NUM_PARTS`` coarse partitions, exchange rows by that partition,
-and fine-group inside each task with vectorized code.  A ``groupby(key)`` on
-the raw key would dispatch one Python call per distinct key, which is the
-measured bottleneck at these cardinalities, not data volume.
+of a few coarse partitions (about one per CPU), exchange rows by that
+partition, and fine-group inside each task with vectorized code.  A
+``groupby(key)`` on the raw key would dispatch one Python call per distinct
+key, which is the measured bottleneck at these cardinalities, not data
+volume.
 
-``copartition`` owns that decision: the partition count and the hash.  Its
-contract for the body: every row sharing a ``key`` value lands in the same
-call (rows with a null key too), so ``key`` must be a subset of the columns
-the body groups by.  A join passes its sides as a list, ``copartition([a,
-b], key, fn)``, and ``fn(a_part, b_part)`` gets each side's rows of one
-partition as a separate batch: no side is padded into a shared schema or
-tagged.  Input tables may carry a column of their own called ``part``, but
-not one named ``PART_COL``, which is reserved.
+``copartition`` owns that decision: the partition count, sized to the
+cluster, and the hash.  Its contract for the body: every row sharing a
+``key`` value lands in the same call (rows with a null key too), so ``key``
+must be a subset of the columns the body groups by.  A join passes its sides
+as a list, ``copartition([a, b], key, fn)``, and ``fn(a_part, b_part)`` gets
+each side's rows of one partition as a separate batch: no side is padded
+into a shared schema or tagged.  Input tables may carry a column of their
+own called ``part``, but not one named ``PART_COL``, which is reserved.
 
 The exchange is a direct hash exchange on Ray core tasks, and the only one
 in the engine (``tests/test_shuffle.py`` fails on any Ray Data groupby under
@@ -62,7 +63,6 @@ from ray.data._internal.stats import DatasetStats
 from ray.data.block import BlockAccessor, BlockExecStats, BlockMetadataWithSchema
 from ray.data.dataset import MaterializedDataset
 
-NUM_PARTS = 64  # coarse shuffle partitions, independent of key cardinality
 PART_COL = "__copartition__"  # reserved: no input table may use this name
 # largest build side (Arrow bytes) gathered to the driver and broadcast
 BROADCAST_MAX_BYTES = 128 << 20
@@ -85,8 +85,7 @@ def _column_hash(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return hash_array(col.to_numpy(zero_copy_only=False), categorize=False)
 
 
-def _partition_ids(table: pa.Table, keys: list[str],
-                   n: int = NUM_PARTS) -> np.ndarray:
+def _partition_ids(table: pa.Table, keys: list[str], n: int) -> np.ndarray:
     """int64 partition id in ``[0, n)`` for each row of ``table``."""
     h = _column_hash(table.column(keys[0]))
     for k in keys[1:]:
@@ -155,29 +154,35 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
     and ``fn`` runs only when some input has rows.
 
     The exchange runs on Ray core tasks.  With ``B`` non-empty input blocks
-    across all inputs there are ``n = min(NUM_PARTS, B)`` partitions and
-    about as many split tasks, each taking a run of about ``B / n``
-    consecutive blocks of ONE input (so schemas never mix) and cutting it
-    into ``n`` slices by key hash; one reduce task per partition
-    concatenates each input's slices and calls ``fn``.  So at most
-    ``NUM_PARTS × n`` slices move whatever ``B`` is: an exchange pays
-    scheduling per task and per slice, and the same groupby on Ray's sort
-    measured 18.8 s from 512 input blocks vs 1.4 s from 64 (BASELINE.md
-    round 5).  Sizing ``n`` by the input keeps as many output blocks as the
-    input had, up to ``NUM_PARTS``, so a small frontier's second shuffle
-    reads few blocks."""
+    across all inputs, ``S`` bytes in them, ``C`` CPUs in the cluster and
+    Ray's ``target_max_block_size`` ``T``, there are ``n = min(B, max(C,
+    ceil(S / T)))`` partitions and about as many split tasks, each taking a
+    run of about ``B / n`` consecutive blocks of ONE input (so schemas never
+    mix) and cutting it into ``n`` slices by key hash; one reduce task per
+    partition concatenates each input's slices and calls ``fn``.  An
+    exchange pays scheduling per task and per slice, and the driver holds
+    each slice under Ray's inline limit until its reduce has run, so ``n``
+    stays near the CPU count: one partition per CPU keeps each CPU busy, the
+    bytes term grows ``n`` only where a partition would outgrow a block Ray
+    itself would cut, and an input of fewer blocks keeps its block count, so
+    a small frontier's second shuffle reads few blocks."""
     keys = [key] if isinstance(key, str) else list(key)
     srcs = [d.materialize() for d in (ds if isinstance(ds, list) else [ds])]
     blocks, parts0 = [], []  # (input, non-empty block); each input's seed
+    size = 0  # bytes in the non-empty blocks
     for i, src in enumerate(srcs):
         held = src._plan.execute()  # no-op: the blocks ``src`` already holds
-        own = [ref for ref, m in held.blocks if m.num_rows]
+        own = [(ref, m) for ref, m in held.blocks if m.num_rows]
         if own and PART_COL in held.schema.names:
             raise ValueError(f"column name {PART_COL!r} is reserved by copartition")
-        blocks += [(i, ref) for ref in own]
+        blocks += [(i, ref) for ref, _ in own]
+        size += sum(m.size_bytes or 0 for _, m in own)
         # an input with no rows sends its first zero-row block everywhere
         parts0.append([] if own else [ref for ref, _ in held.blocks[:1]])
-    n = min(NUM_PARTS, len(blocks))
+    context = srcs[0].context
+    limit = context.target_max_block_size  # None: Ray cuts no block
+    n = min(len(blocks), max(int(ray.cluster_resources()["CPU"]),
+                             -(-size // limit) if limit else 1))
     # parts[p][i]: the slices of input i in partition p
     parts = [[list(s) for s in parts0] for _ in range(n)]
     if n > 1:
@@ -206,7 +211,6 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
                          parent=[src._plan.stats() for src in srcs])
     bundles = [RefBundle([(ref, m.metadata)], owns_blocks=False, schema=m.schema)
                for ref, m in out]
-    context = srcs[0].context
     result = MaterializedDataset(ExecutionPlan(stats, data_context=context),
                                  LogicalPlan(InputData(bundles), context))
     result._plan.execute()  # no-op: marks the plan executed, like materialize()

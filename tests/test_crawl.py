@@ -651,6 +651,23 @@ def test_reused_out_dir_next_frontier_not_appended(tmp_path):
     assert r2["seen"] == r1["seen"]
 
 
+def test_next_frontier_parquet_has_no_schema_metadata(tmp_path):
+    """The next frontier's files carry no pandas schema blob: files whose
+    schemas differ only in it make Ray log "Failed to hash the schemas" on
+    every read of the frontier."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    out = str(tmp_path / "c")
+    run_crawl(_cfg(out, max_epochs=2))
+    files = glob.glob(os.path.join(out, "_ckpt", "epoch=0", "next_frontier",
+                                   "*.parquet"))
+    assert files
+    assert [pq.read_schema(f).metadata for f in files] == [None] * len(files)
+
+
 def test_resume_ignores_partial_delta_tmp_files(tmp_path):
     """A truncated shard=K.npy.tmp left by a crash during write_delta must
     not break a later resume (only *.npy files are restored)."""

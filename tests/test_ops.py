@@ -929,6 +929,29 @@ class TestJoinsOverAnEmptyTable:
         assert r.semi_join_big_orders(sf).count() == 0
         assert r.orders_lineitem_join(sf).count() == 0
 
+    def test_empty_join_side_leaves_blocks_ray_can_size(self, tmp_path, caplog):
+        """A partition whose orders side is empty emits a typed zero-row
+        block: Ray logs "Error calculating size" on an empty object-dtype
+        column."""
+        import ray
+        from ray.data._internal import pandas_block
+        from ray.data.block import BlockAccessor
+
+        from sidecar.ops import relational as r
+
+        out = r.orders_lineitem_join(_sf_with_empty(tmp_path, "orders"))
+        # Ray's loggers do not propagate to the root logger caplog listens on
+        pandas_block.logger.addHandler(caplog.handler)
+        try:
+            for bundle in out.iter_internal_ref_bundles():  # size every block
+                for ref in bundle.block_refs:
+                    BlockAccessor.for_block(ray.get(ref)).size_bytes()
+        finally:
+            pandas_block.logger.removeHandler(caplog.handler)
+        assert not [rec for rec in caplog.records
+                    if "Error calculating size" in rec.getMessage()]
+        assert out.count() == 0
+
     @pytest.mark.parametrize("table, other, col", [
         ("customer", "supplier", "s_nationkey"),
         ("supplier", "customer", "c_nationkey")])

@@ -13,14 +13,19 @@ import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data as rd
+from ray.data import DataContext
 
-from sidecar.shuffle import NUM_PARTS, PART_COL, _partition_ids, copartition
+from sidecar.shuffle import PART_COL, _partition_ids, copartition
 
 N = 2_000
 
 
 def _collect(ds: "rd.Dataset") -> pa.Table:
     return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
+def _cpus() -> int:
+    return int(ray.cluster_resources()["CPU"])
 
 
 def _table() -> pa.Table:
@@ -51,17 +56,17 @@ def test_equal_keys_land_in_one_group(key):
 
 def test_int_width_does_not_change_partition():
     v = [0, 1, 7, 64, 1 << 20, -3]
-    ids = {t: _partition_ids(pa.table({"k": pa.array(v, t)}), ["k"]).tolist()
+    ids = {t: _partition_ids(pa.table({"k": pa.array(v, t)}), ["k"], 64).tolist()
            for t in (pa.int32(), pa.int64())}
     assert ids[pa.int32()] == ids[pa.int64()]
-    assert all(0 <= p < NUM_PARTS for p in ids[pa.int64()])
+    assert all(0 <= p < 64 for p in ids[pa.int64()])
 
 
 def test_partition_ids_match_on_driver_and_in_ray_task():
     t = _table()
     for keys in (["i"], ["s"], ["s", "j"]):
-        remote = ray.get(ray.remote(_partition_ids).remote(t, keys))
-        assert np.array_equal(_partition_ids(t, keys), remote)
+        remote = ray.get(ray.remote(_partition_ids).remote(t, keys, 64))
+        assert np.array_equal(_partition_ids(t, keys, 64), remote)
 
 
 def test_own_part_column_round_trips():
@@ -95,8 +100,8 @@ def test_one_block_and_many_tiny_blocks_give_equal_output():
                       batch_format="pyarrow")
     tiny = copartition(rd.from_arrow([t.slice(i, 1) for i in range(300)]),
                        ["s", "j"], distinct_keys, batch_format="pyarrow")
-    # 300 blocks are split in runs: the partition count stays capped
-    assert f"{NUM_PARTS} partitions" in tiny.stats()
+    # 300 small blocks are split in runs: one partition per CPU
+    assert f"Copartition[s,j] {_cpus()} partitions" in tiny.stats()
     order = [("s", "ascending"), ("j", "ascending")]
     assert _collect(one).sort_by(order).equals(_collect(tiny).sort_by(order))
 
@@ -186,7 +191,7 @@ def test_stats_chain_upstream_and_report_the_exchange():
 
 
 @pytest.mark.parametrize("n", [3, 42])
-def test_partition_counts_that_are_not_powers_of_two(n):
+def test_partition_counts_that_are_not_powers_of_two(n, monkeypatch):
     t = _table()
     for keys in (["i"], ["s"], ["s", "j"]):
         ids = _partition_ids(t, keys, n)
@@ -197,9 +202,12 @@ def test_partition_counts_that_are_not_powers_of_two(n):
     def distinct_keys(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("i", as_index=False).size()
 
-    # n input blocks give n partitions
+    # n input blocks give n partitions once their bytes ask for n or more
+    # Ray-sized blocks: a 1-byte block limit makes every byte ask for one
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
     got = copartition(rd.from_arrow(t).repartition(n), "i", distinct_keys,
                       batch_format="pandas")
+    monkeypatch.undo()
     assert f"Copartition[i] {n} partitions" in got.stats()
     df = got.to_pandas()
     assert not df.duplicated("i").any()
@@ -224,13 +232,25 @@ def test_two_inputs_meet_by_key(blocks):
 
     inputs = [rd.from_arrow(t).repartition(blocks) for t in (a, b)]
     got = copartition(inputs, "i", counts, batch_format="pyarrow")
-    assert f"Copartition[i] {2 * blocks} partitions" in got.stats()
+    # kilobytes of input: the blocks, at most one partition per CPU
+    assert f"Copartition[i] {min(2 * blocks, _cpus())} partitions" in got.stats()
     df = got.to_pandas()
     # a key split across two calls would appear twice
     assert not df.duplicated("i").any()
     want = counts(a, b)
     assert (df.set_index("i").sort_index().to_dict("index")
             == want.set_index("i").sort_index().to_dict("index"))
+
+
+def test_fewer_blocks_than_cpus_keep_their_count():
+    """An input of fewer blocks than the cluster has CPUs is not cut finer:
+    each of its blocks becomes one partition."""
+    blocks = _cpus() - 1
+    got = copartition(rd.from_arrow(_table()).repartition(blocks), "s",
+                      lambda g: g, batch_format="pyarrow")
+    assert f"Copartition[s] {blocks} partitions" in got.stats()
+    assert got.num_blocks() == blocks
+    assert _collect(got).sort_by("row").equals(_table())
 
 
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow", "numpy"])
