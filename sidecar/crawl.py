@@ -612,16 +612,12 @@ def _fetch_sidecar_write(run: _Run, m: dict, epoch: int,
     # sized by DATA (rows / per-task quantum), NOT by cluster size — a
     # cpus-proportional plan produces different task shapes (and output-file
     # counts) at different cluster sizes, which skews scaling and makes runs
-    # non-comparable.  The budget exchange is sized to the cluster: it emits
-    # about one block per CPU, never more than its filtered input's blocks
-    # of up to 8192 rows (``shuffle.copartition``).  So the selected rows
-    # are re-split to the data-sized count whenever the exchange emits
-    # fewer than min(32, n_blocks); at 32 blocks or more they are not, as
-    # repartition is an all-to-all BARRIER that delays the first fetch task
-    # by the whole shuffle.
+    # non-comparable.  The budget exchange emits about one block per CPU
+    # (``shuffle.copartition``), so the selected rows are re-split to the
+    # data-sized count whenever the exchange's count differs from it.
     n_remaining = m["selected"] - m.get("resumed_rows", 0)
     n_blocks = max(1, min(128, n_remaining // 256 + 1))
-    if selected.num_blocks() < min(32, n_blocks):
+    if selected.num_blocks() != n_blocks:
         to_fetch = to_fetch.repartition(n_blocks)
     # one fetch task per block; 256 rows per fetcher call inside it
     sidecar_ds = to_fetch.map_batches(

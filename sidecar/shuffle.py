@@ -154,18 +154,24 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
     and ``fn`` runs only when some input has rows.
 
     The exchange runs on Ray core tasks.  With ``B`` non-empty input blocks
-    across all inputs, ``S`` bytes in them, ``C`` CPUs in the cluster and
-    Ray's ``target_max_block_size`` ``T``, there are ``n = min(B, max(C,
-    ceil(S / T)))`` partitions and about as many split tasks, each taking a
-    run of about ``B / n`` consecutive blocks of ONE input (so schemas never
-    mix) and cutting it into ``n`` slices by key hash; one reduce task per
-    partition concatenates each input's slices and calls ``fn``.  An
-    exchange pays scheduling per task and per slice, and the driver holds
-    each slice under Ray's inline limit until its reduce has run, so ``n``
-    stays near the CPU count: one partition per CPU keeps each CPU busy, the
-    bytes term grows ``n`` only where a partition would outgrow a block Ray
-    itself would cut, and an input of fewer blocks keeps its block count, so
-    a small frontier's second shuffle reads few blocks."""
+    across all inputs, ``S`` bytes in them, ``C`` CPUs in the cluster, Ray's
+    ``target_max_block_size`` ``T`` and Ray's own hash-shuffle partition
+    count ``P`` (``default_hash_shuffle_parallelism``, 200 by default),
+    there are ``n = min(B, P, C * max(1, ceil(S / (C * T))))`` partitions
+    and about as many split tasks, each taking a run of about ``B / n``
+    consecutive blocks of ONE input (so schemas never mix) and cutting it
+    into ``n`` slices by key hash; one reduce task per partition
+    concatenates each input's slices and calls ``fn``.  An exchange pays
+    scheduling per task and per slice, about ``n`` squared slices, and the
+    driver holds each slice under Ray's inline limit until its reduce has
+    run, so ``n`` is the fewest whole waves of one partition per CPU whose
+    partitions stay under a block Ray itself would cut.  Whole waves: at
+    the 1M-row soak on 4 CPUs the tfidf exchange plan (exchanges of 0.6 and
+    1.1 GB) took 65-78 s as 5 and 9 partitions and 60-61 s as 8 and 12.
+    An input of fewer blocks keeps its block count, so a small frontier's
+    second shuffle reads few blocks.  ``P`` bounds the slices at ``P``
+    squared: the same groupby on Ray's sort measured 18.8 s from 512 input
+    blocks vs 1.4 s from 64 (BASELINE.md round 5)."""
     keys = [key] if isinstance(key, str) else list(key)
     srcs = [d.materialize() for d in (ds if isinstance(ds, list) else [ds])]
     blocks, parts0 = [], []  # (input, non-empty block); each input's seed
@@ -181,8 +187,9 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
         parts0.append([] if own else [ref for ref, _ in held.blocks[:1]])
     context = srcs[0].context
     limit = context.target_max_block_size  # None: Ray cuts no block
-    n = min(len(blocks), max(int(ray.cluster_resources()["CPU"]),
-                             -(-size // limit) if limit else 1))
+    cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    waves = max(1, -(-size // (cpus * limit))) if limit else 1
+    n = min(len(blocks), context.default_hash_shuffle_parallelism, cpus * waves)
     # parts[p][i]: the slices of input i in partition p
     parts = [[list(s) for s in parts0] for _ in range(n)]
     if n > 1:

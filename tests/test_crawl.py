@@ -668,6 +668,36 @@ def test_next_frontier_parquet_has_no_schema_metadata(tmp_path):
     assert [pq.read_schema(f).metadata for f in files] == [None] * len(files)
 
 
+def test_fetch_blocks_do_not_follow_the_cluster(tmp_path, monkeypatch):
+    """The fetch runs as many tasks as its selected rows ask for, whatever
+    the cluster: crawls whose budget exchanges see 1 and 64 CPUs write the
+    same number of sidecar files into every fetch partition."""
+    import glob
+    import os
+
+    from sidecar import shuffle
+
+    class Cluster:
+        def __init__(self, cpus):
+            self.cpus = cpus
+
+        def __getattr__(self, name):
+            return getattr(ray, name)
+
+        def cluster_resources(self):
+            return {"CPU": float(self.cpus)}
+
+    files = []
+    for cpus in (1, 64):
+        monkeypatch.setattr(shuffle, "ray", Cluster(cpus))
+        out = str(tmp_path / f"c{cpus}")
+        # 20k seeds reach the budget exchange as several filter blocks
+        run_crawl(_cfg(out, n_seeds=20_000, max_epochs=1))
+        parts = glob.glob(os.path.join(out, "sidecar", "epoch=0", "part=*"))
+        files.append({os.path.basename(p): len(os.listdir(p)) for p in parts})
+    assert files[0] and files[0] == files[1]
+
+
 def test_resume_ignores_partial_delta_tmp_files(tmp_path):
     """A truncated shard=K.npy.tmp left by a crash during write_delta must
     not break a later resume (only *.npy files are restored)."""

@@ -215,6 +215,37 @@ def test_partition_counts_that_are_not_powers_of_two(n, monkeypatch):
         t.to_pandas().groupby("i").size())
 
 
+def test_bytes_past_one_partition_per_cpu_add_a_whole_wave(monkeypatch):
+    """Once a CPU's share of the bytes outgrows Ray's block limit the count
+    grows by whole waves of one partition per CPU, never by one partition
+    that would run alone at the end."""
+    t = _table()
+    size = rd.from_arrow(t).repartition(42).materialize().size_bytes()
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
+                        size // (_cpus() + 1))
+    got = copartition(rd.from_arrow(t).repartition(42), "i",
+                      lambda g: g, batch_format="pyarrow")
+    monkeypatch.undo()
+    assert f"Copartition[i] {2 * _cpus()} partitions" in got.stats()
+    assert _collect(got).sort_by("row").equals(t)
+
+
+def test_partition_count_stops_at_rays_hash_shuffle_parallelism(monkeypatch):
+    """However many partitions the input's bytes ask for, an exchange cuts
+    no more than Ray's own hash shuffle would: 42 blocks whose bytes ask for
+    one partition each give 5 when Ray's hash-shuffle partition count is 5."""
+    t = _table()
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 1)
+    monkeypatch.setattr(ctx, "default_hash_shuffle_parallelism", 5)
+    got = copartition(rd.from_arrow(t).repartition(42), "i",
+                      lambda g: g, batch_format="pyarrow")
+    monkeypatch.undo()
+    assert "Copartition[i] 5 partitions" in got.stats()
+    assert got.num_blocks() == 5
+    assert _collect(got).sort_by("row").equals(t)
+
+
 @pytest.mark.parametrize("blocks", [1, 8])
 def test_two_inputs_meet_by_key(blocks):
     """Rows sharing a key reach one call from both inputs, whatever their
