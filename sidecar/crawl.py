@@ -422,11 +422,8 @@ def _selected_with_part(t: pa.Table, num_parts: int) -> pa.Table:
 
 
 def _leftover(t: pa.Table, next_epoch: int) -> pa.Table:
-    """The rows not selected, carried into the next epoch's frontier.  The
-    schema metadata goes: a pandas-made block's ``b'pandas'`` blob would
-    make the next frontier's files disagree on their schema."""
-    t = t.filter(pc.equal(t["selected"], False)).drop_columns(["selected"]) \
-        .replace_schema_metadata(None)
+    """The rows not selected, carried into the next epoch's frontier."""
+    t = t.filter(pc.equal(t["selected"], False)).drop_columns(["selected"])
     return t.set_column(t.column_names.index("epoch"), "epoch",
                         pa.array(np.full(t.num_rows, next_epoch, np.int32)))
 

@@ -15,23 +15,22 @@ the identical functions, which is what makes bit-for-bit equality testable.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data as rd
 
-from sidecar import schemas, synth
+from sidecar import runs, schemas, synth
 from sidecar.actors import call_seen_shards, host_shard
 from sidecar.canon import canonical_url, host_of, url_hash
-from sidecar.shuffle import copartition
+from sidecar.shuffle import broadcast_value, copartition
+from sidecar.state import BloomFilter
 
 SORT_COLS = ["priority", "depth", "url_hash", "seed_id", "url"]
 SORT_ASC = [False, True, True, True, True]
-
-
-def _sort_group(g: pd.DataFrame) -> pd.DataFrame:
-    return g.sort_values(SORT_COLS, ascending=SORT_ASC, kind="mergesort")
+# the total order as a run-kernel sort order (sidecar.runs)
+_ORDER = tuple((c, "ascending" if a else "descending")
+               for c, a in zip(SORT_COLS, SORT_ASC))
 
 
 def order_key(row: dict) -> tuple:
@@ -58,55 +57,26 @@ def candidates_from_urls(rows: list[dict], epoch: int) -> pa.Table:
     return pa.table(out, schema=schemas.FRONTIER)
 
 
-def dedup_by_url_hash(frontier: "rd.Dataset") -> "rd.Dataset":
-    """Exact per-epoch dedup (A4 / J3 exactness layer): one row per url_hash,
-    keeping the best by the total order.
-
-    The Ray groupby key is a coarse url_hash partition; the per-key keep-best
-    is a vectorized sort + drop_duplicates inside each task (a groupby on the
-    raw url_hash would dispatch Python once per distinct URL).
-    """
-
-    def best_per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _sort_group(g).drop_duplicates("url_hash", keep="first")
-
-    return copartition(frontier, "url_hash", best_per_partition,
-                       batch_format="pandas")
-
-
-# per-worker-process memo: ObjectRef -> deserialized BloomFilter (read-only
-# in the anti-join; one live epoch summary at a time)
-_BLOOM_MEMO: dict = {}
-
-
 def filter_unseen(frontier: "rd.Dataset", seen_shards: list, bloom_blob: bytes | None,
                   num_shards: int) -> "rd.Dataset":
     """Anti-join against the seen-set shards (J3).
 
-    Worker-side bloom pre-filter (replicated via ``ray.put`` once, not
-    re-shipped per batch) answers "definitely unseen" locally; only bloom
-    positives RPC the shards, batched per shard.
+    Worker-side bloom pre-filter (deserialized on the driver, ``ray.put``
+    once and read through ``shuffle.broadcast_value``, so each worker loads
+    it once per epoch) answers "definitely unseen" locally; only bloom
+    positives RPC the shards, batched per shard.  ``bloom_blob`` is a
+    serialized ``BloomFilter``, or None before any summary exists.
     """
-    bloom_ref = ray.put(bloom_blob)
+    bloom_ref = ray.put(None if bloom_blob is None
+                        else BloomFilter.deserialize(bloom_blob))
     shard_handles = list(seen_shards)
 
     def f(batch: pa.Table) -> pa.Table:
-        from sidecar.state import BloomFilter
-
         hashes = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         n = len(hashes)
         if n == 0:
             return batch
-        # fetch + deserialize ONCE per (worker process, epoch summary), not
-        # per 8k-row batch — at crawl scale the summary is large, and both
-        # the ray.get bytes copy AND BloomFilter.deserialize would otherwise
-        # repeat per batch (None — no summary yet — is memoized too)
-        if bloom_ref not in _BLOOM_MEMO:
-            _BLOOM_MEMO.clear()  # ≤1 live summary per worker (per epoch)
-            blob = ray.get(bloom_ref)
-            _BLOOM_MEMO[bloom_ref] = (None if blob is None
-                                      else BloomFilter.deserialize(blob))
-        bf = _BLOOM_MEMO[bloom_ref]
+        bf = broadcast_value(bloom_ref)  # once per worker, not per batch
         if bf is None:
             maybe_seen = np.ones(n, dtype=bool)  # no summary yet → ask shards
         else:
@@ -210,10 +180,10 @@ def select_budget(frontier: "rd.Dataset", budget: int,
     frontier (the persistent priority queue).  Top-k(host) ≡ top-k of the
     union of per-salt top-k, so salting never changes the selection.
 
-    ``dedup=True`` folds the exact url_hash dedup (A4's groupby(url_hash),
-    keep-best-by-total-order) into stage 1 — duplicates of a url_hash always
-    share (host, salt), so this is exactly equivalent to a separate
-    groupby(url_hash) pass but saves one all-to-all per epoch.
+    ``dedup=True`` is A4's exact per-epoch dedup, SURVEY's groupby(url_hash)
+    keeping the best row by the total order, folded into stage 1:
+    duplicates of a url_hash always share (host, salt), so it needs no
+    all-to-all of its own.
 
     Both stages are ``copartition`` exchanges at every frontier size, so a
     frontier with no rows at all comes back with no blocks.  ``size_hint``
@@ -232,35 +202,33 @@ def select_budget(frontier: "rd.Dataset", budget: int,
     # Ray-level grouping co-partitions on (host, salt), then on host (about
     # one group per CPU per stage, never more than its input blocks); the
     # exact (host, salt) / host grouping happens vectorized INSIDE each task
-    # via sort + groupby().cumcount() — per-group Python dispatch over
+    # as runs of a sorted table — per-group Python dispatch over
     # (hosts × salts) tiny groups dominated wall time otherwise (measured
-    # 13-17s → ~4s for a 400k-row frontier at 32 CPUs).
+    # 13-17s → ~4s for a 400k-row frontier at 32 CPUs).  host and url_hash
+    # are never null, so no row leaves a run kernel for its key.
     def with_salt(batch: pa.Table) -> pa.Table:
         h = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         return batch.append_column(
             "salt", pa.array((h % np.uint64(n_salts)).astype(np.int32)))
 
-    def stage1(g: pd.DataFrame) -> pd.DataFrame:
-        g = _sort_group(g)
-        if dedup:  # first row per url_hash is the best (total-order sorted)
-            g = g.drop_duplicates("url_hash", keep="first")
-        g = g.copy()
-        bud = _budgets(g["host"].to_numpy())
-        g["finalist"] = g.groupby(["host", "salt"], sort=False).cumcount().to_numpy() < bud
-        return g
+    def stage1(t: pa.Table) -> pa.Table:
+        if dedup:  # the best row per url_hash (first in the total order)
+            t = runs.first(t, ["url_hash"], _ORDER)
+        t, s = runs.groups(t, ["host", "salt"], _ORDER)
+        bud = _budgets(t.column("host").to_numpy(zero_copy_only=False))
+        return t.append_column("finalist", pa.array(runs.rank(s) < bud))
 
-    def stage2(g: pd.DataFrame) -> pd.DataFrame:
-        g = _sort_group(g).copy()
+    def stage2(t: pa.Table) -> pa.Table:
+        t, s = runs.groups(t, ["host"], _ORDER)
         # rank finalists per host in total order; cumsum counts only them
-        fin_rank = (g.groupby("host", sort=False)["finalist"]
-                    .cumsum() - g["finalist"].astype(int))
-        bud = _budgets(g["host"].to_numpy())
-        g["selected"] = g["finalist"].to_numpy() & (fin_rank.to_numpy() < bud)
-        return g.drop(columns=["salt", "finalist"])
+        fin = t.column("finalist").to_numpy(zero_copy_only=False)
+        bud = _budgets(t.column("host").to_numpy(zero_copy_only=False))
+        selected = fin & (runs.cumsum(fin, s) - fin < bud)
+        return t.drop_columns(["salt", "finalist"]).append_column(
+            "selected", pa.array(selected))
 
     salted = frontier.map_batches(with_salt, batch_format="pyarrow", zero_copy_batch=True)
-    ranked = copartition(salted, ["host", "salt"], stage1, batch_format="pandas")
-    return copartition(ranked, "host", stage2, batch_format="pandas")
+    return copartition(copartition(salted, ["host", "salt"], stage1), "host", stage2)
 
 
 def discover_links(selected: "rd.Dataset", epoch: int, n_hosts: int, seed: int,

@@ -27,14 +27,13 @@ import functools
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
-from sidecar import shuffle
+from sidecar import runs, shuffle
 from sidecar.ops.similarity import _emb_matrix, _unit_rows
 from sidecar.ops.text import read_documents
 from sidecar.shuffle import copartition
@@ -151,16 +150,16 @@ def exact_dedup(sf_dir: str) -> "rd.Dataset":
     (fp, doc_id) rows, one representative survives per distinct
     payload; the per-fp min/count runs vectorized inside each partition)."""
 
-    def fp_agg(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("fp", sort=False)["doc_id"].agg(["min", "count"])
-        return pd.DataFrame({"fp": a.index.to_numpy(),
-                             "keep_doc_id": a["min"].to_numpy(),
-                             "n_dups": a["count"].to_numpy()})
+    def fp_agg(t: pa.Table) -> pa.Table:
+        g = t.group_by("fp", use_threads=False).aggregate(
+            [("doc_id", "min"), ("doc_id", "count")])
+        return g.select(["fp", "doc_id_min", "doc_id_count"]) \
+            .rename_columns(["fp", "keep_doc_id", "n_dups"])
 
     return copartition(
         read_documents(sf_dir).map_batches(
             fp_rows_batch, batch_format="pyarrow", zero_copy_batch=True),
-        "fp", fp_agg, batch_format="pandas")
+        "fp", fp_agg)
 
 
 # ------------------------------------------------------------- minhash + LSH
@@ -187,53 +186,40 @@ def minhash_signatures(sf_dir: str, family: str = "md5") -> "rd.Dataset":
     return read_documents(sf_dir).map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _pairs_within(g: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
-    """All within-group (doc_a < doc_b) pairs, fine-grouped by ``keys``
+def _pairs_within(g: pa.Table, keys: list[str], ids: str = "doc_id",
+                  out: tuple[str, str] = ("doc_a", "doc_b")) -> pa.Table:
+    """All (a < b) pairs of ``ids`` sharing a value of ``keys``, fine-grouped
     INSIDE one task — the groupby that reaches Ray uses only a coarse
     partition key, because per-group Python dispatch over thousands of tiny
     groups dominates wall time otherwise (measured 21s → ~3s at sf0.1).
 
-    The in-task fine grouping is itself vectorized (factorize → sort →
-    run boundaries): at soak scale one partition holds ~10^5 mostly-
-    singleton (band, bucket) groups, and iterating ``g.groupby`` costs
-    ~50 µs of pandas dispatch per group — only the rare ≥2-member runs
-    reach Python."""
-    nulls = g[keys].isna().any(axis=1)
-    if nulls.any():  # groupby(dropna=True) parity: null-key rows drop (the
-        g = g[~nulls]  # factorize sentinel -1 would group them instead)
-    code = pd.MultiIndex.from_frame(g[keys]).factorize(sort=False)[0] \
-        if len(keys) > 1 else pd.factorize(g[keys[0]], sort=False)[0]
-    ids = g["doc_id"].to_numpy(dtype=np.int64)
-    order = np.lexsort((ids, code))
-    code, ids = code[order], ids[order]
-    bounds = np.flatnonzero(np.diff(code)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(ids)]))
+    The in-task grouping is the runs of ``g`` sorted by (keys, ids): at soak
+    scale one partition holds ~10^5 mostly-singleton groups, and only the
+    rare ≥2-member runs reach Python.  Null-key rows drop, as in a pandas
+    groupby."""
+    g, new = runs.groups(g, keys, (ids,))
+    v = g.column(ids).to_numpy()
     a, b = [], []
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
+    for s, e in runs.spans(new, 2):
         r, c = np.triu_indices(e - s, k=1)
-        a.append(ids[s:e][r])
-        b.append(ids[s:e][c])
-    if not a:
-        return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
-                             "doc_b": pd.Series([], dtype="int64")})
-    return pd.DataFrame({"doc_a": np.concatenate(a), "doc_b": np.concatenate(b)})
+        a.append(v[s:e][r])
+        b.append(v[s:e][c])
+    return pa.table({out[0]: pa.array(np.concatenate(a) if a else [], pa.int64()),
+                     out[1]: pa.array(np.concatenate(b) if b else [], pa.int64())})
 
 
 def _dedup_pairs(pairs_ds: "rd.Dataset", a: str = "doc_a", b: str = "doc_b",
                  extra_cols: tuple[str, ...] = ()) -> "rd.Dataset":
-    """Distinct (a,b) pairs via drop_duplicates inside each (a, b)
+    """Distinct (a,b) pairs via a group_by inside each (a, b)
     co-partition: the shuffle has about one group per CPU regardless of
     pair count and dedup runs vectorized per partition.  ``extra_cols`` ride
     along (first value per pair wins — identical across dups here)."""
-    keep_cols = [a, b, *extra_cols]
 
-    def drop_dups(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates([a, b])[keep_cols]
+    def drop_dups(t: pa.Table) -> pa.Table:
+        return t.group_by([a, b], use_threads=False).aggregate(
+            [(c, "first") for c in extra_cols]).rename_columns([a, b, *extra_cols])
 
-    return copartition(pairs_ds, [a, b], drop_dups, batch_format="pandas")
+    return copartition(pairs_ds, [a, b], drop_dups)
 
 
 def bucketize_batch(batch: pa.Table, family: str = "md5") -> pa.Table:
@@ -279,8 +265,7 @@ def minhash_lsh_pairs(sf_dir: str, family: str = "md5") -> "rd.Dataset":
         functools.partial(bucketize_batch, family=family),
         batch_format="pyarrow", zero_copy_batch=True)
     candidates = copartition(
-        bands, "bucket", lambda g: _pairs_within(g, ["band", "bucket"]),
-        batch_format="pandas")
+        bands, "bucket", lambda g: _pairs_within(g, ["band", "bucket"]))
     return _dedup_pairs(candidates)
 
 
@@ -387,17 +372,16 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
             "p_df": pa.array(list(c.values()), pa.int64()),
         })
 
-    def reduce_df(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("h", sort=False)["p_df"].sum()
-        agg = agg[agg >= 2]
-        return pd.DataFrame({"h": agg.index.to_numpy(),
-                             "df": agg.to_numpy()})
+    def reduce_df(t: pa.Table) -> pa.Table:
+        g = t.group_by("h", use_threads=False).aggregate([("p_df", "sum")]) \
+            .rename_columns(["h", "df"])
+        return g.filter(pc.greater_equal(g["df"], 2))
 
     hs_l, df_l = [], []
     for b in copartition(
             docs.map_batches(partial_df, batch_format="pyarrow",
                              zero_copy_batch=True),
-            "h", reduce_df, batch_format="pandas",
+            "h", reduce_df
     ).iter_batches(batch_format="pyarrow", batch_size=None):
         t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
         if t.num_rows:
@@ -457,7 +441,7 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
     candidates = _dedup_pairs(copartition(
         docs.map_batches(prefix_rows, batch_format="pyarrow",
                          zero_copy_batch=True),
-        "s", lambda g: _pairs_within(g, ["s"]), batch_format="pandas"))
+        "s", lambda g: _pairs_within(g, ["s"])))
 
     # stage 3: exact verification — the ONLY driver-held state is the set of
     # candidate doc_ids (int64, bounded by candidate count); shingle sets are
@@ -528,10 +512,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.5,
 
     half = copartition(
         [set_rows_ds.rename_columns({"doc_id": "doc_a"}), candidates],
-        "doc_a", join_on_a, batch_format="pyarrow")
+        "doc_a", join_on_a)
     return copartition(
         [set_rows_ds.rename_columns({"doc_id": "doc_b"}), half],
-        "doc_b", join_on_b, batch_format="pyarrow")
+        "doc_b", join_on_b)
 
 
 # ------------------------------------------------- embedding-cosine near-dup
@@ -636,10 +620,10 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
             "embedding": emb.take(pa.array(np.concatenate(take), pa.int64())),
         })
 
-    def cross(g: pd.DataFrame) -> pd.DataFrame:
-        i, j = divmod(int(g["pairkey"].iloc[0]), P)
-        ids = g["vec_id"].to_numpy(dtype=np.int64)
-        E = _unit_rows(np.array(g["embedding"].tolist(), dtype=np.float64))
+    def cross(g: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        i, j = divmod(g["pairkey"][0].as_py(), P)
+        ids = g["vec_id"].to_numpy()
+        E = _unit_rows(_emb_matrix(g["embedding"]))
         if i == j:
             S = E @ E.T
             r, c = np.nonzero(S >= threshold)
@@ -652,20 +636,21 @@ def embedding_near_dup(sf_dir: str, threshold: float = 0.4, *,
             a0, b0 = ids[mi][r], ids[~mi][c]
             a, b = np.minimum(a0, b0), np.maximum(a0, b0)
             keep = np.ones(len(a), dtype=bool)
-        return pd.DataFrame({"vec_a": pd.Series(a[keep], dtype="int64"),
-                             "vec_b": pd.Series(b[keep], dtype="int64")})
+        return a[keep], b[keep]
 
-    def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def cross_pairs(t: pa.Table) -> pa.Table:
         # one matmul per block pair in this partition: the loop runs over at
         # most num_blocks·(num_blocks+1)/2 block-sized groups, never per row
-        return pd.concat([cross(p) for _, p in g.groupby("pairkey", sort=False)],
-                         ignore_index=True)
+        t, new = runs.groups(t, ["pairkey"])
+        a, b = zip(*(cross(t.slice(s, e - s)) for s, e in runs.spans(new)))
+        return pa.table({"vec_a": pa.array(np.concatenate(a), pa.int64()),
+                         "vec_b": pa.array(np.concatenate(b), pa.int64())})
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet",
                            columns=["vec_id", "embedding"])
         .map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True),
-        "pairkey", cross_pairs, batch_format="pandas")
+        "pairkey", cross_pairs)
 
 
 def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
@@ -748,30 +733,16 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return _emit_bands(ids, E, None)
 
-    def _run_bounds(tb: np.ndarray, bk: np.ndarray):
-        bounds = np.flatnonzero(np.diff(tb) | np.diff(bk).astype(bool))
-        return (np.concatenate(([0], bounds + 1)),
-                np.concatenate((bounds + 1, [len(tb)])))
-
-    def nonsingleton_ids(g: pa.Table) -> pa.Table:
-        """Distinct vec_ids that share a (table, bucket) with another vector
-        in this partition — vectorized run-length pass, no per-bucket
-        dispatch."""
-        if g.num_rows == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64())})
-        tb = g.column("table").to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = g.column("bucket").to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((bk, tb))
-        tb, bk, ids = tb[order], bk[order], ids[order]
-        starts, ends = _run_bounds(tb, bk)
-        sizes = ends - starts
-        keep = np.repeat(sizes >= 2, sizes)
-        return pa.table({"vec_id": pa.array(np.unique(ids[keep]), pa.int64())})
-
     def distinct_ids(g: pa.Table) -> pa.Table:
         ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({"vec_id": pa.array(np.unique(ids), pa.int64())})
+
+    def nonsingleton_ids(g: pa.Table) -> pa.Table:
+        """Distinct vec_ids that share a (table, bucket) with another vector
+        in this partition — vectorized over runs, no per-bucket dispatch."""
+        g, new = runs.groups(g, ["table", "bucket"])
+        alone = new & np.r_[new[1:], True]  # a run of one row
+        return distinct_ids(g.filter(pa.array(~alone)))
 
     src = read_parquet_clean(f"{sf_dir}/embeddings.parquet",
                              columns=["vec_id", "embedding"])
@@ -782,9 +753,8 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     cand = copartition(
         copartition(src.map_batches(band_ids, batch_format="pyarrow",
                                     zero_copy_batch=True),
-                    ["table", "bucket"], nonsingleton_ids,
-                    batch_format="pyarrow"),
-        "vec_id", distinct_ids, batch_format="pyarrow").materialize()
+                    ["table", "bucket"], nonsingleton_ids),
+        "vec_id", distinct_ids).materialize()
     n_cand = cand.count()
     if n_cand == 0:
         return rd.from_arrow(empty_pairs)
@@ -837,28 +807,6 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
                 zero_copy_only=False).astype(np.int64)
             return _emit_bands(ids, E, None)
 
-        def pairs_ids_in_partition(g: pa.Table) -> pa.Table:
-            """Within-(table, bucket) candidate id pairs — ids only."""
-            if g.num_rows == 0:
-                return empty_pairs
-            tb = g.column("table").to_numpy(zero_copy_only=False).astype(np.int64)
-            bk = g.column("bucket").to_numpy(zero_copy_only=False).astype(np.int64)
-            ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.lexsort((ids, bk, tb))
-            tb, bk, ids = tb[order], bk[order], ids[order]
-            starts, ends = _run_bounds(tb, bk)
-            out_a, out_b = [], []
-            for s, e in zip(starts, ends):
-                if e - s < 2:
-                    continue
-                r, c = np.triu_indices(e - s, k=1)
-                out_a.append(ids[s:e][r])
-                out_b.append(ids[s:e][c])
-            if not out_a:
-                return empty_pairs
-            return pa.table({"vec_a": pa.array(np.concatenate(out_a), pa.int64()),
-                             "vec_b": pa.array(np.concatenate(out_b), pa.int64())})
-
         def verify_pairs(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
                 return empty_pairs
@@ -875,8 +823,9 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
         candidates = copartition(
             sub.map_batches(band_cand_ids, batch_format="pyarrow",
                             zero_copy_batch=True),
-            ["table", "bucket"], pairs_ids_in_partition,
-            batch_format="pyarrow",
+            ["table", "bucket"],
+            lambda g: _pairs_within(g, ["table", "bucket"], "vec_id",
+                                    ("vec_a", "vec_b"))
         ).map_batches(verify_pairs, batch_format="pyarrow",
                       zero_copy_batch=True)
         return _dedup_pairs(candidates, a="vec_a", b="vec_b")
@@ -892,23 +841,13 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
 
     def pairs_in_partition(g: pa.Table) -> pa.Table:
         """All within-(table, bucket) pairs with cosine >= threshold —
-        fine-grouped by lexsort boundaries INSIDE one task, so each small
-        bucket gets one small matmul and the full-partition matrix is never
-        built."""
-        E = _emb_matrix(g.column("embedding"))
-        if E is None:
-            return empty_pairs
-        tb = g.column("table").to_numpy(zero_copy_only=False).astype(np.int64)
-        bk = g.column("bucket").to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = g.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        En = _unit_rows(E)
-        order = np.lexsort((bk, tb))
-        tb, bk, ids, En = tb[order], bk[order], ids[order], En[order]
-        starts, ends = _run_bounds(tb, bk)
+        fine-grouped by runs INSIDE one task, so each small bucket gets one
+        small matmul and no partition-wide score matrix is built."""
+        g, new = runs.groups(g, ["table", "bucket"])
+        ids = g.column("vec_id").to_numpy()
+        En = _unit_rows(_emb_matrix(g.column("embedding")))
         out_a, out_b = [], []
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
+        for s, e in runs.spans(new, 2):
             sub = En[s:e]
             S = sub @ sub.T
             r, c = np.nonzero(S >= threshold)
@@ -924,7 +863,7 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     candidates = copartition(
         src.map_batches(bucketize_all, batch_format="pyarrow",
                         zero_copy_batch=True),
-        ["table", "bucket"], pairs_in_partition, batch_format="pyarrow")
+        ["table", "bucket"], pairs_in_partition)
     return _dedup_pairs(candidates, a="vec_a", b="vec_b")
 
 
@@ -981,7 +920,7 @@ def star_edges(pairs: "rd.Dataset", a_col: str, b_col: str,
         t = union_find_components([part], a_col, b_col, a_col, b_col, dtype)
         return t.filter(pc.not_equal(t[a_col], t[b_col]))  # drop the roots
 
-    return copartition(pairs, a_col, stars, batch_format="pyarrow")
+    return copartition(pairs, a_col, stars)
 
 
 def connected_components(pairs: "rd.Dataset", a_col: str, b_col: str,
@@ -1174,24 +1113,20 @@ def passage_dedup(sf_dir: str) -> "rd.Dataset":
             "passage": pa.array(o_p, pa.string()),
         })
 
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["passage", "doc_id", "idx"], kind="mergesort")
-        g = g.drop_duplicates("passage", keep="first")
-        return g[["doc_id", "idx", "n_chunks", "passage"]]
+    def keep_first(t: pa.Table) -> pa.Table:
+        return runs.first(t, ["passage"], ("doc_id", "idx"))
 
-    def reconstruct(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "idx"], kind="mergesort")
-        out = g.groupby("doc_id", sort=True).agg(
-            n_chunks=("n_chunks", "first"),
-            n_kept=("passage", "size"),
-            text_deduped=("passage", " ".join),
-        ).reset_index()
-        out["n_chunks"] = out["n_chunks"].astype("int64")
-        out["n_kept"] = out["n_kept"].astype("int64")
-        return out
+    def reconstruct(t: pa.Table) -> pa.Table:
+        g = t.sort_by([("doc_id", "ascending"), ("idx", "ascending")]) \
+            .group_by("doc_id", use_threads=False).aggregate(
+                [("n_chunks", "first"), ([], "count_all"), ("passage", "list")])
+        return pa.table({"doc_id": g["doc_id"],
+                         "n_chunks": g["n_chunks_first"],
+                         "n_kept": g["count_all"],
+                         "text_deduped": pc.binary_join(g["passage_list"], " ")})
 
     firsts = copartition(
         read_documents(sf_dir).map_batches(chunk, batch_format="pyarrow",
                                            zero_copy_batch=True),
-        "passage", keep_first, batch_format="pandas")
-    return copartition(firsts, "doc_id", reconstruct, batch_format="pandas")
+        "passage", keep_first)
+    return copartition(firsts, "doc_id", reconstruct)

@@ -22,7 +22,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from sidecar import codecs
+from sidecar import codecs, runs
 from sidecar.detect.phash import phash64_batch
 from sidecar.shuffle import copartition
 
@@ -311,36 +311,23 @@ def _bucket_pairs(ph: np.ndarray, band: int, max_dist: int, band_mode: str):
             np.concatenate(out_d))
 
 
-# the candidate pairs' schema, also when a partition has none: an empty
-# object-dtype pandas column has no size Ray can compute
-_PAIRS_SCHEMA = pa.schema([("id_a", pa.string()), ("id_b", pa.string()),
-                           ("dist", pa.int64())])
-
-
-def _phash_pairs(g: "pd.DataFrame", max_dist: int,
-                 band_mode: str) -> "pd.DataFrame | pa.Table":
+def _phash_pairs(t: pa.Table, max_dist: int, band_mode: str) -> pa.Table:
     """The pairs within ``max_dist`` bits inside each (band, chunk) bucket of
     one ``phash_neardup`` partition."""
-    import pandas as pd
-
-    out_a, out_b, out_d = [], [], []
-    for (band, _chunk), sub in g.groupby(["band", "chunk"], sort=False):
-        if len(sub) < 2:
-            continue
-        order = np.argsort(sub["image_id"].to_numpy())
-        ids = sub["image_id"].to_numpy()[order]
-        ph = sub["phash"].to_numpy()[order].astype(np.int64).view(np.uint64)
-        # i < j on the id-sorted arrays keeps id_a < id_b; hot buckets
-        # take the exact sub-chunk split instead of O(n^2) triu
-        r, c, dist = _bucket_pairs(ph, int(band), max_dist, band_mode)
-        out_a.append(ids[r])
-        out_b.append(ids[c])
-        out_d.append(dist)
-    if not any(len(a) for a in out_a):  # no bucket, or none with a close pair
-        return _PAIRS_SCHEMA.empty_table()
-    return pd.DataFrame({"id_a": np.concatenate(out_a),
-                         "id_b": np.concatenate(out_b),
-                         "dist": np.concatenate(out_d)})
+    t, new = runs.groups(t, ["band", "chunk"], ("image_id",))
+    ids = t["image_id"].to_numpy(zero_copy_only=False)
+    ph = t["phash"].to_numpy().view(np.uint64)
+    band = t["band"].to_numpy()
+    out = [(np.empty(0, np.int64),) * 3]
+    for s, e in runs.spans(new, 2):
+        # i < j on the id-sorted run keeps id_a < id_b; hot buckets take
+        # the exact sub-chunk split instead of O(n^2) triu
+        r, c, dist = _bucket_pairs(ph[s:e], int(band[s]), max_dist, band_mode)
+        out.append((r + s, c + s, dist))
+    r, c, dist = (np.concatenate(x) for x in zip(*out))
+    return pa.table({"id_a": pa.array(ids[r], pa.string()),
+                     "id_b": pa.array(ids[c], pa.string()),
+                     "dist": pa.array(dist, pa.int64())})
 
 
 def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
@@ -417,8 +404,7 @@ def phash_neardup(images_ds: "rd.Dataset | None", max_dist: int = 7,
     candidates = copartition(
         stats.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True),
         ["band", "chunk"],
-        functools.partial(_phash_pairs, max_dist=max_dist, band_mode=band_mode),
-        batch_format="pandas")
+        functools.partial(_phash_pairs, max_dist=max_dist, band_mode=band_mode))
     return _dedup_pairs(candidates, a="id_a", b="id_b", extra_cols=("dist",))
 
 

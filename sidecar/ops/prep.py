@@ -38,6 +38,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from sidecar import runs
 from sidecar.ops.dedup import _pairs_within, bucketize_batch, fp_rows_batch
 from sidecar.ops.text import read_documents
 from sidecar.shuffle import copartition
@@ -92,7 +93,7 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
     survivors = copartition(
         images_ds.map_batches(digest_rows, batch_format="pyarrow",
                               zero_copy_batch=True),
-        "digest", min_id, batch_format="pyarrow")
+        "digest", min_id)
 
     # decode ONCE: the (id, phash, w, h, fmt)-manifest is materialized
     # (bytes are not in it, so it is object-store-cheap at any scale) and
@@ -115,8 +116,7 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
                 ids, value_set=drop.column("image_id").combine_chunks())))
         return st.filter(mask)
 
-    return copartition([stats, survivors, dropped], "image_id", finalize,
-                       batch_format="pyarrow")
+    return copartition([stats, survivors, dropped], "image_id", finalize)
 
 
 def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
@@ -146,19 +146,19 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
 
     survivors = copartition(
         gated.map_batches(fp_tokens, batch_format="pyarrow", zero_copy_batch=True),
-        "fp", first_doc, batch_format="pyarrow")
+        "fp", first_doc)
 
     # stage 3: LSH candidate pairs over the gated docs (the SAME banding
     # implementation as dedup.minhash_lsh_pairs); the larger id of each
     # pair drops
-    def dropped(g: "pd.DataFrame") -> "pd.DataFrame":
-        return _pairs_within(g, ["band", "bucket"])[["doc_b"]] \
-            .rename(columns={"doc_b": "doc_id"})
+    def dropped(t: pa.Table) -> pa.Table:
+        return _pairs_within(t, ["band", "bucket"]).select(["doc_b"]) \
+            .rename_columns(["doc_id"])
 
     drops = copartition(
         gated.map_batches(bucketize_batch, batch_format="pyarrow",
                           zero_copy_batch=True),
-        "bucket", dropped, batch_format="pandas")
+        "bucket", dropped)
 
     def anti(keep: pa.Table, drop: pa.Table) -> pa.Table:
         if not (keep.num_rows and drop.num_rows):
@@ -167,8 +167,7 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
             keep.column("doc_id"),
             value_set=drop.column("doc_id").combine_chunks())))
 
-    return copartition([survivors, drops], "doc_id", anti,
-                       batch_format="pyarrow")
+    return copartition([survivors, drops], "doc_id", anti)
 
 
 # ------------------------------------------------- source balancing (mixture)
@@ -200,15 +199,14 @@ def source_balance(sf_dir: str, quota: int = BALANCE_QUOTA) -> "rd.Dataset":
             "rk": pa.array(_rank_hashes(ids), pa.string()),
         })
 
-    def topk(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values(["source", "rk", "doc_id"], kind="mergesort")
-        g = g.groupby("source", sort=False).head(quota)
-        return g[["doc_id", "source"]]
+    def topk(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["source"], ("rk", "doc_id"))
+        return t.select(["doc_id", "source"]).filter(pa.array(runs.rank(new) < quota))
 
     return copartition(
         read_documents(sf_dir, columns=("doc_id", "source"))
         .map_batches(with_rank, batch_format="pyarrow", zero_copy_batch=True),
-        "source", topk, batch_format="pandas")
+        "source", topk)
 
 
 # LAION-style pair-curation gates (prep_pairs); mirrored by the
@@ -264,17 +262,12 @@ def prep_pairs(images_ds: "rd.Dataset") -> "rd.Dataset":
 
     # Dedup: keep the min-image_id row per phash.  The gated rows are
     # manifest-sized (ids + ints, bytes were never selected), so one COARSE
-    # shuffle of those rows (co-partitioned on phash — 64 tasks regardless
-    # of phash cardinality, per-key dispatch is the measured bottleneck)
-    # followed by a vectorized in-task drop_duplicates IS the whole
+    # shuffle of those rows (co-partitioned on phash, per-key dispatch is
+    # the measured bottleneck) followed by a vectorized in-task keep-first
+    # (runs.first) IS the whole
     # exchange — nothing is collected on the driver at any corpus size.
-    def keep_first(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["phash", "image_id"]).drop_duplicates(
-            "phash", keep="first")
-        return pa.Table.from_pandas(
-            g, preserve_index=False).replace_schema_metadata(None)
-
-    return copartition(gated, "phash", keep_first, batch_format="pandas")
+    return copartition(gated, "phash",
+                       lambda t: runs.first(t, ["phash"], ("image_id",)))
 
 
 TOKEN_BUDGET = 1000  # whitespace tokens admitted per source
@@ -303,17 +296,12 @@ def token_budget(sf_dir: str, budget: int = TOKEN_BUDGET) -> "rd.Dataset":
             "rk": pa.array(_rank_hashes(ids), pa.string()),
         })
 
-    def admit(g: "pd.DataFrame") -> pa.Table:
-        g = g.sort_values(["source", "rk", "doc_id"], kind="mergesort")
-        cum = g.groupby("source", sort=False)["n_tokens"].cumsum()
-        g = g[cum <= budget]
-        return pa.table({
-            "doc_id": pa.array(g["doc_id"].to_numpy(), pa.int64()),
-            "source": pa.array(g["source"], pa.string()),
-            "n_tokens": pa.array(g["n_tokens"].to_numpy(), pa.int64()),
-        })
+    def admit(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["source"], ("rk", "doc_id"))
+        cum = runs.cumsum(t["n_tokens"].to_numpy(), new)
+        return t.select(["doc_id", "source", "n_tokens"]).filter(pa.array(cum <= budget))
 
     return copartition(
         read_documents(sf_dir, columns=("doc_id", "source", "text"))
         .map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
-        "source", admit, batch_format="pandas")
+        "source", admit)

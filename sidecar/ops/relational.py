@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from sidecar import runs
 from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
@@ -82,7 +83,7 @@ def pricing_summary(sf_dir: str) -> "rd.Dataset":
                      "l_extendedprice", "l_discount"],
         )
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_returnflag", "l_linestatus"], finalize, batch_format="pyarrow")
+        ["l_returnflag", "l_linestatus"], finalize)
 
 
 def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
@@ -109,12 +110,11 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
             "rev": pa.array(price * (1 - disc), pa.float64()),
         })
 
-    def sum_topk(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("l_orderkey", sort=False)["rev"].sum()
-        cents = np.round(s.to_numpy() * 100).astype(np.int64)
-        df = pd.DataFrame({"o_orderkey": s.index.to_numpy(), "revenue_cents": cents})
-        return df.sort_values(["revenue_cents", "o_orderkey"],
-                              ascending=[False, True]).head(k)
+    def sum_topk(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_orderkey", use_threads=False).aggregate([("rev", "sum")])
+        return pa.table({"o_orderkey": g.column("l_orderkey"),
+                         "revenue_cents": _cents(g.column("rev_sum"))}).sort_by(
+            [("revenue_cents", "descending"), ("o_orderkey", "ascending")]).slice(0, k)
 
     top = (
         copartition(
@@ -122,7 +122,7 @@ def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
                                columns=["l_orderkey", "l_extendedprice",
                                         "l_discount"])
             .map_batches(revenue, batch_format="pyarrow", zero_copy_batch=True),
-            "l_orderkey", sum_topk, batch_format="pandas")
+            "l_orderkey", sum_topk)
         .to_pandas()  # ≤ k rows per partition by construction
         .sort_values(["revenue_cents", "o_orderkey"], ascending=[False, True])
         .head(k).reset_index(drop=True)
@@ -172,7 +172,7 @@ def events_windowed(sf_dir: str, window_s: int = 3600) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/events.parquet",
                         columns=["event_type", "ts", "value"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "win"], finalize, batch_format="pyarrow")
+        ["event_type", "win"], finalize)
 
 
 def customer_order_stats(sf_dir: str) -> "rd.Dataset":
@@ -202,7 +202,7 @@ def customer_order_stats(sf_dir: str) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_orderdate", "o_totalprice"])
         .map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True),
-        "o_custkey", finalize, batch_format="pyarrow")
+        "o_custkey", finalize)
 
 
 def supplier_part_join(sf_dir: str) -> "rd.Dataset":
@@ -240,7 +240,7 @@ def supplier_part_join(sf_dir: str) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                         columns=["l_suppkey", "l_partkey", "l_quantity"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_suppkey", "l_partkey"], enrich, batch_format="pyarrow")
+        ["l_suppkey", "l_partkey"], enrich)
 
 
 def asof_last_order(sf_dir: str) -> "rd.Dataset":
@@ -270,14 +270,13 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
             })
         return f
 
-    def asof_partition(e: dict, o: dict) -> dict:
-        if not (e and o):  # a side with no rows at all arrives without columns
-            return {c: np.empty(0, np.int64)
-                    for c in ("event_id", "user_id", "last_orderkey")}
-        key = np.concatenate([e["key"], o["key"]])
-        t = np.concatenate([e["t_us"], o["t_us"]])
-        ids = np.concatenate([e["id"], o["id"]])
-        is_order = np.repeat([0, 1], [len(e["key"]), len(o["key"])])
+    def asof_partition(e: pa.Table, o: pa.Table) -> pa.Table:
+        if not (e.num_rows and o.num_rows):  # a side with no rows may lack columns
+            return pa.table({c: pa.array([], pa.int64())
+                             for c in ("event_id", "user_id", "last_orderkey")})
+        key, t, ids = (np.concatenate([e[c].to_numpy(), o[c].to_numpy()])
+                       for c in ("key", "t_us", "id"))
+        is_order = np.repeat([0, 1], [e.num_rows, o.num_rows])
         # primary key last in lexsort; orders (is_order=1) before events at
         # the same (key, t) — "order date <= event ts" includes equality —
         # and orders ascending by id so the forward-fill lands on max id
@@ -286,7 +285,7 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         io = is_order[order]
         di = ids[order]
         pos = np.where(io == 1, np.arange(len(k)), -1)
-        last = np.maximum.accumulate(pos) if len(k) else pos
+        last = np.maximum.accumulate(pos)
         ev = io == 0
         li = last[ev]
         ok = li >= 0
@@ -294,11 +293,11 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
         # shares the event's key (valid as-of match) or belongs to an
         # earlier key (no prior order for this user)
         ok[ok] = k[li[ok]] == k[ev][ok]
-        return {
+        return pa.table({
             "event_id": di[ev][ok],
             "user_id": k[ev][ok],
             "last_orderkey": di[li[ok]],
-        }
+        })
 
     ev = read_parquet_clean(f"{sf_dir}/events.parquet",
                          columns=["event_id", "ts", "user_id"]) \
@@ -308,8 +307,7 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
                              columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
         .map_batches(rows("o_custkey", "o_orderdate", "o_orderkey"),
                      batch_format="pyarrow", zero_copy_batch=True)
-    return copartition([ev, orders], "key", asof_partition,
-                       batch_format="numpy")
+    return copartition([ev, orders], "key", asof_partition)
 
 
 def union_nations(sf_dir: str) -> "rd.Dataset":
@@ -328,13 +326,13 @@ def union_nations(sf_dir: str) -> "rd.Dataset":
     sup = read_parquet_clean(f"{sf_dir}/supplier.parquet", columns=["s_nationkey"]) \
         .map_batches(proj("s_nationkey"), batch_format="pyarrow", zero_copy_batch=True)
 
-    def distinct(c: dict, s: dict) -> dict:
-        none = np.empty(0, np.int64)  # a side with no rows at all has no columns
-        return {"nationkey": np.union1d(c.get("nationkey", none),
-                                        s.get("nationkey", none))}
+    def distinct(c: pa.Table, s: pa.Table) -> pa.Table:
+        # a side with no rows at all may have no columns
+        vals = [t["nationkey"].to_numpy() for t in (c, s) if t.num_rows]
+        return pa.table({"nationkey": pa.array(np.unique(np.concatenate(vals)),
+                                               pa.int64())})
 
-    return copartition([cust, sup], "nationkey", distinct,
-                       batch_format="numpy")
+    return copartition([cust, sup], "nationkey", distinct)
 
 
 def except_customers(sf_dir: str, min_bal: float = 5000.0,
@@ -355,7 +353,7 @@ def except_customers(sf_dir: str, min_bal: float = 5000.0,
     return copartition(
         read_parquet_clean(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_acctbal", "c_mktsegment"]),
-        "c_custkey", anti, batch_format="pyarrow")
+        "c_custkey", anti)
 
 
 def systematic_sample(sf_dir: str, every: int = 100) -> "rd.Dataset":
@@ -394,29 +392,16 @@ def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
     """
     gap_us = gap_s * 1_000_000
 
-    def sessions_of_partition(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        eid = g["event_id"].to_numpy()
-        order = np.lexsort((eid, ts, u))
-        u, ts = u[order], ts[order]
-        n = len(ts)
-        if n == 0:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "session_start_us": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "duration_us": pd.Series([], dtype="int64"),
-            })
-        new = np.ones(n, dtype=bool)
-        new[1:] = (u[1:] != u[:-1]) | ((ts[1:] - ts[:-1]) > gap_us)
-        starts = np.flatnonzero(new)
-        ends = np.r_[starts[1:], n] - 1
-        return pd.DataFrame({
-            "user_id": u[starts],
+    def sessions_of_partition(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["user_id"], ("ts_us", "event_id"))
+        ts = t["ts_us"].to_numpy()
+        starts = np.flatnonzero(new | (np.diff(ts, prepend=ts[0]) > gap_us))
+        ends = np.r_[starts[1:], len(ts)]
+        return pa.table({
+            "user_id": t["user_id"].take(starts),
             "session_start_us": ts[starts],
-            "n_events": (np.r_[starts[1:], n] - starts).astype(np.int64),
-            "duration_us": ts[ends] - ts[starts],
+            "n_events": ends - starts,
+            "duration_us": ts[ends - 1] - ts[starts],
         })
 
     def proj(batch: pa.Table) -> pa.Table:
@@ -430,7 +415,7 @@ def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/events.parquet",
                            columns=["user_id", "event_id", "ts"])
         .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
-        "user_id", sessions_of_partition, batch_format="pandas")
+        "user_id", sessions_of_partition)
 
 
 def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 1800) -> "rd.Dataset":
@@ -463,17 +448,16 @@ def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 1800) -> "r
     return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "win_start"], total, batch_format="pyarrow")
+        ["event_type", "win_start"], total)
 
 
 def running_totals(sf_dir: str) -> "rd.Dataset":
     """Stateful-streaming shape (§2.8): per event_type running event count
     and value sum in event-time order.  One shuffle keyed by type; the
     running state is a grouped cumsum over the sorted partition — order
-    dependence is explicit (ts, then event_id).  pandas' grouped cumsum
-    compensates rounding (Kahan), so its doubles can differ from a plain
-    left-to-right sum in the last ulp; the emitted integer cents match the
-    SQL window oracle (and the plain sum's cents, at sf0.01 and sf0.1)."""
+    dependence is explicit (ts, then event_id).  The running value is a
+    plain left-to-right float sum per type; its integer cents match the SQL
+    window oracle."""
 
     def proj(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -483,22 +467,21 @@ def running_totals(sf_dir: str) -> "rd.Dataset":
             "value": batch.column("value"),
         })
 
-    def totals(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["event_type", "ts_us", "event_id"])
-        by_type = g.groupby("event_type", sort=False)
-        return pd.DataFrame({
-            "event_type": g["event_type"].to_numpy(),
-            "event_id": g["event_id"].to_numpy(),
-            "running_n": by_type.cumcount().to_numpy().astype(np.int64) + 1,
-            "running_value_cents": np.round(
-                by_type["value"].cumsum().to_numpy() * 100).astype(np.int64),
+    def totals(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["event_type"], ("ts_us", "event_id"))
+        value = runs.cumsum(t["value"].to_numpy(), new)
+        return pa.table({
+            "event_type": t["event_type"],
+            "event_id": t["event_id"],
+            "running_n": runs.rank(new) + 1,
+            "running_value_cents": np.round(value * 100).astype(np.int64),
         })
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/events.parquet",
                         columns=["event_type", "event_id", "ts", "value"])
         .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
-        "event_type", totals, batch_format="pandas")
+        "event_type", totals)
 
 
 def group_topk_orders(sf_dir: str, k: int = 3) -> "rd.Dataset":
@@ -518,19 +501,18 @@ def group_topk_orders(sf_dir: str, k: int = 3) -> "rd.Dataset":
             df[["o_custkey", "o_orderkey", "o_totalprice_cents"]],
             preserve_index=False).replace_schema_metadata(None)
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.sort_values(["o_custkey", "o_totalprice_cents", "o_orderkey"],
-                           ascending=[True, False, True])
-             .groupby("o_custkey", sort=False).head(k))
-        rank = g.groupby("o_custkey", sort=False).cumcount().to_numpy() + 1
-        return g[["o_custkey", "o_orderkey", "o_totalprice_cents"]].assign(
-            rank=rank.astype(np.int64))
+    def final_topk(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["o_custkey"],
+                             (("o_totalprice_cents", "descending"), "o_orderkey"))
+        rank = runs.rank(new)
+        return t.select(["o_custkey", "o_orderkey", "o_totalprice_cents"]) \
+            .append_column("rank", pa.array(rank + 1)).filter(pa.array(rank < k))
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_orderkey", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "o_custkey", final_topk, batch_format="pandas")
+        "o_custkey", final_topk)
 
 
 def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
@@ -551,25 +533,25 @@ def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
             "bal_cents": _cents(batch.column("c_acctbal")),
         })
 
-    def quantiles(g: dict) -> dict:
-        order = np.lexsort((g["bal_cents"], g["c_nationkey"]))
-        nation, bal = g["c_nationkey"][order], g["bal_cents"][order]
-        keys, start, n = np.unique(nation, return_index=True,
-                                   return_counts=True)
+    def quantiles(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["c_nationkey"], ("bal_cents",))
+        bal = t["bal_cents"].to_numpy()
+        start = np.flatnonzero(new)
+        n = np.diff(start, append=len(bal))
 
         def disc(q: float) -> np.ndarray:
             return bal[start + np.minimum(n - 1, np.ceil(q * n).astype(np.int64) - 1)]
 
-        return {"c_nationkey": keys.astype(np.int64),
-                "n_customers": n.astype(np.int64),
-                "median_bal_cents": disc(0.5).astype(np.int64),
-                "p90_bal_cents": disc(0.9).astype(np.int64)}
+        return pa.table({"c_nationkey": t["c_nationkey"].take(start),
+                         "n_customers": n,
+                         "median_bal_cents": disc(0.5),
+                         "p90_bal_cents": disc(0.9)})
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/customer.parquet",
                         columns=["c_nationkey", "c_acctbal"])
         .map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
-        "c_nationkey", quantiles, batch_format="numpy")
+        "c_nationkey", quantiles)
 
 
 def semi_join_big_orders(sf_dir: str, min_qty: float = 47.0) -> "rd.Dataset":
@@ -605,7 +587,7 @@ def semi_join_big_orders(sf_dir: str, min_qty: float = 47.0) -> "rd.Dataset":
                             columns=["l_orderkey", "l_quantity"])
          .map_batches(distinct_keys, batch_format="pyarrow",
                       zero_copy_batch=True)],
-        "o_orderkey", semi, batch_format="pyarrow")
+        "o_orderkey", semi)
 
 
 def small_qty_lineitems(sf_dir: str) -> "rd.Dataset":
@@ -639,7 +621,7 @@ def small_qty_lineitems(sf_dir: str) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                            columns=["l_orderkey", "l_linenumber", "l_partkey",
                                     "l_quantity"]),
-        "l_partkey", small, batch_format="pyarrow")
+        "l_partkey", small)
 
 
 def global_rank_sample(sf_dir: str, every: int = 1000) -> "rd.Dataset":
@@ -688,16 +670,17 @@ def global_rank_sample(sf_dir: str, every: int = 1000) -> "rd.Dataset":
         acc += counts[k]
     off_ref = ray.put(offsets)
 
-    def rank_buckets(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_buckets(t: pa.Table) -> pa.Table:
         offs = ray.get(off_ref)
-        g = g.sort_values(["bucket", "t_us", "o_orderkey"])
-        rn = (g.groupby("bucket", sort=False).cumcount().to_numpy() + 1
-              + g["bucket"].map(offs).to_numpy()).astype(np.int64)
+        t, new = runs.groups(t, ["bucket"], ("t_us", "o_orderkey"))
+        base = np.array([offs[b] for b in t["bucket"].filter(new).to_pylist()],
+                        np.int64)
+        rn = runs.rank(new) + 1 + base[np.cumsum(new) - 1]
         keep = rn % every == 0
-        return pd.DataFrame({"o_orderkey": g["o_orderkey"].to_numpy()[keep],
-                             "rn": rn[keep]})
+        return pa.table({"o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
+                         "rn": rn[keep]})
 
-    return copartition(base, "bucket", rank_buckets, batch_format="pandas")
+    return copartition(base, "bucket", rank_buckets)
 
 
 def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
@@ -730,7 +713,7 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
         [read_parquet_clean(f"{sf_dir}/customer.parquet", columns=["c_custkey"]),
          read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
          .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)],
-        "c_custkey", left_join, batch_format="pyarrow")
+        "c_custkey", left_join)
 
 
 def distinct_count_custkey(sf_dir: str) -> "pa.Table":
@@ -744,13 +727,14 @@ def distinct_count_custkey(sf_dir: str) -> "pa.Table":
         u = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False))
         return pa.table({"k": pa.array(u, pa.int64())})
 
-    def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"p_n": [np.int64(g["k"].nunique())]})
+    def count_distinct(t: pa.Table) -> pa.Table:
+        return pa.table({"p_n": pa.array([pc.count_distinct(t["k"]).as_py()],
+                                         pa.int64())})
 
     total = copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "k", count_distinct, batch_format="pandas",
+        "k", count_distinct,
     ).to_pandas()["p_n"].sum()
     return pa.table({"n_distinct": pa.array([int(total)], pa.int64())})
 
@@ -835,7 +819,7 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
 
     Plan: ONE shuffle co-partitioning both sides on the join key (64
     groups at any scale — the same co-partitioning trick as the as-of
-    join), then a vectorized pandas merge inside each partition.  Each
+    join), then a vectorized Arrow hash join inside each partition.  Each
     key's rows from both sides land in the same partition by construction,
     so the per-partition merge is exact.  Output is row-level (one row per
     lineitem), proving the join itself rather than a joined aggregate."""
@@ -855,17 +839,12 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
                        ("l_quantity_cents", pa.int64()),
                        ("o_orderpriority", pa.string())]).empty_table()
 
-    def join_partition(orders: pd.DataFrame,
-                       items: pd.DataFrame) -> "pd.DataFrame | pa.Table":
-        if orders.empty or items.empty:  # a side with no rows may lack columns
-            return empty  # Arrow: a zero-row pandas frame has untyped columns
-        out = items.merge(orders, on="key", how="inner")
-        return pd.DataFrame({
-            "l_orderkey": out["key"].to_numpy(),
-            "l_linenumber": out["lineno"].to_numpy(),
-            "l_quantity_cents": out["qty_cents"].to_numpy(),
-            "o_orderpriority": out["o_orderpriority"].to_numpy(),
-        })
+    def join_partition(orders: pa.Table, items: pa.Table) -> pa.Table:
+        if not (orders.num_rows and items.num_rows):  # a side with no rows
+            return empty  # may lack columns
+        return items.join(orders, "key", use_threads=False).select(
+            ["key", "lineno", "qty_cents", "o_orderpriority"]) \
+            .rename_columns(empty.column_names)
 
     orders = read_parquet_clean(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_orderpriority"]) \
@@ -873,8 +852,7 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     items = read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                             columns=["l_orderkey", "l_linenumber", "l_quantity"]) \
         .map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True)
-    return copartition([orders, items], "key", join_partition,
-                       batch_format="pandas")
+    return copartition([orders, items], "key", join_partition)
 
 
 def pricing_rollup(sf_dir: str) -> "pd.DataFrame":
@@ -906,7 +884,7 @@ def pricing_rollup(sf_dir: str) -> "pd.DataFrame":
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
                         columns=["l_returnflag", "l_linestatus", "l_quantity"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_returnflag", "l_linestatus"], total, batch_format="pyarrow",
+        ["l_returnflag", "l_linestatus"], total
     ).to_pandas()  # |flags| × |statuses| rows
     lvl1 = (finest.groupby("l_returnflag", as_index=False)
             .agg(sum_qty_cents=("sum_qty_cents", "sum"), n_rows=("n_rows", "sum")))
@@ -950,15 +928,15 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
             "bal": pa.array(np.tile(bal, 3), pa.float64()),
         })
 
-    def match_buckets(c: dict, s: dict) -> dict:
-        if not (c and s):  # a side with no rows at all arrives without columns
-            return {"s_suppkey": np.empty(0, np.int64), "p_n": np.empty(0, np.int64)}
+    def match_buckets(c: pa.Table, s: pa.Table) -> pa.Table:
+        if not (c.num_rows and s.num_rows):  # a side with no rows may lack columns
+            return pa.table({"s_suppkey": pa.array([], pa.int64()),
+                             "p_n": pa.array([], pa.int64())})
         # floor(bal / band) is monotone in bal, so customers sorted by
         # balance are sorted by bucket too: each bucket is one run of cb
-        order = np.argsort(c["bal"], kind="stable")
-        cb = c["bal"][order]
-        cbucket = c["bucket"][order]
-        sk, sb, sbucket = s["key"], s["bal"], s["bucket"]
+        c = c.sort_by("bal")
+        cb, cbucket = c["bal"].to_numpy(), c["bucket"].to_numpy()
+        sk, sb, sbucket = (s[k].to_numpy() for k in ("key", "bal", "bucket"))
         # count only pairs whose CUSTOMER lives in the supplier row's bucket
         # — each pair counted exactly once across buckets
         lo = np.maximum(np.searchsorted(cb, sb - band, side="left"),
@@ -967,7 +945,7 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
                         np.searchsorted(cbucket, sbucket, side="right"))
         n = (hi - lo).astype(np.int64)
         keep = n > 0
-        return {"s_suppkey": sk[keep], "p_n": n[keep]}
+        return pa.table({"s_suppkey": sk[keep], "p_n": n[keep]})
 
     def total(t: pa.Table) -> pa.Table:
         g = t.group_by("s_suppkey").aggregate([("p_n", "sum")])
@@ -980,9 +958,8 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
     supp = read_parquet_clean(f"{sf_dir}/supplier.parquet",
                            columns=["s_suppkey", "s_acctbal"]) \
         .map_batches(supp_rows, batch_format="pyarrow", zero_copy_batch=True)
-    matched = copartition([cust, supp], "bucket", match_buckets,
-                          batch_format="numpy")
-    return copartition(matched, "s_suppkey", total, batch_format="pyarrow")
+    matched = copartition([cust, supp], "bucket", match_buckets)
+    return copartition(matched, "s_suppkey", total)
 
 
 def order_gaps(sf_dir: str) -> "rd.Dataset":
@@ -1005,29 +982,21 @@ def order_gaps(sf_dir: str) -> "rd.Dataset":
             "ts_us": pc.cast(batch.column("o_orderdate"), pa.int64()),
         })
 
-    def gaps(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["o_custkey", "ts_us", "o_orderkey"])
-        cust = g["o_custkey"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        gap = np.empty(len(g), dtype=np.int64)
-        gap[0] = 0
-        gap[1:] = ts[1:] - ts[:-1]
-        keep = np.ones(len(g), dtype=bool)
-        keep[0] = False
-        keep[1:] = cust[1:] == cust[:-1]  # drop each customer's first order
-        # fresh metadata-free Arrow table (not pandas) so no downstream
-        # operator sees an unhashable b'pandas' schema blob
+    def gaps(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["o_custkey"], ("ts_us", "o_orderkey"))
+        ts = t["ts_us"].to_numpy()
+        keep = ~new  # each customer's first order has no gap
         return pa.table({
-            "o_custkey": pa.array(cust[keep], pa.int64()),
-            "o_orderkey": pa.array(g["o_orderkey"].to_numpy()[keep], pa.int64()),
-            "gap_us": pa.array(gap[keep], pa.int64()),
+            "o_custkey": pa.array(t["o_custkey"].to_numpy()[keep], pa.int64()),
+            "o_orderkey": pa.array(t["o_orderkey"].to_numpy()[keep], pa.int64()),
+            "gap_us": pa.array(np.diff(ts, prepend=ts[0])[keep], pa.int64()),
         })
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
                            columns=["o_custkey", "o_orderkey", "o_orderdate"])
         .map_batches(proj, batch_format="pyarrow", zero_copy_batch=True),
-        "o_custkey", gaps, batch_format="pandas")
+        "o_custkey", gaps)
 
 
 # Per-stratum sampling rates (permille) for stratified_sample: higher
@@ -1107,23 +1076,19 @@ def mode_segment(sf_dir: str) -> "rd.Dataset":
             "p_n": pa.array(g["size"].to_numpy(), pa.int64()),
         })
 
-    def argmax(g: pd.DataFrame) -> pa.Table:
-        g = (g.groupby(["c_nationkey", "c_mktsegment"], as_index=False)["p_n"]
-             .sum()
-             .sort_values(["c_nationkey", "p_n", "c_mktsegment"],
-                          ascending=[True, False, True])
-             .groupby("c_nationkey", sort=False).head(1))
-        return pa.table({
-            "c_nationkey": pa.array(g["c_nationkey"].to_numpy(), pa.int64()),
-            "top_segment": pa.array(g["c_mktsegment"], pa.string()),
-            "n_customers": pa.array(g["p_n"].to_numpy(), pa.int64()),
-        })
+    def argmax(t: pa.Table) -> pa.Table:
+        g = t.group_by(["c_nationkey", "c_mktsegment"], use_threads=False) \
+            .aggregate([("p_n", "sum")])
+        g = runs.first(g, ["c_nationkey"], (("p_n_sum", "descending"), "c_mktsegment"))
+        return pa.table({"c_nationkey": g["c_nationkey"],
+                         "top_segment": g["c_mktsegment"],
+                         "n_customers": g["p_n_sum"]})
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/customer.parquet",
                            columns=["c_nationkey", "c_mktsegment"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "c_nationkey", argmax, batch_format="pandas")
+        "c_nationkey", argmax)
 
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
@@ -1163,4 +1128,4 @@ def pivot_events(sf_dir: str) -> "rd.Dataset":
         read_parquet_clean(f"{sf_dir}/events.parquet",
                            columns=["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "day_us", total, batch_format="pyarrow")
+        "day_us", total)

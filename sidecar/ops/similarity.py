@@ -13,12 +13,12 @@ only ``n_probe`` cells.  Approximate → rows-only correctness check.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
 import ray.data as rd
 
+from sidecar import runs
 from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
@@ -74,11 +74,9 @@ def _final_topk(k: int):
     tie-break contract can't drift between the brute-force / IVF / int8
     paths."""
 
-    def f(g: pd.DataFrame) -> pd.DataFrame:
-        top = g.sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True]) \
-            .groupby("query_id", sort=False).head(k)
-        return top[["query_id", "vec_id"]]
+    def f(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t, ["query_id"], (("score", "descending"), "vec_id"))
+        return t.select(["query_id", "vec_id"]).filter(pa.array(runs.rank(new) < k))
 
     return f
 
@@ -137,7 +135,7 @@ def ann_topk(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
     return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
         .map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True),
-        "query_id", _final_topk(k), batch_format="pandas")
+        "query_id", _final_topk(k))
 
 
 def quantize_int8(sf_dir: str) -> "rd.Dataset":
@@ -362,8 +360,8 @@ def ann_topk_ivf(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
     cells = copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
         .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True),
-        "cell", search_cells, batch_format="pyarrow")
-    return copartition(cells, "query_id", _final_topk(k), batch_format="pandas")
+        "cell", search_cells)
+    return copartition(cells, "query_id", _final_topk(k))
 
 
 def ann_topk_int8(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
@@ -464,4 +462,4 @@ def ann_topk_int8(sf_dir: str, query_ids: tuple[int, ...] = (0, 1, 2, 3),
     return copartition(
         read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
         .map_batches(rerank_exact, batch_format="pyarrow", zero_copy_batch=True),
-        "query_id", _final_topk(k), batch_format="pandas")
+        "query_id", _final_topk(k))

@@ -166,7 +166,7 @@ def lang_counts(sf_dir: str) -> "rd.Dataset":
     return copartition(
         read_documents(sf_dir, columns=("doc_id", "lang"))
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "lang", total, batch_format="pyarrow")
+        "lang", total)
 
 
 def token_count_regex(sf_dir: str) -> "rd.Dataset":
@@ -258,7 +258,7 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
 
     df_ds = copartition(read_documents(sf_dir).map_batches(
         partial_df, batch_format="pyarrow", zero_copy_batch=True),
-        "term", total_df, batch_format="pyarrow")
+        "term", total_df)
     if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _tfidf_topk_partitioned(sf_dir, k, df_ds)
 
@@ -387,10 +387,10 @@ def _tfidf_topk_partitioned(sf_dir: str, k: int,
         [df_ds.map_batches(df_rows, batch_format="pyarrow"),
          read_documents(sf_dir).map_batches(
              doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)],
-        "h", join_df, batch_format="pyarrow")
+        "h", join_df)
     return copartition(
         [matched, read_documents(sf_dir)],
-        "doc_id", topk_local, batch_format="pyarrow")
+        "doc_id", topk_local)
 
 
 def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":
@@ -418,7 +418,7 @@ def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":
     merged = copartition(
         read_documents(sf_dir)
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "s", partition_topk, batch_format="pyarrow",
+        "s", partition_topk
     ).to_pandas()  # ≤ k rows per partition by construction
     return (merged.sort_values(["n", "s"], ascending=[False, True])
             .head(k).reset_index(drop=True))

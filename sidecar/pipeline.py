@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from sidecar import schemas, shuffle
+from sidecar import runs, schemas, shuffle
 from sidecar.canon import iso_to_ts14  # noqa: F401  (re-exported for pipelines)
 from sidecar.detect.language import find_language_batch
 from sidecar.shuffle import copartition
@@ -332,13 +332,11 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
         return batch.filter(pa.array(first)).append_column(
             "payload_digest", pa.array(digests[first], pa.string()))
 
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates("payload_digest").drop(columns=["payload_digest"])
-
     uniq = copartition(
         images_ds.map_batches(sliced(reps, batch_size), batch_format="pyarrow",
                               batch_size=None, zero_copy_batch=True),
-        "payload_digest", keep_first, batch_format="pandas")
+        "payload_digest",
+        lambda t: runs.first(t, ["payload_digest"]).drop_columns(["payload_digest"]))
     reg = __import__("sidecar.detect.protocol",
                      fromlist=["protocol"]).snapshot()
 

@@ -4,7 +4,8 @@ Every grouping in the engine (frontier budget selection, the dedup, prep,
 relational, similarity and text operators, the CDXJ merge, the digest join
 and the batch CLI writers) has the same shape: hash the key column(s) to one
 of a few coarse partitions (about one per CPU), exchange rows by that
-partition, and fine-group inside each task with vectorized code.  A
+partition, and fine-group inside each task with vectorized Arrow code (the
+run kernels of ``sidecar/runs.py``, or ``Table.group_by``).  A
 ``groupby(key)`` on the raw key would dispatch one Python call per distinct
 key, which is the measured bottleneck at these cardinalities, not data
 volume.
@@ -12,10 +13,12 @@ volume.
 ``copartition`` owns that decision: the partition count, sized to the
 cluster, and the hash.  Its contract for the body: every row sharing a
 ``key`` value lands in the same call (rows with a null key too), so ``key``
-must be a subset of the columns the body groups by.  A join passes its sides
-as a list, ``copartition([a, b], key, fn)``, and ``fn(a_part, b_part)`` gets
-each side's rows of one partition as a separate batch: no side is padded
-into a shared schema or tagged.  Input tables may carry a column of their
+must be a subset of the columns the body groups by.  The body has one
+format: it gets a ``pyarrow.Table`` and returns one, so no exchange pays a
+pandas round trip or emits a block whose schema Ray cannot size or hash.  A
+join passes its sides as a list, ``copartition([a, b], key, fn)``, and
+``fn(a_part, b_part)`` gets each side's rows of one partition as a separate
+table: no side is padded into a shared schema or tagged.  Input tables may carry a column of their
 own called ``part``, but not one named ``PART_COL``, which is reserved.
 
 The exchange is a direct hash exchange on Ray core tasks, and the only one
@@ -111,8 +114,8 @@ def _split(keys: list[str], n: int, *blocks) -> list[pa.Table]:
 
 
 @ray.remote(num_returns=2)
-def _reduce(fn, batch_format: str, counts: list[int], *slices):
-    """``fn`` once over one partition, given one batch per input (the input
+def _reduce(fn, keys: list[str], counts: list[int], *slices):
+    """``fn`` once over one partition, given one table per input (the input
     ``i`` owns the next ``counts[i]`` slices); returns the block and its
     metadata, or no metadata when no input has rows (``fn`` is not called)."""
     stats = BlockExecStats.builder()
@@ -125,30 +128,32 @@ def _reduce(fn, batch_format: str, counts: list[int], *slices):
                        if rows else tables[0] if tables else pa.table({}))
     if not any(b.num_rows for b in batches):
         return None, None
-    block = BlockAccessor.batch_to_block(fn(*(
-        BlockAccessor.for_block(b).to_batch_format(batch_format)
-        for b in batches)))
+    block = fn(*batches)
+    if not isinstance(block, pa.Table):
+        raise TypeError(f"the body of copartition on {keys} returned "
+                        f"{type(block).__name__}, not a pyarrow Table")
     return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
 
 
-def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
+def copartition(ds, key: "str | list[str]", fn):
     """``fn`` over each hash partition of ``ds`` on ``key``, as a
     materialized dataset.  ``ds`` is one dataset or a list of them.
 
     Every row sharing a ``key`` value reaches the same ``fn`` call, which
-    gets its partition as ``batch_format`` and may return a pandas
-    DataFrame, an Arrow table or a dict of numpy arrays; each output block
-    keeps the format ``fn`` returned.  The upstream executes here, at the
+    gets its partition as one ``pyarrow.Table`` without schema metadata and
+    returns one (anything else raises ``TypeError``); the table it returns
+    is the output block.  Fine grouping inside the partition uses the run
+    kernels of :mod:`sidecar.runs` or ``Table.group_by``.  The upstream executes here, at the
     call, so its errors surface here too, and a compute-heavy map never
     shares the CPU pool with the rest of a streamed plan (measured: minhash
     banding 172 s streamed vs 28 s materialized at 8 CPUs / 500k docs).
     Output rows come in no particular order: a caller that needs one sorts.
 
-    A list of inputs is a join: ``fn(a_part, b_part, ...)`` gets one batch
+    A list of inputs is a join: ``fn(a_part, b_part, ...)`` gets one table
     per input, in input order, each with only that input's columns.  Every
     input carries the ``key`` column(s) under the same names; integers of
     any width co-locate with each other, strings and integers do not.  An
-    input with no rows in a partition arrives as an empty batch with that
+    input with no rows in a partition arrives as an empty table with that
     input's columns (with the columns of the zero-row block Ray holds for
     it, when it has no rows at all: Ray skips a map's UDF on empty blocks),
     and ``fn`` runs only when some input has rows.
@@ -204,7 +209,7 @@ def copartition(ds, key: "str | list[str]", fn, *, batch_format: str):
         for i, ref in blocks:
             parts[0][i].append(ref)
     fn_ref = ray.put(fn)
-    outs = [_reduce.remote(fn_ref, batch_format, [len(s) for s in p],
+    outs = [_reduce.remote(fn_ref, keys, [len(s) for s in p],
                            *itertools.chain(*p))
             for p in parts]
     metas = ray.get([m for _, m in outs])
@@ -259,8 +264,7 @@ def lookup_join(probe, build, key: "str | list[str]", index, probe_fn):
     build = build.materialize()
     if build.size_bytes() > BROADCAST_MAX_BYTES:
         return copartition([probe, build], key,
-                           lambda p, b: probe_fn(p, index(b)),
-                           batch_format="pyarrow")
+                           lambda p, b: probe_fn(p, index(b)))
     tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
               for b in build.iter_batches(batch_format="pyarrow", batch_size=None)
               if b.num_rows]

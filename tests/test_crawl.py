@@ -614,9 +614,10 @@ def test_md5_graph_resume_identical(md5_oracle, tmp_path):
 
 
 def test_dedup_by_url_hash_equals_folded_dedup():
-    """The standalone A4 dedup operator (frontier.dedup_by_url_hash) keeps
-    exactly the rows select_budget(dedup=True) keeps — the two keep-best
-    implementations must not drift."""
+    """select_budget(dedup=True) is A4's exact url_hash dedup: under a
+    budget no host reaches it keeps, and selects, exactly the best row of
+    each url_hash by the total order (frontier.order_key)."""
+    import pyarrow as pa
     import ray.data as rd
 
     from sidecar import frontier as fr
@@ -628,15 +629,20 @@ def test_dedup_by_url_hash_equals_folded_dedup():
                      "depth": i % 3, "seed_id": i})
     tbl = fr.candidates_from_urls(rows, epoch=0)
 
-    stand = fr.dedup_by_url_hash(rd.from_arrow(tbl)).to_pandas()
+    best: dict = {}
+    for r in tbl.to_pylist():
+        cur = best.get(r["url_hash"])
+        if cur is None or fr.order_key(r) < fr.order_key(cur):
+            best[r["url_hash"]] = r
     folded = fr.select_budget(rd.from_arrow(tbl), budget=10 ** 9,
-                              dedup=True).to_pandas()
+                              dedup=True).to_arrow_refs()
+    folded = pa.concat_tables(ray.get(folded))
 
-    key = ["url_hash", "priority", "depth", "seed_id"]
-    a = stand[key].sort_values(key).reset_index(drop=True)
-    b = folded[key].sort_values(key).reset_index(drop=True)
-    assert a.equals(b)
-    assert len(a) < len(rows)  # duplicates actually existed
+    assert all(folded.column("selected").to_pylist())
+    got = sorted(tuple(r.values()) for r in
+                 folded.select(tbl.column_names).to_pylist())
+    assert got == sorted(tuple(r.values()) for r in best.values())
+    assert len(got) < len(rows)  # duplicates actually existed
 
 
 def test_reused_out_dir_next_frontier_not_appended(tmp_path):

@@ -716,16 +716,15 @@ class TestPhashNearDup:
 
     def test_partition_without_pairs_is_typed(self):
         """A partition whose buckets hold no pair within ``max_dist`` gives
-        string, string, int64 columns: an empty object-dtype pandas column
-        has no size Ray can compute, and Ray logged an error per block."""
-        import pandas as pd
+        string, string, int64 columns: an untyped empty column has no size
+        Ray can compute, and Ray logged an error per block."""
         import pyarrow as pa
 
         from sidecar.ops.multimodal import _phash_pairs
 
-        far = pd.DataFrame({"band": [0, 0, 1], "chunk": [3, 3, 9],
-                            "image_id": ["a", "b", "c"],
-                            "phash": [0, -1, 5]})  # 0 and ~0: 64 bits apart
+        far = pa.table({"band": [0, 0, 1], "chunk": [3, 3, 9],
+                        "image_id": ["a", "b", "c"],
+                        "phash": [0, -1, 5]})  # 0 and ~0: 64 bits apart
         got = _phash_pairs(far, max_dist=7, band_mode="chunk")
         assert got.num_rows == 0
         assert got.schema == pa.schema([("id_a", pa.string()),

@@ -27,12 +27,16 @@ def _entry_module():
 
 
 def _to_pandas(res) -> pd.DataFrame:
+    """A Dataset's Arrow batches joined as perfbench joins them: a plain
+    ``concat_tables``, so blocks whose schemas differ (say, a partition that
+    typed an empty column otherwise) fail here too."""
     import pyarrow as pa
 
     import ray.data as rd
 
     if isinstance(res, rd.Dataset):
-        return res.to_pandas()
+        got = list(res.iter_batches(batch_format="pyarrow", batch_size=None))
+        return pa.concat_tables(got).to_pandas() if got else pd.DataFrame()
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res

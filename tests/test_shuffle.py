@@ -42,16 +42,16 @@ def _table() -> pa.Table:
 def test_equal_keys_land_in_one_group(key):
     keys = [key] if isinstance(key, str) else key
 
-    def distinct_keys(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False).size()
+    def distinct_keys(g: pa.Table) -> pa.Table:
+        return g.group_by(keys).aggregate([([], "count_all")])
 
     # several input blocks, so co-location is the shuffle's doing
     ds = rd.from_arrow(_table()).repartition(8)
-    got = copartition(ds, key, distinct_keys, batch_format="pandas").to_pandas()
+    got = copartition(ds, key, distinct_keys).to_pandas()
     # a key split across two groups would appear twice
     assert not got.duplicated(keys).any()
     want = _table().to_pandas().groupby(keys).size()
-    assert got.set_index(keys)["size"].sort_index().equals(want.sort_index())
+    assert got.set_index(keys)["count_all"].sort_index().equals(want.sort_index())
 
 
 def test_int_width_does_not_change_partition():
@@ -72,21 +72,21 @@ def test_partition_ids_match_on_driver_and_in_ray_task():
 def test_own_part_column_round_trips():
     t = _table().append_column(
         "part", pa.array([f"file{x % 3}.warc.gz" for x in range(N)]))
-    got = _collect(copartition(rd.from_arrow(t), "i", lambda g: g,
-                               batch_format="pyarrow")).sort_by("row")
+    got = _collect(copartition(rd.from_arrow(t), "i", lambda g: g)).sort_by("row")
     assert got.column_names == t.column_names
     assert got.equals(t)
 
 
-@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
-def test_body_never_sees_partition_column(batch_format):
-    def body(g):
-        names = g.columns if batch_format == "pandas" else g.column_names
+@pytest.mark.parametrize("view", ["pandas", "pyarrow"])
+def test_body_never_sees_partition_column(view):
+    """Neither the body's table nor a pandas frame it makes of it holds the
+    partition column."""
+    def body(g: pa.Table) -> pa.Table:
+        names = g.to_pandas().columns if view == "pandas" else g.column_names
         assert PART_COL not in names
         return g
 
-    got = copartition(rd.from_arrow(_table()), "s", body,
-                      batch_format=batch_format)
+    got = copartition(rd.from_arrow(_table()), "s", body)
     assert sorted(_collect(got).column_names) == sorted(_table().column_names)
 
 
@@ -96,10 +96,9 @@ def test_one_block_and_many_tiny_blocks_give_equal_output():
     def distinct_keys(g: pa.Table) -> pa.Table:
         return g.group_by(["s", "j"]).aggregate([("row", "sum"), ([], "count_all")])
 
-    one = copartition(rd.from_arrow(t), ["s", "j"], distinct_keys,
-                      batch_format="pyarrow")
+    one = copartition(rd.from_arrow(t), ["s", "j"], distinct_keys)
     tiny = copartition(rd.from_arrow([t.slice(i, 1) for i in range(300)]),
-                       ["s", "j"], distinct_keys, batch_format="pyarrow")
+                       ["s", "j"], distinct_keys)
     # 300 small blocks are split in runs: one partition per CPU
     assert f"Copartition[s,j] {_cpus()} partitions" in tiny.stats()
     order = [("s", "ascending"), ("j", "ascending")]
@@ -118,7 +117,7 @@ def test_null_keys_reach_one_call(key):
         return pa.table({"n_null": [g.column(key).null_count]})
 
     got = _collect(copartition(rd.from_arrow(t).repartition(8), key,
-                               count_nulls, batch_format="pyarrow"))
+                               count_nulls))
     per_call = [n for n in got.column("n_null").to_pylist() if n]
     assert per_call == [int(pc.sum(nulls).as_py())]
 
@@ -148,31 +147,29 @@ def test_cli_runs_no_exchange_and_no_driver_gather():
 def test_reserved_column_name_is_rejected():
     t = _table().append_column(PART_COL, pa.array(np.zeros(N, np.int64)))
     with pytest.raises(Exception, match="reserved"):
-        copartition(rd.from_arrow(t), "i", lambda g: g,
-                    batch_format="pyarrow").materialize()
+        copartition(rd.from_arrow(t), "i", lambda g: g).materialize()
 
 
 def test_zero_row_blocks_are_skipped():
     t = _table()
 
-    def body(g: pd.DataFrame) -> pd.DataFrame:
-        assert len(g)
+    def body(g: pa.Table) -> pa.Table:
+        assert g.num_rows
         return g
 
     # a zero-row block with columns, and Ray's column-less kind
     ds = rd.from_arrow([t.slice(0, 0), t.slice(0, 700), pa.table({}),
                         t.slice(700)])
-    got = _collect(copartition(ds, "s", body, batch_format="pandas"))
+    got = _collect(copartition(ds, "s", body))
     assert got.sort_by("row").equals(t)
 
 
-@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
-def test_all_empty_input_never_calls_body(batch_format):
+def test_all_empty_input_never_calls_body():
     def body(g):
         raise AssertionError("body called on an empty input")
 
     ds = rd.from_arrow([pa.table({}), _table().slice(0, 0)])
-    got = copartition(ds, "s", body, batch_format=batch_format)
+    got = copartition(ds, "s", body)
     assert got.count() == 0
 
 
@@ -182,7 +179,7 @@ def test_stats_chain_upstream_and_report_the_exchange():
 
     ds = rd.from_arrow(_table()).repartition(3).map_batches(
         tag_rows, batch_format="pyarrow")
-    stats = copartition(ds, "s", lambda g: g, batch_format="pyarrow").stats()
+    stats = copartition(ds, "s", lambda g: g).stats()
     assert "MapBatches(tag_rows)" in stats
     exchange = [s for s in stats.split("\n\n") if "Copartition[s]" in s]
     assert len(exchange) == 1
@@ -199,19 +196,18 @@ def test_partition_counts_that_are_not_powers_of_two(n, monkeypatch):
         remote = ray.get(ray.remote(_partition_ids).remote(t, keys, n))
         assert np.array_equal(ids, remote)
 
-    def distinct_keys(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("i", as_index=False).size()
+    def distinct_keys(g: pa.Table) -> pa.Table:
+        return g.group_by("i").aggregate([([], "count_all")])
 
     # n input blocks give n partitions once their bytes ask for n or more
     # Ray-sized blocks: a 1-byte block limit makes every byte ask for one
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
-    got = copartition(rd.from_arrow(t).repartition(n), "i", distinct_keys,
-                      batch_format="pandas")
+    got = copartition(rd.from_arrow(t).repartition(n), "i", distinct_keys)
     monkeypatch.undo()
     assert f"Copartition[i] {n} partitions" in got.stats()
     df = got.to_pandas()
     assert not df.duplicated("i").any()
-    assert df.set_index("i")["size"].sort_index().equals(
+    assert df.set_index("i")["count_all"].sort_index().equals(
         t.to_pandas().groupby("i").size())
 
 
@@ -224,7 +220,7 @@ def test_bytes_past_one_partition_per_cpu_add_a_whole_wave(monkeypatch):
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size",
                         size // (_cpus() + 1))
     got = copartition(rd.from_arrow(t).repartition(42), "i",
-                      lambda g: g, batch_format="pyarrow")
+                      lambda g: g)
     monkeypatch.undo()
     assert f"Copartition[i] {2 * _cpus()} partitions" in got.stats()
     assert _collect(got).sort_by("row").equals(t)
@@ -239,7 +235,7 @@ def test_partition_count_stops_at_rays_hash_shuffle_parallelism(monkeypatch):
     monkeypatch.setattr(ctx, "target_max_block_size", 1)
     monkeypatch.setattr(ctx, "default_hash_shuffle_parallelism", 5)
     got = copartition(rd.from_arrow(t).repartition(42), "i",
-                      lambda g: g, batch_format="pyarrow")
+                      lambda g: g)
     monkeypatch.undo()
     assert "Copartition[i] 5 partitions" in got.stats()
     assert got.num_blocks() == 5
@@ -254,21 +250,22 @@ def test_two_inputs_meet_by_key(blocks):
     b = pa.table({"i": pa.array(np.arange(300) % 101, pa.int32()),
                   "name": pa.array([f"n{x}" for x in range(300)])})
 
-    def counts(ga: pa.Table, gb: pa.Table) -> pd.DataFrame:
+    def counts(ga: pa.Table, gb: pa.Table) -> pa.Table:
         assert ga.column_names == ["i", "row"]
         assert gb.column_names == ["i", "name"]
-        return pd.concat([ga.to_pandas().groupby("i").size().rename("na"),
-                          gb.to_pandas().groupby("i").size().rename("nb")],
-                         axis=1).fillna(0).rename_axis("i").reset_index()
+        return pa.Table.from_pandas(pd.concat(
+            [ga.to_pandas().groupby("i").size().rename("na"),
+             gb.to_pandas().groupby("i").size().rename("nb")],
+            axis=1).fillna(0).rename_axis("i").reset_index())
 
     inputs = [rd.from_arrow(t).repartition(blocks) for t in (a, b)]
-    got = copartition(inputs, "i", counts, batch_format="pyarrow")
+    got = copartition(inputs, "i", counts)
     # kilobytes of input: the blocks, at most one partition per CPU
     assert f"Copartition[i] {min(2 * blocks, _cpus())} partitions" in got.stats()
     df = got.to_pandas()
     # a key split across two calls would appear twice
     assert not df.duplicated("i").any()
-    want = counts(a, b)
+    want = counts(a, b).to_pandas()
     assert (df.set_index("i").sort_index().to_dict("index")
             == want.set_index("i").sort_index().to_dict("index"))
 
@@ -278,16 +275,17 @@ def test_fewer_blocks_than_cpus_keep_their_count():
     each of its blocks becomes one partition."""
     blocks = _cpus() - 1
     got = copartition(rd.from_arrow(_table()).repartition(blocks), "s",
-                      lambda g: g, batch_format="pyarrow")
+                      lambda g: g)
     assert f"Copartition[s] {blocks} partitions" in got.stats()
     assert got.num_blocks() == blocks
     assert _collect(got).sort_by("row").equals(_table())
 
 
-@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow", "numpy"])
-def test_input_without_rows_arrives_empty_with_its_columns(batch_format):
+@pytest.mark.parametrize("view", ["pandas", "pyarrow", "numpy"])
+def test_input_without_rows_arrives_empty_with_its_columns(view):
     """An input empty in a partition, or everywhere, reaches the body as a
-    zero-row batch with that input's columns."""
+    zero-row table with that input's columns, also as the pandas frame or
+    the numpy columns a body makes of it."""
     one_key = pa.table({"i": pa.array([3, 3], pa.int64()),
                         "w": pa.array([1.5, 2.5])})
     nothing = pa.table({"i": pa.array([], pa.int64()),
@@ -296,19 +294,31 @@ def test_input_without_rows_arrives_empty_with_its_columns(batch_format):
     many = _table()
     cols = many.column_names
 
-    def body(ga, gb, gc):
-        names = [list(g) if isinstance(g, dict) else list(g.column_names)
-                 if isinstance(g, pa.Table) else list(g.columns)
+    def as_view(t: pa.Table):
+        if view == "numpy":
+            return {c: t[c].to_numpy() for c in t.column_names}
+        return t.to_pandas() if view == "pandas" else t
+
+    def body(*tables: pa.Table) -> pa.Table:
+        ga, gb, gc = map(as_view, tables)
+        names = [g.column_names if isinstance(g, pa.Table) else list(g)
                  for g in (ga, gb, gc)]
         assert names == [cols, ["i", "w"], ["i", "z"]]
         assert len(gc["i"]) == 0
-        return pd.DataFrame({"na": [len(ga["i"])], "nb": [len(gb["i"])]})
+        return pa.table({"na": [len(ga["i"])], "nb": [len(gb["i"])]})
 
     got = copartition([rd.from_arrow(many).repartition(8),
                        rd.from_arrow(one_key), rd.from_arrow(nothing)],
-                      "i", body, batch_format=batch_format).to_pandas()
+                      "i", body).to_pandas()
     assert got["na"].sum() == N and got["nb"].sum() == 2
     assert (got["nb"] == 0).sum() == len(got) - 1  # one partition holds key 3
+
+
+def test_body_that_returns_no_table_raises():
+    """A body returns a pyarrow Table; anything else fails the exchange with
+    a TypeError naming its keys, not a block Ray would convert."""
+    with pytest.raises(TypeError, match=r"copartition on \['s', 'j'\] returned DataFrame"):
+        copartition(rd.from_arrow(_table()), ["s", "j"], lambda g: g.to_pandas())
 
 
 def test_all_empty_inputs_never_call_body():
@@ -317,7 +327,7 @@ def test_all_empty_inputs_never_call_body():
 
     got = copartition([rd.from_arrow(_table().slice(0, 0)),
                        rd.from_arrow([pa.table({}), pa.table({})])],
-                      "s", body, batch_format="pyarrow")
+                      "s", body)
     assert got.count() == 0
     assert "Copartition[s] 0 partitions" in got.stats()
 
