@@ -164,11 +164,18 @@ def test_zero_row_blocks_are_skipped():
     assert got.sort_by("row").equals(t)
 
 
-def test_all_empty_input_never_calls_body():
+@pytest.mark.parametrize("block_format", ["pandas", "pyarrow"])
+def test_all_empty_input_never_calls_body(block_format):
+    """Empty input blocks, column-less or not, pandas or Arrow, give an empty
+    result without the body ever being called."""
     def body(g):
         raise AssertionError("body called on an empty input")
 
-    ds = rd.from_arrow([pa.table({}), _table().slice(0, 0)])
+    empty = _table().slice(0, 0)
+    if block_format == "pandas":
+        ds = rd.from_pandas([pd.DataFrame(), empty.to_pandas()])
+    else:
+        ds = rd.from_arrow([pa.table({}), empty])
     got = copartition(ds, "s", body)
     assert got.count() == 0
 
