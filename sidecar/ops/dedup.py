@@ -92,10 +92,9 @@ def _sig_md5(shingles: list[str]) -> list[str]:
 
 def md5_u64(strings) -> np.ndarray:
     """First 8 bytes of md5 as a big-endian uint64 array — THE string→64-bit
-    key primitive shared by the splitmix minhash base hash, the jaccard
-    shingle df/index keys below, and tfidf's partitioned term join keys
-    (text.py) — one definition so truncation width and endianness can never
-    drift between the families."""
+    key primitive shared by the splitmix minhash base hash and the jaccard
+    shingle df/index keys below — one definition so truncation width and
+    endianness can never drift between the families."""
     md5 = hashlib.md5
     return np.fromiter(
         (int.from_bytes(md5(s.encode()).digest()[:8], "big")
@@ -1054,7 +1053,7 @@ def decontaminate(sf_dir: str) -> "rd.Dataset":
     grams_ref = ray.put(frozenset(gram_set))
 
     def score(batch: pa.Table) -> pa.Table:
-        test_grams = ray.get(grams_ref)
+        test_grams = shuffle.broadcast_value(grams_ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         texts = batch.column("text").to_pylist()
         out_ids, out_n = [], []

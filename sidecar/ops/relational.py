@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from sidecar import runs
+from sidecar import runs, shuffle
 from sidecar.shuffle import copartition
 from sidecar.storage import read_parquet_clean
 
@@ -223,7 +223,7 @@ def supplier_part_join(sf_dir: str) -> "rd.Dataset":
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
 
     def enrich(batch: pa.Table) -> pa.Table:
-        s2n_, p2b_ = ray.get(side)
+        s2n_, p2b_ = shuffle.broadcast_value(side)
         g = batch.group_by(["l_suppkey", "l_partkey"]).aggregate(
             [("l_quantity", "sum")])
         sk = g.column("l_suppkey").to_pylist()

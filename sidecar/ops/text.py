@@ -14,9 +14,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
 
-from sidecar import shuffle
+from sidecar import runs, shuffle
 from sidecar.detect.language import find_language_batch
 from sidecar.shuffle import copartition
 
@@ -187,44 +188,41 @@ def token_count_regex(sf_dir: str) -> "rd.Dataset":
     return read_documents(sf_dir).map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _doc_term_tf(batch: pa.Table) -> "object":
-    """(doc_id, term, tf) frame for a batch, fully vectorized: Arrow
-    ``split_pattern`` → flatten + ``np.repeat`` doc ids → one pandas hash
-    groupby.  Replaces the per-doc ``Counter`` loop that dominated the tfidf
-    family (measured ~390 core-s at 1M docs for the scoring stage alone;
-    the family is tokenize/score-bound, not shuffle-bound)."""
-    import pandas as pd
-
-    txt = batch.column("text")
-    if isinstance(txt, pa.ChunkedArray):
-        txt = txt.combine_chunks()
-    lists = pc.split_pattern(txt.fill_null(""), " ")
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
-    doc = np.repeat(batch.column("doc_id").to_numpy(),
-                    pc.list_value_length(lists).to_numpy())
-    # ListArray.flatten honors slice offsets (unlike .values)
-    f = pd.DataFrame({"doc_id": doc, "term": lists.flatten().to_pandas()})
-    return f.groupby(["doc_id", "term"], sort=False).size() \
-        .rename("tf").reset_index()
+def _doc_term_tf(batch: pa.Table) -> pa.Table:
+    """(doc_id, term, tf): each document's distinct single-space tokens and
+    their counts.  NULL text tokenizes as ``""``, as in the oracle."""
+    lists = pc.split_pattern(batch.column("text").fill_null(""), " ")
+    doc = batch.column("doc_id").take(pc.list_parent_indices(lists))
+    g = pa.table({"doc_id": doc, "term": pc.list_flatten(lists)}) \
+        .group_by(["doc_id", "term"], use_threads=False) \
+        .aggregate([([], "count_all")])
+    return pa.table({"doc_id": g.column("doc_id"), "term": g.column("term"),
+                     "tf": g.column("count_all")})
 
 
-def _rank_topk(f: "object", k: int) -> pa.Table:
-    """(doc_id, term, tf, df) frame → per-doc top-k by tf/df, ties by term —
-    the exact ordering of ``sorted((-(tf/df), term))``: score is the same
-    single IEEE division, mergesort is stable, and (doc, term) rows are
-    unique so the tuple's tf member is never consulted."""
-    score = -(f["tf"].to_numpy() / f["df"].to_numpy())
-    f = f.assign(score=score) \
-        .sort_values(["doc_id", "score", "term"], kind="mergesort")
-    rank = f.groupby("doc_id", sort=False).cumcount().to_numpy() + 1
-    keep = rank <= k
-    f = f[keep]
-    return pa.table({"doc_id": pa.array(f["doc_id"].to_numpy(), pa.int64()),
-                     "term": pa.array(f["term"], pa.string()),
-                     "tf": pa.array(f["tf"].to_numpy(), pa.int64()),
-                     "df": pa.array(f["df"].to_numpy(), pa.int64()),
-                     "rank": pa.array(rank[keep], pa.int64())})
+def _with_df(rows: pa.Table, dft: pa.Table) -> pa.Table:
+    """``rows`` with the ``df`` of each row's term, looked up in the
+    ``(term, df)`` table ``dft``."""
+    idx = pc.index_in(rows.column("term"), value_set=dft.column("term"))
+    if idx.null_count:
+        raise ValueError("tfidf: a document term is missing from the df table; "
+                         "the two passes tokenized different corpora")
+    return rows.append_column("df", dft.column("df").take(idx))
+
+
+def _rank_topk(t: pa.Table, k: int) -> pa.Table:
+    """(doc_id, term, tf, df) rows → each document's top k by tf/df, ties by
+    term, with their ``rank`` from 1: the order of ``sorted((-(tf/df),
+    term))``, since score is the same single IEEE division and (doc, term)
+    rows are unique."""
+    score = pc.negate(pc.divide(pc.cast(t.column("tf"), pa.float64()),
+                                pc.cast(t.column("df"), pa.float64())))
+    t, new = runs.groups(t.append_column("score", score), ["doc_id"],
+                         ("score", "term"))
+    rank = runs.rank(new)
+    keep = rank < k
+    return t.drop_columns(["score"]).filter(keep) \
+        .append_column("rank", pa.array(rank[keep] + 1))
 
 
 def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
@@ -234,163 +232,56 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     two ints in both engines, so ordering — ties broken by term — is
     bit-identical; the emitted columns are ints/strings only).
 
-    Two passes over documents (tokenize is cheap; no intermediate
-    materialization): pass 1 computes document frequency per term via
-    per-batch partial distinct + a vocab-keyed groupby, collected and
-    broadcast once via ray.put; pass 2 re-tokenizes, scores and emits the
-    per-doc top-k, shuffle-free.  The reduced df table is materialized
-    (key-sized rows, a barrier the plan hits anyway, reused by either plan)
-    and broadcast only while its measured Arrow size is within
-    ``shuffle.BROADCAST_MAX_BYTES``.  Over it — a web-scale vocab — the
-    vocab never lands on the driver: the df table joins the (doc, term, tf)
-    rows through a hash-partitioned join on term, then one doc-keyed
-    shuffle ranks per-doc top-k — output identical (asserted in tests)."""
+    Pass 1 counts each term's document frequency: per-batch partial counts,
+    then a term-keyed exchange.  The reduced (term, df) table is
+    materialized and measured.  Within ``shuffle.BROADCAST_MAX_BYTES`` it is
+    broadcast as one Arrow table, and pass 2 tokenizes, looks up df and
+    ranks inside one document map, with no exchange.  Over it (a web-scale
+    vocab) the vocab never lands on the driver: the (doc, term, tf) rows
+    join the df table on the term itself, then a doc-keyed exchange ranks
+    each document's rows.  Both plans run the same three kernels
+    (``_doc_term_tf``, ``_with_df``, ``_rank_topk``), so their output is
+    identical (asserted in tests and at 1M docs in the soak)."""
 
     def partial_df(batch: pa.Table) -> pa.Table:
-        f = _doc_term_tf(batch)  # already distinct per (doc, term)
-        vc = f["term"].value_counts(sort=False)
-        return pa.table({"term": pa.array(vc.index, pa.string()),
-                         "p_df": pa.array(vc.to_numpy(), pa.int64())})
+        g = _doc_term_tf(batch).group_by("term", use_threads=False) \
+            .aggregate([([], "count_all")])
+        return pa.table({"term": g.column("term"), "p_df": g.column("count_all")})
 
     def total_df(t: pa.Table) -> pa.Table:
         g = t.group_by("term").aggregate([("p_df", "sum")])
         return pa.table({"term": g.column("term"), "df": g.column("p_df_sum")})
 
-    df_ds = copartition(read_documents(sf_dir).map_batches(
+    documents = read_documents(sf_dir)
+    df_ds = copartition(documents.map_batches(
         partial_df, batch_format="pyarrow", zero_copy_batch=True),
         "term", total_df)
     if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
-        return _tfidf_topk_partitioned(sf_dir, k, df_ds)
+        return _tfidf_topk_partitioned(documents, k, df_ds)
 
-    df_map: dict[str, int] = {}
-    for b in (df_ds
-              .iter_batches(batch_format="pyarrow", batch_size=None)):
-        df_map.update(zip(b.column("term").to_pylist(),
-                          b.column("df").to_pylist()))
-    import ray
-
-    df_ref = ray.put(df_map)
+    dfs = ray.get(df_ds.to_arrow_refs())
+    if not dfs:  # no documents, so no terms and nothing to rank
+        return df_ds
+    df_ref = ray.put(pa.concat_tables(dfs))
 
     def score_topk(batch: pa.Table) -> pa.Table:
-        dfm = shuffle.broadcast_value(df_ref)  # deserialized once per worker
-        f = _doc_term_tf(batch)
-        dfv = f["term"].map(dfm).to_numpy(dtype=np.int64)
-        return _rank_topk(f.assign(df=dfv), k)
+        dft = shuffle.broadcast_value(df_ref)  # deserialized once per worker
+        return _rank_topk(_with_df(_doc_term_tf(batch), dft), k)
 
-    return read_documents(sf_dir).map_batches(score_topk, batch_format="pyarrow",
-                                              zero_copy_batch=True)
+    return documents.map_batches(score_topk, batch_format="pyarrow",
+                                 zero_copy_batch=True)
 
 
-def _tfidf_topk_partitioned(sf_dir: str, k: int,
+def _tfidf_topk_partitioned(documents: "rd.Dataset", k: int,
                             df_ds: "rd.Dataset") -> "rd.Dataset":
-    """tfidf_topk's no-broadcast plan, int-keyed: term STRINGS never enter a
-    shuffle (string payloads repacked through Ray's sort shuffle at ~6
-    MB/core-s — the same measurement that drove the jaccard join's
-    hash-keyed df table in dedup.py).  Together with the vectorized
-    tokenize/score kernels (_doc_term_tf/_rank_topk) and the block coalesce
-    at both shuffle barriers, this plan went 96 s → 22.7 s at 1M docs / 32
-    CPUs.
-
-    Plan: (a) each doc ships one (h, doc_id) int64 row per DISTINCT term,
-    where ``h`` is the term's 64-bit md5; the reduced (term, df) dataset
-    ships (h, df) rows, and both co-partition on h.  (b) Inside each
-    partition a vectorized searchsorted resolves df for every doc-term
-    row — no pandas string merge.  (c) The matched (doc_id, h, df) int rows
-    co-partition with the corpus text rows on doc_id (ONE corpus-sized
-    string pass — at deployment scale that partition would be the storage
-    shard and the text would not move) and
-    each doc re-tokenizes locally: tf from the local Counter, df from the
-    doc's own (h, df) rows, tie-breaks on the TRUE term string — output
-    identical to the broadcast plan (twin-equality asserted in tests and at
-    1M docs in the soak).
-
-    df resolution is hash-keyed: a 64-bit collision merges two terms' dfs
-    (probability ~vocab²/2^64), the documented approximation shared with the
-    jaccard join's df table; the broadcast path is exact-by-construction
-    whenever the vocab fits the broadcast limit."""
-    from sidecar.ops.dedup import md5_u64
-
-    def _h64(terms: list) -> np.ndarray:
-        # xor of the sign bit == subtracting 2^63: signed view of the shared
-        # string→uint64 primitive (arrow int64 columns want signed keys)
-        return (md5_u64(terms) ^ np.uint64(1 << 63)).view(np.int64)
-
-    def df_rows(batch: pa.Table) -> pa.Table:
-        return pa.table({"h": _h64(batch.column("term").to_pylist()),
-                         "n": pc.cast(batch.column("df"), pa.int64())})
-
-    def doc_term_rows(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        f = _doc_term_tf(batch)  # distinct (doc, term) rows, vectorized
-        uniq = pd.unique(f["term"])
-        hmap = dict(zip(uniq.tolist(), _h64(uniq.tolist()).tolist()))
-        h = f["term"].map(hmap).to_numpy(dtype=np.int64)
-        return pa.table({
-            "h": pa.array(h, pa.int64()),
-            "doc_id": pa.array(f["doc_id"].to_numpy(), pa.int64()),
-        })
-
-    def join_df(dfh: pa.Table, docs: pa.Table) -> pa.Table:
-        keys = dfh.column("h").to_numpy()
-        vals = dfh.column("n").to_numpy()
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        # collapse 64-bit collisions deterministically: distinct terms that
-        # share h get ONE key row carrying the SUM of their dfs (the
-        # "merged df" the plan docstring promises) — without this, equal
-        # keys would make searchsorted's pick depend on block-arrival order
-        if len(keys):
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            starts = np.flatnonzero(first)
-            vals = np.add.reduceat(vals, starts)
-            keys = keys[starts]
-        h = docs.column("h").to_numpy()
-        doc_id = docs.column("doc_id").to_numpy()
-        # every doc term is in the df table by construction (same tokenizer
-        # built both sides) — verify the exact hit rather than trusting the
-        # cross-plan invariant: a miss would otherwise silently return the
-        # df of an unrelated neighboring key (or index past the end)
-        pos = np.searchsorted(keys, h)
-        if len(h) and (len(keys) == 0 or not np.array_equal(
-                keys[np.minimum(pos, len(keys) - 1)], h)):
-            raise ValueError(
-                "tfidf partitioned plan: doc term hash missing from the df "
-                "table — the two passes tokenized different corpora")
-        return pa.table({
-            "doc_id": pa.array(doc_id, pa.int64()),
-            "h": pa.array(h, pa.int64()),
-            "df": pa.array(vals[pos], pa.int64()),
-        })
-
-    def topk_local(hd: pa.Table, txt: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        f = _doc_term_tf(txt)  # NULL text tokenizes as "", as in pass 1
-        uniq = pd.unique(f["term"])
-        hmap = dict(zip(uniq.tolist(), _h64(uniq.tolist()).tolist()))
-        f = f.assign(h=f["term"].map(hmap).to_numpy(dtype=np.int64))
-        dfr = pd.DataFrame({"doc_id": hd.column("doc_id").to_numpy(),
-                            "h": hd.column("h").to_numpy(),
-                            "df": hd.column("df").to_numpy()})
-        # int-keyed hash join: each (doc, term) row has exactly one (doc, h)
-        # df row — except under a 64-bit collision, where two terms of the
-        # same doc ship two now-identical (doc, h, df) rows; drop_duplicates
-        # keeps the join 1:1 so each colliding term appears ONCE with the
-        # merged df (never a 2x2 cartesian duplicating output rows)
-        dfr = dfr.drop_duplicates(["doc_id", "h"])
-        m = f.merge(dfr, on=["doc_id", "h"])
-        return _rank_topk(m, k)
-
-    matched = copartition(
-        [df_ds.map_batches(df_rows, batch_format="pyarrow"),
-         read_documents(sf_dir).map_batches(
-             doc_term_rows, batch_format="pyarrow", zero_copy_batch=True)],
-        "h", join_df)
-    return copartition(
-        [matched, read_documents(sf_dir)],
-        "doc_id", topk_local)
+    """tfidf_topk's exchange plan: the (doc_id, term, tf) rows join the
+    (term, df) table on the term, then a doc-keyed exchange ranks each
+    document's rows."""
+    joined = copartition(
+        [documents.map_batches(_doc_term_tf, batch_format="pyarrow",
+                               zero_copy_batch=True), df_ds],
+        "term", _with_df)
+    return copartition(joined, "doc_id", lambda t: _rank_topk(t, k))
 
 
 def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":

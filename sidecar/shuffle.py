@@ -37,13 +37,14 @@ its build side's Arrow bytes against ``BROADCAST_MAX_BYTES`` and broadcasts
 at or under it, exchanges over it.  The CDXJ merge and the digest dedup
 join through it.  Three sites still gate themselves by the same rule,
 because their two plans differ in shape, not only in where the lookup table
-lives: ``text.tfidf_topk`` (its exchange plan is int-keyed and re-tokenizes
-each document) and the two embedding near-dup operators (their build side
-is a vector matrix sized before it is read, and their exchange plans move
-vectors, not a lookup; the LSH candidate matrix allows 4x, until its
-crossover is measured).  Every site reads ``shuffle.BROADCAST_MAX_BYTES`` at
-call time, so setting it to -1 forces every exchange plan, an empty build
-side included.
+lives: ``text.tfidf_topk`` (its broadcast plan ranks inside the document
+map, but its exchange plan needs a doc-keyed exchange after the term join
+to rank, so it is not a ``lookup_join``) and the two embedding near-dup
+operators (their build side is a vector matrix sized before it is read, and
+their exchange plans move vectors, not a lookup; the LSH candidate matrix
+allows 4x, until its crossover is measured).  Every site reads
+``shuffle.BROADCAST_MAX_BYTES`` at call time, so setting it to -1 forces
+every exchange plan, an empty build side included.
 
 ``_split`` and ``_reduce`` are pure functions of their input blocks, so
 Ray's default task retries cover a worker lost mid-exchange.
@@ -171,8 +172,9 @@ def copartition(ds, key: "str | list[str]", fn):
     driver holds each slice under Ray's inline limit until its reduce has
     run, so ``n`` is the fewest whole waves of one partition per CPU whose
     partitions stay under a block Ray itself would cut.  Whole waves: at
-    the 1M-row soak on 4 CPUs the tfidf exchange plan (exchanges of 0.6 and
-    1.1 GB) took 65-78 s as 5 and 9 partitions and 60-61 s as 8 and 12.
+    the 1M-row soak on 4 CPUs the former hash-keyed tfidf exchange plan
+    (exchanges of 0.6 and 1.1 GB) took 65-78 s as 5 and 9 partitions and
+    60-61 s as 8 and 12.
     An input of fewer blocks keeps its block count, so a small frontier's
     second shuffle reads few blocks.  ``P`` bounds the slices at ``P``
     squared: the same groupby on Ray's sort measured 18.8 s from 512 input

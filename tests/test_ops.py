@@ -485,10 +485,9 @@ class TestNewText:
 
     def test_tfidf_topk_partitioned_null_text(self, tmp_path, monkeypatch,
                                               spy):
-        """NULL text must rank identically to "" in the partitioned plan.
-        Regression: topk_local routes union rows by is_valid(text), so a raw
-        NULL text row was misclassified as a df row and the doc silently
-        dropped from the partitioned output (text_rows now fill_null's)."""
+        """NULL text ranks as "" in both plans: a NULL-text document keeps
+        its one row, the "" term, in the exchange plan's output as in the
+        broadcast plan's."""
         import pyarrow.parquet as pq
 
         from sidecar import shuffle
@@ -517,22 +516,28 @@ class TestNewText:
         # the NULL-text docs are present in BOTH (their lone "" term ranks)
         assert set(base["doc_id"]) == set(src.column("doc_id").to_pylist())
 
-    def test_tfidf_topk_auto_gate(self, monkeypatch, spy):
-        """The plan is routed by the measured size of the reduced df table:
-        with the limit forced to 0 bytes it must take the partitioned plan
-        and still emit identical rows."""
-        from sidecar import shuffle
-        from sidecar.ops import text as text_mod
+    def test_tfidf_df_lookup_rejects_a_missing_term(self):
+        """A document term absent from the df table is an error, never a
+        silent df from another term."""
+        from sidecar.ops.text import _with_df
 
-        cols = ["doc_id", "rank", "term", "tf", "df"]
-        base = text_mod.tfidf_topk(SF, k=5).to_pandas()[cols] \
-            .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-        calls = spy(text_mod, "_tfidf_topk_partitioned")
-        monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", 0)
-        auto = text_mod.tfidf_topk(SF, k=5).to_pandas()[cols] \
-            .sort_values(["doc_id", "rank"]).reset_index(drop=True)
-        assert len(calls) == 1
-        assert auto.equals(base)
+        dft = pa.table({"term": ["a", "b"], "df": pa.array([3, 1], pa.int64())})
+        rows = pa.table({"doc_id": [1, 1], "term": ["b", "a"], "tf": [2, 1]})
+        assert _with_df(rows, dft).column("df").to_pylist() == [1, 3]
+        with pytest.raises(ValueError, match="missing from the df table"):
+            _with_df(pa.table({"doc_id": [1], "term": ["c"], "tf": [1]}), dft)
+
+    @pytest.mark.parametrize("limit", [None, -1])
+    def test_tfidf_topk_zero_documents(self, tmp_path, monkeypatch, limit):
+        """A zero-row documents table ranks nothing under either plan."""
+        from sidecar import shuffle
+        from sidecar.ops.text import tfidf_topk
+
+        empty = pq.read_table(f"{SF}/documents.parquet").slice(0, 0)
+        pq.write_table(empty, str(tmp_path / "documents.parquet"))
+        if limit is not None:
+            monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", limit)
+        assert tfidf_topk(str(tmp_path), k=5).count() == 0
 
     def test_bigram_topk(self):
         from collections import Counter

@@ -7,6 +7,7 @@ equivalence (the external driver repeats it at sf0.01)."""
 
 from __future__ import annotations
 
+import pathlib
 import sys
 
 import duckdb
@@ -20,7 +21,7 @@ TABLES = ("region nation customer supplier part orders lineitem "
 
 
 def _entry_module():
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
     import __ray_entry__
 
     return __ray_entry__

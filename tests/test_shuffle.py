@@ -464,9 +464,6 @@ DRIVER_GATHERS = {
     ("ops/relational.py", "pricing_rollup"): _BOUNDED + (
         ": one row per (returnflag, linestatus)"),
     ("ops/text.py", "bigram_topk"): _BOUNDED + ": at most k rows per partition",
-    ("ops/text.py", "_doc_term_tf"): (
-        "not a gather: a batch helper run in tasks, whose .to_pandas() converts"
-        " an Arrow array"),
 }
 
 

@@ -349,9 +349,10 @@ def main() -> int:
 
         # tfidf twin equality at soak scale (r4 VERDICT #1 follow-through):
         # the default plan (this corpus's 512-term vocab stays under
-        # shuffle.BROADCAST_MAX_BYTES → driver dict) must emit the SAME rows
-        # as the no-driver-vocab partitioned-join plan a web-scale vocab
-        # takes.  Both gathered block-granular; frames compared exactly.
+        # shuffle.BROADCAST_MAX_BYTES → one broadcast Arrow df table) must
+        # emit the SAME rows as the no-driver-vocab term-join plan a
+        # web-scale vocab takes.  Both gathered block-granular; frames
+        # compared exactly.
         def _gather(ds):
             import pandas as pd
             parts = [b.to_pandas() if isinstance(b, pa.Table)
