@@ -115,6 +115,40 @@ def test_phash_properties():
     assert bin(h1 ^ other).count("1") >= 10  # distinct images far apart
 
 
+def test_phash_fma_is_correctly_rounded():
+    from fractions import Fraction
+
+    from sidecar.detect.phash import _fma
+
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(4000) * 1e3
+    b = rng.standard_normal(4000)
+    c = rng.standard_normal(4000) * 10.0 ** rng.integers(-12, 6, 4000)
+    c[:1000] = -(a[:1000] * b[:1000])  # cancellation: the result is a*b's rounding error
+    got = _fma(a, b, c)
+    want = [float(Fraction(x) * Fraction(y) + Fraction(z)) for x, y, z in zip(a, b, c)]
+    assert got.tolist() == want
+
+
+def test_phash_blas_screen_keeps_the_exact_order_bits(monkeypatch):
+    """The BLAS product stands in for ``_dct8`` only where the bits agree:
+    hashing every image through ``_dct8`` gives the same hashes, and a flat
+    image (AC terms all rounding noise) takes the ``_dct8`` path."""
+    from sidecar.detect import phash as phash_mod
+
+    px = [synth.make_pixels(f"s{i}", 40 + i % 3, 30, seed=i) for i in range(60)]
+    px += [np.full((1, 1, 3), 77, np.uint8), np.zeros((8, 8, 3), np.uint8)]
+    screened = phash_mod.phash64_batch(px)
+    exact_rows = []
+    real = phash_mod._dct8
+    monkeypatch.setattr(phash_mod, "_dct8",
+                        lambda s: (exact_rows.append(len(s)), real(s))[1])
+    phash_mod.phash64_batch(px[-2:-1])
+    assert exact_rows == [1]
+    monkeypatch.setattr(phash_mod, "_TIE_TOL", 1e6)  # above any gap: all exact
+    assert np.array_equal(phash_mod.phash64_batch(px), screened)
+
+
 @pytest.mark.parametrize("fmt", ["png", "ppm", "b16"])
 def test_codec_roundtrip(fmt):
     px = synth.make_pixels("rt", 31, 19)
