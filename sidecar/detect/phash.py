@@ -19,7 +19,8 @@ rounding noise, so its hash moved with the kernel.  :func:`_dct8` spells out
 one order in elementwise IEEE ops instead: the one of OpenBLAS's AVX-512
 (SkylakeX) dgemm kernels, which the frozen hashes were computed with.
 :func:`_block` takes the BLAS product wherever its bits provably equal that
-order's, so only near-tie images (flat ones) pay for the elementwise path.
+order's, so only near-tie images (flat ones) pay for the elementwise path,
+which alone makes a batch hash about five times slower.
 """
 
 from __future__ import annotations

@@ -256,13 +256,14 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     df_ds = copartition(documents.map_batches(
         partial_df, batch_format="pyarrow", zero_copy_batch=True),
         "term", total_df)
+    if df_ds.count() == 0:  # no documents, so no block to map: rank none here
+        none = documents.schema().base_schema.empty_table()
+        return rd.from_arrow(_rank_topk(
+            _with_df(_doc_term_tf(none), total_df(partial_df(none))), k))
     if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _tfidf_topk_partitioned(documents, k, df_ds)
 
-    dfs = ray.get(df_ds.to_arrow_refs())
-    if not dfs:  # no documents, so no terms and nothing to rank
-        return df_ds
-    df_ref = ray.put(pa.concat_tables(dfs))
+    df_ref = ray.put(pa.concat_tables(ray.get(df_ds.to_arrow_refs())))
 
     def score_topk(batch: pa.Table) -> pa.Table:
         dft = shuffle.broadcast_value(df_ref)  # deserialized once per worker

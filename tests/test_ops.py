@@ -529,7 +529,8 @@ class TestNewText:
 
     @pytest.mark.parametrize("limit", [None, -1])
     def test_tfidf_topk_zero_documents(self, tmp_path, monkeypatch, limit):
-        """A zero-row documents table ranks nothing under either plan."""
+        """A zero-row documents table ranks nothing whatever the broadcast
+        limit, and the empty result still has the output's columns."""
         from sidecar import shuffle
         from sidecar.ops.text import tfidf_topk
 
@@ -537,7 +538,9 @@ class TestNewText:
         pq.write_table(empty, str(tmp_path / "documents.parquet"))
         if limit is not None:
             monkeypatch.setattr(shuffle, "BROADCAST_MAX_BYTES", limit)
-        assert tfidf_topk(str(tmp_path), k=5).count() == 0
+        got = tfidf_topk(str(tmp_path), k=5)
+        assert got.count() == 0
+        assert got.schema().names == ["doc_id", "term", "tf", "df", "rank"]
 
     def test_bigram_topk(self):
         from collections import Counter
