@@ -763,7 +763,8 @@ def embedding_near_dup_lsh(sf_dir: str, threshold: float = 0.4,
     # candidates, a 295 MiB matrix, and its full-ship plan is 2.1x slower
     # (75-78 s vs 35 s on 4 CPUs, same pairs)
     if n_cand * dim * 8 <= 4 * shuffle.BROADCAST_MAX_BYTES:
-        cand_ids = np.sort(cand.to_pandas()["vec_id"].to_numpy())
+        cand_ids = np.sort(pa.concat_tables(ray.get(cand.to_arrow_refs()))
+                           .column("vec_id").to_numpy())
         ids_ref = ray.put(cand_ids)
 
         def _cand_sel(batch: pa.Table, cids: np.ndarray) -> np.ndarray:

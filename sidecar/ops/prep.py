@@ -79,7 +79,9 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
         lambda b: b.filter(pc.is_in(b.column("fmt"), value_set=fmt_set)),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    # stage 1+2: digest per payload, survivors = min image_id per digest
+    # stage 1+2: digest per payload, survivors = min image_id per digest,
+    # grouped inside the exchange only: digests are mostly distinct, so a
+    # per-block partial (shuffle.aggregate) would shrink nothing
     def digest_rows(batch: pa.Table) -> pa.Table:
         sha1 = hashlib.sha1
         d = [sha1(v or b"").hexdigest() for v in batch.column("bytes").to_pylist()]
@@ -87,7 +89,7 @@ def prep_images(images_ds: "rd.Dataset", max_dist: int = 7) -> "rd.Dataset":
                          "image_id": batch.column("image_id")})
 
     def min_id(t: pa.Table) -> pa.Table:
-        g = t.group_by("digest").aggregate([("image_id", "min")])
+        g = t.group_by("digest", use_threads=False).aggregate([("image_id", "min")])
         return pa.table({"image_id": g.column("image_id_min")})
 
     survivors = copartition(
@@ -132,15 +134,17 @@ def prep_corpus(sf_dir: str, min_chars: int = 50) -> "rd.Dataset":
 
     # stage 2+4: ONE text scan to (fp, doc_id, n_tokens) rows (fingerprint
     # formula shared with dedup.exact_dedup: fp_rows_batch); the exchange
-    # on fp keeps the min doc_id per fingerprint.  Equal fingerprints mean
-    # equal text, so any row's n_tokens is the survivor's.
+    # on fp keeps the min doc_id per fingerprint, one level as in stage
+    # 1+2 of prep_images.  Equal fingerprints mean equal text, so any row's
+    # n_tokens is the survivor's.
     def fp_tokens(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch.column("text").fill_null(""), " ")
         return fp_rows_batch(batch).append_column(
             "n_tokens", pc.cast(pc.list_value_length(toks), pa.int64()))
 
     def first_doc(t: pa.Table) -> pa.Table:
-        g = t.group_by("fp").aggregate([("doc_id", "min"), ("n_tokens", "max")])
+        g = t.group_by("fp", use_threads=False).aggregate(
+            [("doc_id", "min"), ("n_tokens", "max")])
         return pa.table({"doc_id": g.column("doc_id_min"),
                          "n_tokens": g.column("n_tokens_max")})
 

@@ -8,8 +8,9 @@ standard relational shapes, each with an exact DuckDB oracle.
 
 Scale rules applied throughout:
 - column-pruned `read_parquet` (never read what the query doesn't touch);
-- per-batch partial aggregation before every global groupby, so the shuffle
-  moves one row per (block × key), not per input row;
+- a GROUP BY is ``shuffle.aggregate``: each block reduces to its groups
+  before the exchange, so the shuffle moves one row per (block × key), not
+  per input row;
 - a join co-partitions its sides on the key, ``copartition([a, b], key,
   fn)``; a broadcast (ray.put) only where tests/test_shuffle.py's
   DRIVER_GATHERS allowlist names the function and its reason;
@@ -21,7 +22,6 @@ Scale rules applied throughout:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -46,44 +46,34 @@ def _cents(col: "pa.ChunkedArray | pa.Array") -> "pa.Array":
 
 
 def pricing_summary(sf_dir: str) -> "rd.Dataset":
-    """TPC-H Q1 shape: per (l_returnflag, l_linestatus) sums/avg/count.
+    """TPC-H Q1 shape: per (l_returnflag, l_linestatus) sums/avg/count, one
+    ``shuffle.aggregate`` over lineitem with ``disc_price`` derived per
+    batch."""
 
-    Partial per-batch aggregation (pandas groupby inside map_batches) then a
-    tiny global groupby over ~(flags x statuses x blocks) rows.
-    """
+    def disc_price(b: pa.Table) -> pa.Table:
+        return b.append_column("disc_price", pc.multiply(
+            b["l_extendedprice"], pc.subtract(1, b["l_discount"])))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["disc_price"] = df["l_extendedprice"] * (1 - df["l_discount"])
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            p_qty=("l_quantity", "sum"),
-            p_base=("l_extendedprice", "sum"),
-            p_disc=("disc_price", "sum"),
-            p_cnt=("l_quantity", "size"),
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("p_qty", "sum"), ("p_base", "sum"), ("p_disc", "sum"),
-             ("p_cnt", "sum")])
+    def cents(g: pa.Table) -> pa.Table:
         return pa.table({
             "l_returnflag": g.column("l_returnflag"),
             "l_linestatus": g.column("l_linestatus"),
-            "sum_qty_cents": _cents(g.column("p_qty_sum")),
-            "sum_base_price_cents": _cents(g.column("p_base_sum")),
-            "sum_disc_price_cents": _cents(g.column("p_disc_sum")),
-            "count_order": g.column("p_cnt_sum"),
+            "sum_qty_cents": _cents(g.column("l_quantity_sum")),
+            "sum_base_price_cents": _cents(g.column("l_extendedprice_sum")),
+            "sum_disc_price_cents": _cents(g.column("disc_price_sum")),
+            "count_order": g.column("count_all"),
         })
 
-    return copartition(
+    return shuffle.aggregate(
         read_parquet_clean(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_returnflag", "l_linestatus", "l_quantity",
                      "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_returnflag", "l_linestatus"], finalize)
+        ).map_batches(disc_price, batch_format="pyarrow", batch_size=None,
+                      zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        [("l_quantity", "sum"), ("l_extendedprice", "sum"),
+         ("disc_price", "sum"), ([], "count_all")], cents)
 
 
 def top_revenue_orders(sf_dir: str, k: int = 20) -> "pd.DataFrame":
@@ -150,35 +140,34 @@ def events_windowed(sf_dir: str, window_s: int = 3600) -> "rd.Dataset":
     vectorized per batch; the groupby shuffles only (type, window, partials).
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        us = df["ts"].values.astype("datetime64[us]").astype("int64")
-        df["win"] = (us // (window_s * 1_000_000)) * window_s  # epoch-s window start
-        g = df.groupby(["event_type", "win"], as_index=False).agg(
-            p_n=("value", "size"), p_sum=("value", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+    def window(b: pa.Table) -> pa.Table:
+        us = pc.cast(b["ts"], pa.int64()).to_numpy()
+        return b.append_column("win", pa.array(  # epoch-s window start
+            (us // (window_s * 1_000_000)) * window_s))
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["event_type", "win"]).aggregate(
-            [("p_n", "sum"), ("p_sum", "sum")])
+    def cents(g: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": g.column("event_type"),
             "win": g.column("win"),
-            "n_events": g.column("p_n_sum"),
-            "sum_value_cents": _cents(g.column("p_sum_sum")),
+            "n_events": g.column("count_all"),
+            "sum_value_cents": _cents(g.column("value_sum")),
         })
 
-    return copartition(
+    return shuffle.aggregate(
         read_parquet_clean(f"{sf_dir}/events.parquet",
-                        columns=["event_type", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "win"], finalize)
+                           columns=["event_type", "ts", "value"])
+        .map_batches(window, batch_format="pyarrow", batch_size=None,
+                     zero_copy_batch=True),
+        ["event_type", "win"], [([], "count_all"), ("value", "sum")], cents)
 
 
 def customer_order_stats(sf_dir: str) -> "rd.Dataset":
     """Per-customer order stats (count, min/max date as epoch-µs ints,
     rounded total) — a plain distributed groupby with mixed aggregate kinds;
-    dates go through int64 so both engines hash identical scalars."""
+    dates go through int64 so both engines hash identical scalars.  One
+    level, grouped inside the exchange only: a customer's few orders are
+    spread over every block, so a per-block partial (``shuffle.aggregate``)
+    would barely shrink the exchange."""
 
     def to_us(batch: pa.Table) -> pa.Table:
         us = pc.cast(batch.column("o_orderdate"), pa.int64())
@@ -187,7 +176,7 @@ def customer_order_stats(sf_dir: str) -> "rd.Dataset":
                          "o_totalprice": batch.column("o_totalprice")})
 
     def finalize(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("o_custkey").aggregate(
+        g = batch.group_by("o_custkey", use_threads=False).aggregate(
             [([], "count_all"), ("date_us", "min"), ("date_us", "max"),
              ("o_totalprice", "sum")])
         return pa.table({
@@ -206,9 +195,9 @@ def customer_order_stats(sf_dir: str) -> "rd.Dataset":
 
 
 def supplier_part_join(sf_dir: str) -> "rd.Dataset":
-    """Shuffle-free two-small-side enrichment of a lineitem aggregate:
-    per (l_suppkey, l_partkey) quantity sum, enriched with supplier nation
-    and part brand from broadcast lookups."""
+    """Two-small-side enrichment of a lineitem aggregate: per (l_suppkey,
+    l_partkey) quantity sum, enriched in the aggregate's reduce with
+    supplier nation and part brand from broadcast lookups."""
     import pyarrow.parquet as pq
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"])
@@ -217,15 +206,8 @@ def supplier_part_join(sf_dir: str) -> "rd.Dataset":
     p2b = dict(zip(part.column("p_partkey").to_pylist(), part.column("p_brand").to_pylist()))
     side = ray.put((s2n, p2b))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["l_suppkey", "l_partkey"], as_index=False)["l_quantity"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    def enrich(batch: pa.Table) -> pa.Table:
+    def enrich(g: pa.Table) -> pa.Table:
         s2n_, p2b_ = shuffle.broadcast_value(side)
-        g = batch.group_by(["l_suppkey", "l_partkey"]).aggregate(
-            [("l_quantity", "sum")])
         sk = g.column("l_suppkey").to_pylist()
         pk = g.column("l_partkey").to_pylist()
         return pa.table({
@@ -236,11 +218,10 @@ def supplier_part_join(sf_dir: str) -> "rd.Dataset":
             "p_brand": pa.array([p2b_.get(x) for x in pk], pa.string()),
         })
 
-    return copartition(
+    return shuffle.aggregate(
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_suppkey", "l_partkey", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_suppkey", "l_partkey"], enrich)
+                           columns=["l_suppkey", "l_partkey", "l_quantity"]),
+        ["l_suppkey", "l_partkey"], [("l_quantity", "sum")], enrich)
 
 
 def asof_last_order(sf_dir: str) -> "rd.Dataset":
@@ -249,10 +230,10 @@ def asof_last_order(sf_dir: str) -> "rd.Dataset":
     (ties on date broken by max orderkey; events with no prior order drop —
     inner semantics keep the output int64-clean for the hash compare).
 
-    Plan: ONE shuffle co-partitioning both sides on the user key (64
-    tasks at any scale — a per-USER group would dispatch one pandas call
-    per tiny group, the pathology frontier.py's budget stage documents),
-    then ONE lexsort + grouped forward-fill inside the partition over both
+    Plan: ONE shuffle co-partitioning both sides on the user key (whole
+    waves of one partition per CPU — a per-USER group would dispatch one
+    Python call per tiny group, the pathology frontier.py's budget stage
+    documents), then ONE lexsort + grouped forward-fill inside the partition over both
     sides' rows: sort (key, t_us, orders-before-events, id), forward-fill
     the last order row position with ``np.maximum.accumulate``, and keep
     matches whose filled order shares the event's key.  Exactly equivalent
@@ -379,9 +360,8 @@ def systematic_sample(sf_dir: str, every: int = 100) -> "rd.Dataset":
 def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
     """Session windows over the events log: per user, events separated by
     more than ``gap_s`` start a new session.  One shuffle co-partitioned on
-    the user (a per-USER group would dispatch
-    one pandas call per tiny group — the frontier.py budget-stage
-    pathology); inside the partition, ONE lexsort by (user, ts, event_id)
+    the user (a per-USER group would dispatch one Python call per tiny
+    group — the frontier.py budget-stage pathology); inside the partition, ONE lexsort by (user, ts, event_id)
     and boundary vectorization: a session starts where the user changes or
     the gap exceeds gap_us, and per-session start/count/duration fall out
     of the boundary indices (Ray Data has no event-time windows natively —
@@ -421,34 +401,27 @@ def sessionize(sf_dir: str, gap_s: int = 1800) -> "rd.Dataset":
 def events_sliding(sf_dir: str, window_s: int = 3600, slide_s: int = 1800) -> "rd.Dataset":
     """Sliding-window count: per event_type, 1h windows sliding every 30min —
     each event lands in window_s/slide_s grids.  Implemented as the union of
-    K offset tumbling grids computed in one vectorized pass per batch
-    (partial counts), then a tiny global groupby."""
+    K offset tumbling grids computed in one vectorized pass per batch, then
+    one ``shuffle.aggregate`` count."""
     k = window_s // slide_s
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        us = df["ts"].values.astype("datetime64[us]").astype("int64")
-        frames = []
-        for i in range(k):
-            off = i * slide_s * 1_000_000
-            win = ((us - off) // (window_s * 1_000_000)) * window_s + i * slide_s
-            frames.append(pd.DataFrame({"event_type": df["event_type"],
-                                        "win_start": win}))
-        allf = pd.concat(frames)
-        g = allf.groupby(["event_type", "win_start"], as_index=False).size()
-        g = g.rename(columns={"size": "p_n"})
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
+    def grids(b: pa.Table) -> pa.Table:
+        us = pc.cast(b["ts"], pa.int64()).to_numpy()
+        return pa.table({
+            "event_type": b["event_type"].take(np.tile(np.arange(len(us)), k)),
+            "win_start": np.concatenate([
+                ((us - i * slide_s * 1_000_000) // (window_s * 1_000_000))
+                * window_s + i * slide_s for i in range(k)]),
+        })
 
-    def total(t: pa.Table) -> pa.Table:
-        g = t.group_by(["event_type", "win_start"]).aggregate([("p_n", "sum")])
-        return pa.table({"event_type": g.column("event_type"),
-                         "win_start": g.column("win_start"),
-                         "n_events": g.column("p_n_sum")})
+    def counts(g: pa.Table) -> pa.Table:
+        return g.rename_columns(["event_type", "win_start", "n_events"])
 
-    return copartition(
+    return shuffle.aggregate(
         read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["event_type", "win_start"], total)
+        .map_batches(grids, batch_format="pyarrow", batch_size=None,
+                     zero_copy_batch=True),
+        ["event_type", "win_start"], [([], "count_all")], counts)
 
 
 def running_totals(sf_dir: str) -> "rd.Dataset":
@@ -486,33 +459,30 @@ def running_totals(sf_dir: str) -> "rd.Dataset":
 
 def group_topk_orders(sf_dir: str, k: int = 3) -> "rd.Dataset":
     """Top-k-per-group (window rank): each customer's k highest-value orders
-    with their rank.  Two-level plan: a per-batch partial top-k (only k rows
+    with their rank.  Two-level plan: a per-block partial top-k (only k rows
     per (customer × block) survive to the shuffle) then a per-group final
     top-k — the shuffle volume is bounded by k × |customers| regardless of
-    order count, unlike a global window sort."""
+    order count, unlike a global window sort.  Not a ``shuffle.aggregate``:
+    both levels keep rows, not a combinable aggregate, so one body ranks
+    at both."""
+    cols = ["o_custkey", "o_orderkey", "o_totalprice_cents"]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["o_totalprice_cents"] = _cents(batch.column("o_totalprice")).to_pandas()
-        df = (df.sort_values(["o_custkey", "o_totalprice_cents", "o_orderkey"],
-                             ascending=[True, False, True])
-              .groupby("o_custkey", sort=False).head(k))
-        return pa.Table.from_pandas(
-            df[["o_custkey", "o_orderkey", "o_totalprice_cents"]],
-            preserve_index=False).replace_schema_metadata(None)
-
-    def final_topk(t: pa.Table) -> pa.Table:
-        t, new = runs.groups(t, ["o_custkey"],
+    def topk(t: pa.Table) -> pa.Table:
+        t, new = runs.groups(t.select(cols), ["o_custkey"],
                              (("o_totalprice_cents", "descending"), "o_orderkey"))
         rank = runs.rank(new)
-        return t.select(["o_custkey", "o_orderkey", "o_totalprice_cents"]) \
-            .append_column("rank", pa.array(rank + 1)).filter(pa.array(rank < k))
+        return t.append_column("rank", pa.array(rank + 1)).filter(pa.array(rank < k))
+
+    def partial(b: pa.Table) -> pa.Table:
+        return topk(b.append_column("o_totalprice_cents",
+                                    _cents(b["o_totalprice"])))
 
     return copartition(
         read_parquet_clean(f"{sf_dir}/orders.parquet",
-                        columns=["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "o_custkey", final_topk)
+                           columns=["o_custkey", "o_orderkey", "o_totalprice"])
+        .map_batches(partial, batch_format="pyarrow", batch_size=None,
+                     zero_copy_batch=True),
+        "o_custkey", topk)
 
 
 def nation_acctbal_quantiles(sf_dir: str) -> "rd.Dataset":
@@ -671,7 +641,7 @@ def global_rank_sample(sf_dir: str, every: int = 1000) -> "rd.Dataset":
     off_ref = ray.put(offsets)
 
     def rank_buckets(t: pa.Table) -> pa.Table:
-        offs = ray.get(off_ref)
+        offs = shuffle.broadcast_value(off_ref)
         t, new = runs.groups(t, ["bucket"], ("t_us", "o_orderkey"))
         base = np.array([offs[b] for b in t["bucket"].filter(new).to_pylist()],
                         np.int64)
@@ -704,7 +674,7 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
                 else pa.array([], pa.int64()))
         n = pa.array(np.zeros(len(keys), np.int64))
         if len(keys) and counts.num_rows:
-            g = counts.group_by("c_custkey").aggregate([("p_n", "sum")])
+            g = counts.group_by("c_custkey", use_threads=False).aggregate([("p_n", "sum")])
             n = pc.fill_null(pc.take(g.column("p_n_sum"), pc.index_in(
                 keys, value_set=g.column("c_custkey").combine_chunks())), 0)
         return pa.table({"c_custkey": keys, "n_orders": n})
@@ -718,23 +688,14 @@ def customers_order_counts_left(sf_dir: str) -> "rd.Dataset":
 
 def distinct_count_custkey(sf_dir: str) -> "pa.Table":
     """n_distinct — exact COUNT(DISTINCT o_custkey), the two-level distinct
-    plan: per-block partial ``np.unique`` (each block forwards at most its
-    distinct keys), co-partitioned global dedup (about one group per CPU at
-    any cardinality), per-partition counts summed on the driver (one int
-    per group)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch.column("o_custkey").to_numpy(zero_copy_only=False))
-        return pa.table({"k": pa.array(u, pa.int64())})
-
-    def count_distinct(t: pa.Table) -> pa.Table:
-        return pa.table({"p_n": pa.array([pc.count_distinct(t["k"]).as_py()],
-                                         pa.int64())})
-
-    total = copartition(
-        read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "k", count_distinct,
+    plan: a ``shuffle.aggregate`` with no aggregate function (each block
+    forwards at most its distinct keys, each partition dedups its keys and
+    counts the non-null ones), per-partition counts summed on the driver
+    (one int per partition)."""
+    total = shuffle.aggregate(
+        read_parquet_clean(f"{sf_dir}/orders.parquet", columns=["o_custkey"]),
+        "o_custkey", [],
+        lambda g: pa.table({"p_n": [pc.count(g["o_custkey"]).as_py()]}),
     ).to_pandas()["p_n"].sum()
     return pa.table({"n_distinct": pa.array([int(total)], pa.int64())})
 
@@ -817,8 +778,8 @@ def orders_lineitem_join(sf_dir: str) -> "rd.Dataset":
     lineitem row joined to its order's priority — the shuffle-join shape for
     when NEITHER side fits a broadcast.
 
-    Plan: ONE shuffle co-partitioning both sides on the join key (64
-    groups at any scale — the same co-partitioning trick as the as-of
+    Plan: ONE shuffle co-partitioning both sides on the join key (about
+    one partition per CPU — the same co-partitioning trick as the as-of
     join), then a vectorized Arrow hash join inside each partition.  Each
     key's rows from both sides land in the same partition by construction,
     so the per-partition merge is exact.  Output is row-level (one row per
@@ -860,44 +821,34 @@ def pricing_rollup(sf_dir: str) -> "pd.DataFrame":
     (returnflag, linestatus), (returnflag), and grand total — with 'ALL' as
     the rolled-up sentinel (hash-stable across engines, unlike SQL NULL).
 
-    The scale plan computes ONLY the finest level distributed (the same
-    partial-aggregate + small groupby as pricing_summary); the coarser
-    levels are derived from the finest RESULT (a handful of rows) on the
-    driver — never a second pass over the data.  Sums roll up exactly
-    because the finest level is already integer cents."""
+    The scale plan computes ONLY the finest level distributed (one
+    ``shuffle.aggregate``, as pricing_summary); the coarser levels are
+    derived from the finest RESULT (a handful of rows) on the driver —
+    never a second pass over the data.  Sums roll up exactly because the
+    finest level is already integer cents."""
+    flags = ["l_returnflag", "l_linestatus"]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            p_qty=("l_quantity", "sum"), p_cnt=("l_quantity", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    def total(t: pa.Table) -> pa.Table:
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("p_qty", "sum"), ("p_cnt", "sum")])
+    def cents(g: pa.Table) -> pa.Table:
         return pa.table({"l_returnflag": g.column("l_returnflag"),
                          "l_linestatus": g.column("l_linestatus"),
-                         "sum_qty_cents": _cents(g.column("p_qty_sum")),
-                         "n_rows": g.column("p_cnt_sum")})
+                         "sum_qty_cents": _cents(g.column("l_quantity_sum")),
+                         "n_rows": g.column("count_all")})
 
-    finest = copartition(
+    finest = pa.Table.from_pylist(shuffle.aggregate(
         read_parquet_clean(f"{sf_dir}/lineitem.parquet",
-                        columns=["l_returnflag", "l_linestatus", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_returnflag", "l_linestatus"], total
-    ).to_pandas()  # |flags| × |statuses| rows
-    lvl1 = (finest.groupby("l_returnflag", as_index=False)
-            .agg(sum_qty_cents=("sum_qty_cents", "sum"), n_rows=("n_rows", "sum")))
-    lvl1["l_linestatus"] = "ALL"
-    lvl0 = pd.DataFrame({
-        "l_returnflag": ["ALL"], "l_linestatus": ["ALL"],
-        "sum_qty_cents": [finest["sum_qty_cents"].sum()],
-        "n_rows": [finest["n_rows"].sum()],
-    })
-    out = pd.concat([finest, lvl1, lvl0], ignore_index=True)
-    out["n_rows"] = out["n_rows"].astype(np.int64)
-    out["sum_qty_cents"] = out["sum_qty_cents"].astype(np.int64)
-    return out[["l_returnflag", "l_linestatus", "sum_qty_cents", "n_rows"]]
+                           columns=[*flags, "l_quantity"]),
+        flags, [("l_quantity", "sum"), ([], "count_all")], cents
+    ).take_all())  # |flags| × |statuses| rows
+    levels = [finest]
+    for keys in (["l_returnflag"], []):
+        g = finest.group_by(keys, use_threads=False).aggregate(
+            [("sum_qty_cents", "sum"), ("n_rows", "sum")])
+        levels.append(pa.table({
+            "l_returnflag": g["l_returnflag"] if keys else pa.array(["ALL"]),
+            "l_linestatus": pa.array(["ALL"] * g.num_rows),
+            "sum_qty_cents": g["sum_qty_cents_sum"],
+            "n_rows": g["n_rows_sum"]}))
+    return pa.concat_tables(levels).to_pandas()
 
 
 def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
@@ -908,6 +859,9 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
     co-locates in exactly the build row's bucket (counted once — the build
     row lives in one bucket).  Within a bucket the match is a vectorized
     interval check.  Suppliers with no in-band customer drop (inner join).
+    The per-supplier total groups inside its exchange only: the matched rows
+    are already at most three per supplier (one per replica bucket), so no
+    per-block partial would shrink them.
     """
 
     def cust_rows(batch: pa.Table) -> pa.Table:
@@ -948,7 +902,7 @@ def range_join_acctbal(sf_dir: str, band: float = 10.0) -> "rd.Dataset":
         return pa.table({"s_suppkey": sk[keep], "p_n": n[keep]})
 
     def total(t: pa.Table) -> pa.Table:
-        g = t.group_by("s_suppkey").aggregate([("p_n", "sum")])
+        g = t.group_by("s_suppkey", use_threads=False).aggregate([("p_n", "sum")])
         return pa.table({"s_suppkey": g.column("s_suppkey"),
                          "n_close_customers": g.column("p_n_sum")})
 
@@ -1056,38 +1010,33 @@ def mode_segment(sf_dir: str) -> "rd.Dataset":
     nation's most common market segment (ties break to the lexicographically
     smallest segment, so the result is deterministic).
 
-    Two-level plan: per-batch partial (nation, segment) counts collapse each
+    Two-level plan: per-block partial (nation, segment) counts collapse each
     block to ≤ |nations|×|segments| rows before the shuffle, which
     co-partitions on nation; each partition sums the partials per (nation,
     segment) and takes each nation's argmax — the exchange carries counter
     rows only, never customers, so cardinality at 100 TB is bounded by the
-    key-pair count."""
+    key-pair count.  Not a ``shuffle.aggregate``: that exchanges on every
+    group key, and the argmax needs all of a nation's segments in one call,
+    so the exchange is on the nation alone."""
+    keys = ["c_nationkey", "c_mktsegment"]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "c_nationkey": batch.column("c_nationkey").to_numpy(
-                zero_copy_only=False),
-            "c_mktsegment": np.asarray(batch.column("c_mktsegment")),
-        })
-        g = df.groupby(["c_nationkey", "c_mktsegment"], as_index=False).size()
-        return pa.table({
-            "c_nationkey": pa.array(g["c_nationkey"].to_numpy(), pa.int64()),
-            "c_mktsegment": pa.array(g["c_mktsegment"], pa.string()),
-            "p_n": pa.array(g["size"].to_numpy(), pa.int64()),
-        })
+    def partial(b: pa.Table) -> pa.Table:
+        g = b.group_by(keys, use_threads=False).aggregate([([], "count_all")])
+        return g.set_column(0, "c_nationkey",
+                            pc.cast(g["c_nationkey"], pa.int64()))
 
     def argmax(t: pa.Table) -> pa.Table:
-        g = t.group_by(["c_nationkey", "c_mktsegment"], use_threads=False) \
-            .aggregate([("p_n", "sum")])
-        g = runs.first(g, ["c_nationkey"], (("p_n_sum", "descending"), "c_mktsegment"))
+        g = t.group_by(keys, use_threads=False).aggregate([("count_all", "sum")])
+        g = runs.first(g, ["c_nationkey"],
+                       (("count_all_sum", "descending"), "c_mktsegment"))
         return pa.table({"c_nationkey": g["c_nationkey"],
                          "top_segment": g["c_mktsegment"],
-                         "n_customers": g["p_n_sum"]})
+                         "n_customers": g["count_all_sum"]})
 
     return copartition(
-        read_parquet_clean(f"{sf_dir}/customer.parquet",
-                           columns=["c_nationkey", "c_mktsegment"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        read_parquet_clean(f"{sf_dir}/customer.parquet", columns=keys)
+        .map_batches(partial, batch_format="pyarrow", batch_size=None,
+                     zero_copy_batch=True),
         "c_nationkey", argmax)
 
 
@@ -1119,7 +1068,7 @@ def pivot_events(sf_dir: str) -> "rd.Dataset":
         return pa.table(cols)
 
     def total(t: pa.Table) -> pa.Table:
-        g = t.group_by("day_us").aggregate(
+        g = t.group_by("day_us", use_threads=False).aggregate(
             [(f"n_{e}", "sum") for e in EVENT_TYPES])
         return g.select(["day_us"] + [f"n_{e}_sum" for e in EVENT_TYPES]) \
             .rename_columns(["day_us"] + [f"n_{e}" for e in EVENT_TYPES])

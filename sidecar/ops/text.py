@@ -150,24 +150,12 @@ def fingerprint(sf_dir: str) -> "rd.Dataset":
 
 
 def lang_counts(sf_dir: str) -> "rd.Dataset":
-    """lang, n — grouped counts with per-batch partial pre-aggregation before
-    the (tiny) global groupby — the scale pattern for counters (A1).  Null
-    languages form their own group, as in the SQL GROUP BY: pyarrow's
-    group_by keeps the null key, and copartition sends every null-key row to
-    one partition."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return batch.group_by("lang").aggregate([([], "count_all")])
-
-    def total(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate([("count_all", "sum")])
-        return pa.table({"lang": g.column("lang"),
-                         "n": g.column("count_all_sum")})
-
-    return copartition(
-        read_documents(sf_dir, columns=("doc_id", "lang"))
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "lang", total)
+    """lang, n — grouped counts, one ``shuffle.aggregate`` (per-block partial
+    counts before the tiny global groupby: the scale pattern for counters,
+    A1).  Null languages form their own group, as in the SQL GROUP BY."""
+    return shuffle.aggregate(
+        read_documents(sf_dir, columns=("doc_id", "lang")), "lang",
+        [([], "count_all")], lambda g: g.rename_columns(["lang", "n"]))
 
 
 def token_count_regex(sf_dir: str) -> "rd.Dataset":
@@ -232,8 +220,8 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     two ints in both engines, so ordering — ties broken by term — is
     bit-identical; the emitted columns are ints/strings only).
 
-    Pass 1 counts each term's document frequency: per-batch partial counts,
-    then a term-keyed exchange.  The reduced (term, df) table is
+    Pass 1 counts each term's document frequency, one ``shuffle.aggregate``
+    count of the (doc, term) rows per term.  The reduced (term, df) table is
     materialized and measured.  Within ``shuffle.BROADCAST_MAX_BYTES`` it is
     broadcast as one Arrow table, and pass 2 tokenizes, looks up df and
     ranks inside one document map, with no exchange.  Over it (a web-scale
@@ -243,23 +231,19 @@ def tfidf_topk(sf_dir: str, k: int = 5) -> "rd.Dataset":
     (``_doc_term_tf``, ``_with_df``, ``_rank_topk``), so their output is
     identical (asserted in tests and at 1M docs in the soak)."""
 
-    def partial_df(batch: pa.Table) -> pa.Table:
-        g = _doc_term_tf(batch).group_by("term", use_threads=False) \
-            .aggregate([([], "count_all")])
-        return pa.table({"term": g.column("term"), "p_df": g.column("count_all")})
-
-    def total_df(t: pa.Table) -> pa.Table:
-        g = t.group_by("term").aggregate([("p_df", "sum")])
-        return pa.table({"term": g.column("term"), "df": g.column("p_df_sum")})
+    def df_of(g: pa.Table) -> pa.Table:
+        return g.rename_columns(["term", "df"])
 
     documents = read_documents(sf_dir)
-    df_ds = copartition(documents.map_batches(
-        partial_df, batch_format="pyarrow", zero_copy_batch=True),
-        "term", total_df)
+    df_ds = shuffle.aggregate(
+        documents.map_batches(_doc_term_tf, batch_format="pyarrow",
+                              batch_size=None, zero_copy_batch=True),
+        "term", [([], "count_all")], df_of)
     if df_ds.count() == 0:  # no documents, so no block to map: rank none here
-        none = documents.schema().base_schema.empty_table()
-        return rd.from_arrow(_rank_topk(
-            _with_df(_doc_term_tf(none), total_df(partial_df(none))), k))
+        none = _doc_term_tf(documents.schema().base_schema.empty_table())
+        return rd.from_arrow(_rank_topk(_with_df(none, df_of(
+            none.group_by("term", use_threads=False).aggregate(
+                [([], "count_all")]))), k))
     if df_ds.size_bytes() > shuffle.BROADCAST_MAX_BYTES:
         return _tfidf_topk_partitioned(documents, k, df_ds)
 
@@ -287,30 +271,28 @@ def _tfidf_topk_partitioned(documents: "rd.Dataset", k: int,
 
 def bigram_topk(sf_dir: str, k: int = 100) -> "pd.DataFrame":
     """s, n — the corpus's k most frequent word bigrams (with multiplicity).
-    Per-batch partial counts collapse each block to its distinct bigrams
-    before the bigram-keyed exchange; each partition sums its counts and
+    One ``shuffle.aggregate`` counts the bigrams, collapsing each block to
+    its distinct bigrams before the bigram-keyed exchange; each partition
     keeps its top-k, and the driver merges ≤ k rows per partition — no
-    global sort.  Ties at the
-    cut are broken by the bigram string, so the result set is deterministic."""
-    from collections import Counter
+    global sort.  Ties at the cut are broken by the bigram string, so the
+    result set is deterministic."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for t in batch.column("text").to_pylist():
-            w = (t or "").split(" ")
-            c.update(f"{w[i]} {w[i+1]}" for i in range(len(w) - 1))
-        return pa.table({"s": pa.array(list(c.keys()), pa.string()),
-                         "p_n": pa.array(list(c.values()), pa.int64())})
+    def bigrams(b: pa.Table) -> pa.Table:
+        words = pc.split_pattern(b.column("text").fill_null(""), " ")
+        flat, doc = pc.list_flatten(words), pc.list_parent_indices(words)
+        # a word and the next one make a bigram when one document holds both
+        same = pc.equal(doc[:-1], doc[1:])
+        return pa.table({"s": pc.binary_join_element_wise(
+            flat[:-1].filter(same), flat[1:].filter(same), " ")})
 
-    def partition_topk(t: pa.Table) -> pa.Table:
-        g = t.group_by("s").aggregate([("p_n", "sum")])
-        g = pa.table({"s": g.column("s"), "n": g.column("p_n_sum")})
-        return g.sort_by([("n", "descending"), ("s", "ascending")]).slice(0, k)
+    def topk(g: pa.Table) -> pa.Table:
+        return g.rename_columns(["s", "n"]).sort_by(
+            [("n", "descending"), ("s", "ascending")]).slice(0, k)
 
-    merged = copartition(
-        read_documents(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "s", partition_topk
+    merged = shuffle.aggregate(
+        read_documents(sf_dir).map_batches(bigrams, batch_format="pyarrow",
+                                           batch_size=None, zero_copy_batch=True),
+        "s", [([], "count_all")], topk
     ).to_pandas()  # ≤ k rows per partition by construction
     return (merged.sort_values(["n", "s"], ascending=[False, True])
             .head(k).reset_index(drop=True))

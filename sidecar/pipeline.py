@@ -324,11 +324,10 @@ def sidecar_dataset_dedup_digest(images_ds, *, batch_size: int = 1024):
     Output rows equal ``sidecar_dataset``'s (order aside) — asserted in
     tests on corpora with duplicate payloads and distinct captions.
     """
-    import pandas as pd
-
     def reps(batch: pa.Table) -> pa.Table:
         digests = _digest_batch(batch.column("bytes"))
-        first = (~pd.Series(digests).duplicated()).to_numpy()
+        first = np.zeros(len(digests), dtype=bool)
+        first[np.unique(digests, return_index=True)[1]] = True  # keep-first
         return batch.filter(pa.array(first)).append_column(
             "payload_digest", pa.array(digests[first], pa.string()))
 

@@ -21,6 +21,19 @@ join passes its sides as a list, ``copartition([a, b], key, fn)``, and
 table: no side is padded into a shared schema or tagged.  Input tables may carry a column of their
 own called ``part``, but not one named ``PART_COL``, which is reserved.
 
+``aggregate`` is the two-level GROUP BY on top of it, the split Ray Data
+makes into ``AggregateFnV2.aggregate_block`` / ``combine`` / ``finalize``:
+each block reduces to its groups, one ``copartition`` on the keys combines
+them, and an optional ``finish`` body shapes each partition's groups.  Two
+kinds of site keep their own ``copartition``.  ``relational.mode_segment``
+counts (nation, segment) groups but takes an argmax per nation, a coarser
+key than its groups, so its exchange is on the nation; and
+``relational.group_topk_orders`` keeps rows, a top-k at both levels, which
+no aggregate combines.  Sites whose keys barely repeat within a block
+(``relational.customer_order_stats``, prep's digest and fingerprint
+dedups) group inside the exchange only: a per-block partial would shrink
+nothing.
+
 The exchange is a direct hash exchange on Ray core tasks, and the only one
 in the engine (``tests/test_shuffle.py`` fails on any Ray Data groupby under
 ``sidecar/``).  Ray Data's sort-based groupby runs a sampling pass, a sort
@@ -229,6 +242,43 @@ def copartition(ds, key: "str | list[str]", fn):
                                  LogicalPlan(InputData(bundles), context))
     result._plan.execute()  # no-op: marks the plan executed, like materialize()
     return result
+
+
+# how partial results of each aggregate function combine into the total
+_COMBINE = {"sum": "sum", "count": "sum", "count_all": "sum",
+            "min": "min", "max": "max"}
+
+
+def aggregate(ds, keys: "str | list[str]", aggs: list, finish=None):
+    """``GROUP BY keys`` over ``ds`` with ``aggs``, ``Table.group_by``'s
+    ``(column, function)`` pairs (``([], "count_all")`` counts rows), as a
+    materialized dataset of one row per group, columns named as
+    ``Table.group_by`` names them (``<column>_<function>``, ``count_all``).
+
+    Two levels: a map reduces each whole block to its groups, then one
+    :func:`copartition` on ``keys`` combines the partial rows of each group
+    (sums and counts by ``sum``; ``min`` and ``max`` by themselves), so the
+    exchange moves one row per (block, group).  ``finish(groups)``, if given,
+    runs on each partition's combined groups in the same reduce task and
+    returns the output table.  A null key is a group of its own, as in SQL.
+    Input without rows gives no rows, and ``finish`` is never called."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    # the partial column of each aggregate, and what its combine is named
+    names = {f"{c}_{f}" if c else f: f for c, f in aggs}
+    total = {f"{n}_{_COMBINE[f]}": n for n, f in names.items()}
+
+    def partial(block: pa.Table) -> pa.Table:
+        return block.group_by(keys, use_threads=False).aggregate(aggs)
+
+    def combine(t: pa.Table) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(
+            [(n, _COMBINE[f]) for n, f in names.items()])
+        g = g.rename_columns([total.get(c, c) for c in g.column_names])
+        return finish(g) if finish else g
+
+    return copartition(ds.map_batches(partial, batch_format="pyarrow",
+                                      batch_size=None, zero_copy_batch=True),
+                       keys, combine)
 
 
 _BROADCAST: tuple = (None, None)  # this process's last broadcast: (id, value)

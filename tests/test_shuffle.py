@@ -1,6 +1,6 @@
 """sidecar.shuffle.copartition: co-location, a process-independent hash,
 a partition column no body or output ever sees, and joins of several
-inputs."""
+inputs; sidecar.shuffle.aggregate, the two-level GROUP BY over it."""
 
 import ast
 import pathlib
@@ -15,7 +15,7 @@ import ray
 import ray.data as rd
 from ray.data import DataContext
 
-from sidecar.shuffle import PART_COL, _partition_ids, copartition
+from sidecar.shuffle import PART_COL, _partition_ids, aggregate, copartition
 
 N = 2_000
 
@@ -96,17 +96,42 @@ def test_one_block_and_many_tiny_blocks_give_equal_output():
     def distinct_keys(g: pa.Table) -> pa.Table:
         return g.group_by(["s", "j"]).aggregate([("row", "sum"), ([], "count_all")])
 
-    one = copartition(rd.from_arrow(t), ["s", "j"], distinct_keys)
-    tiny = copartition(rd.from_arrow([t.slice(i, 1) for i in range(300)]),
-                       ["s", "j"], distinct_keys)
+    one_ds = rd.from_arrow(t)
+    tiny_ds = rd.from_arrow([t.slice(i, 1) for i in range(300)])
+    one = copartition(one_ds, ["s", "j"], distinct_keys)
+    tiny = copartition(tiny_ds, ["s", "j"], distinct_keys)
     # 300 small blocks are split in runs: one partition per CPU
     assert f"Copartition[s,j] {_cpus()} partitions" in tiny.stats()
     order = [("s", "ascending"), ("j", "ascending")]
-    assert _collect(one).sort_by(order).equals(_collect(tiny).sort_by(order))
+    want = _collect(one).sort_by(order)
+    # the two-level aggregate names its columns as the one-level group_by
+    aggs = [("row", "sum"), ([], "count_all")]
+    for got in (tiny, aggregate(one_ds, ["s", "j"], aggs),
+                aggregate(tiny_ds, ["s", "j"], aggs)):
+        assert _collect(got).sort_by(order).equals(want)
+
+
+@pytest.mark.parametrize("fn", ["sum", "count", "count_all", "min", "max"])
+def test_aggregate_combines_as_one_group_by(fn):
+    """Each function's partials combine to what one ``Table.group_by`` of
+    the whole input gives, null values included."""
+    t = _table()
+    t = t.append_column("v", pc.if_else(pa.array(np.arange(N) % 11 == 0),
+                                        pa.scalar(None, pa.int64()), t["row"]))
+    agg = ([], "count_all") if fn == "count_all" else ("v", fn)
+    got = _collect(aggregate(rd.from_arrow(t).repartition(8), ["s", "j"], [agg]))
+    want = t.group_by(["s", "j"], use_threads=False).aggregate([agg])
+    order = [("s", "ascending"), ("j", "ascending")]
+    assert got.sort_by(order).equals(want.sort_by(order))
+
+
 
 
 @pytest.mark.parametrize("key", ["s", "i"])
 def test_null_keys_reach_one_call(key):
+    """Null-key rows reach one body call, and ``aggregate`` makes them one
+    group of their own, as SQL's GROUP BY does (a pandas groupby drops
+    them)."""
     t = _table()
     nulls = pa.array(np.arange(N) % 7 == 0)
     t = t.set_column(t.schema.get_field_index(key), key,
@@ -116,10 +141,13 @@ def test_null_keys_reach_one_call(key):
     def count_nulls(g: pa.Table) -> pa.Table:
         return pa.table({"n_null": [g.column(key).null_count]})
 
-    got = _collect(copartition(rd.from_arrow(t).repartition(8), key,
-                               count_nulls))
+    ds = rd.from_arrow(t).repartition(8)
+    got = _collect(copartition(ds, key, count_nulls))
     per_call = [n for n in got.column("n_null").to_pylist() if n]
     assert per_call == [int(pc.sum(nulls).as_py())]
+    groups = _collect(aggregate(ds, key, [([], "count_all")]))
+    assert groups.filter(pc.is_null(groups[key]))["count_all"].to_pylist() \
+        == per_call
 
 
 def test_no_ray_data_groupby_in_the_engine():
@@ -131,6 +159,46 @@ def test_no_ray_data_groupby_in_the_engine():
     hits = [f"{path.relative_to(root.parent)}: {m.group(0)!r}"
             for path in sorted(root.rglob("*.py"))
             for m in banned.finditer(path.read_text(encoding="utf-8"))]
+    assert not hits, hits
+
+
+def _sources():
+    root = pathlib.Path(__file__).resolve().parent.parent / "sidecar"
+    for path in sorted(root.rglob("*.py")):
+        yield (path.relative_to(root.parent).as_posix(),
+               ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_no_nested_body_touches_pandas():
+    """Map and exchange bodies (the defs and lambdas nested in a function)
+    work on Arrow, numpy or the run kernels: none converts to or from
+    pandas or calls ``pd.``."""
+    hits = set()
+    for name, tree in _sources():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for body in ast.walk(fn):
+                if body is fn or not isinstance(body, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                for node in ast.walk(body):
+                    if isinstance(node, ast.Attribute) and (
+                            node.attr in ("to_pandas", "from_pandas")
+                            or isinstance(node.value, ast.Name)
+                            and node.value.id == "pd"):
+                        hits.add(f"{name}:{node.lineno}")
+    assert not hits, sorted(hits)
+
+
+def test_every_group_by_runs_single_threaded():
+    """Every ``Table.group_by`` passes ``use_threads=False``: a threaded
+    float sum adds in an order that changes from run to run."""
+    hits = [f"{name}:{node.lineno}"
+            for name, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "group_by"
+            and not any(kw.arg == "use_threads" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is False for kw in node.keywords)]
     assert not hits, hits
 
 
@@ -167,7 +235,8 @@ def test_zero_row_blocks_are_skipped():
 @pytest.mark.parametrize("block_format", ["pandas", "pyarrow"])
 def test_all_empty_input_never_calls_body(block_format):
     """Empty input blocks, column-less or not, pandas or Arrow, give an empty
-    result without the body ever being called."""
+    result without the body (or ``aggregate``'s ``finish``) ever being
+    called."""
     def body(g):
         raise AssertionError("body called on an empty input")
 
@@ -176,8 +245,8 @@ def test_all_empty_input_never_calls_body(block_format):
         ds = rd.from_pandas([pd.DataFrame(), empty.to_pandas()])
     else:
         ds = rd.from_arrow([pa.table({}), empty])
-    got = copartition(ds, "s", body)
-    assert got.count() == 0
+    assert copartition(ds, "s", body).count() == 0
+    assert aggregate(ds, "s", [([], "count_all")], body).count() == 0
 
 
 def test_stats_chain_upstream_and_report_the_exchange():
