@@ -1021,15 +1021,13 @@ def mode_segment(sf_dir: str) -> "rd.Dataset":
     keys = ["c_nationkey", "c_mktsegment"]
 
     def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys, use_threads=False).aggregate([([], "count_all")])
-        return g.set_column(0, "c_nationkey",
-                            pc.cast(g["c_nationkey"], pa.int64()))
+        return b.group_by(keys, use_threads=False).aggregate([([], "count_all")])
 
     def argmax(t: pa.Table) -> pa.Table:
         g = t.group_by(keys, use_threads=False).aggregate([("count_all", "sum")])
         g = runs.first(g, ["c_nationkey"],
                        (("count_all_sum", "descending"), "c_mktsegment"))
-        return pa.table({"c_nationkey": g["c_nationkey"],
+        return pa.table({"c_nationkey": pc.cast(g["c_nationkey"], pa.int64()),
                          "top_segment": g["c_mktsegment"],
                          "n_customers": g["count_all_sum"]})
 
